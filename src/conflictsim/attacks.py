@@ -9,7 +9,6 @@ background workload) deterministically from the trial seed.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field, replace
 
@@ -113,10 +112,19 @@ def recompute_success(outcome: AttackOutcome) -> bool:
 
 
 def clone_tx(tx: Transaction) -> Transaction:
-    # Shallow copy with a private reads dict; payload/writes/deps are never
-    # mutated in place, so sharing them is safe.
-    dup = copy.copy(tx)
+    # Field-by-field copy with a private reads dict; payload/writes/deps are
+    # never mutated in place, so sharing them is safe.  Skips __init__ (and
+    # its validation, which the source already passed).
+    dup = Transaction.__new__(Transaction)
+    dup.id = tx.id
+    dup.payload = tx.payload
+    dup.channel = tx.channel
+    dup.submitter = tx.submitter
     dup.reads = dict(tx.reads)
+    dup.writes = tx.writes
+    dup.declared_deps = tx.declared_deps
+    dup.priority = tx.priority
+    dup.submit_time = tx.submit_time
     return dup
 
 
@@ -207,9 +215,17 @@ class SimulationRun:
         timeout: int | None = None,
         on_arrival=None,
     ) -> None:
-        """Plan endorsement + admission at submit_time + client latency."""
+        """Plan endorsement + admission at submit_time + client latency.
+
+        A transaction that would arrive after the deadline is not planned:
+        the engine would never fire its arrival, and everything read after
+        the run (collection, the balance replay, the DDoS failure rate)
+        looks only at arrived transactions, in ``submitted_ids``.
+        """
         submitter = via or tx.submitter
         arrive_at = tx.submit_time + self.client_latency(submitter)
+        if arrive_at > self.config.deadline:
+            return
         self.all_txs[tx.id] = tx
         if valid:
             self.valid_ids.add(tx.id)
@@ -654,12 +670,6 @@ def run_balance_attack(
         attack.p_int("tail_start", 1010),
     )
     build_valid(reference, attack.p_int("valid_reference", 90), 0, 0)
-
-    extra_link_delay = attack.p_int("link_delay", 0)
-    if extra_link_delay:
-        for node in config.topology.nodes:
-            if node.role == "orderer" and attacked in node.channels:
-                run.engine.inject_link_delay(node.id, node.id, extra_link_delay)
 
     batch = _conflict_batch(config, seed, batch)
     adv_client = _client_of(config, adversary=True)

@@ -49,19 +49,19 @@ class PriorityClass(IntEnum):
     UNASSIGNED = 2
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Transfer:
     src: WalletId
     dst: WalletId
     amount: int
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Query:
     wallets: tuple[WalletId, ...]
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Transaction:
     """A single wallet operation plus the read/write footprint it declared.
 

@@ -113,8 +113,6 @@ class Engine:
         self._seq = 0
         self.record_trace = record_trace
         self.trace: list[tuple[SimTime, int, str, str]] = []
-        # Adversary-injected extra delay per directed link.
-        self._injected: dict[tuple[str, str], SimTime] = {}
         self.last_event_time: SimTime = 0
 
     # -- scheduling -------------------------------------------------------
@@ -148,17 +146,13 @@ class Engine:
         payload: Any = None,
         extra_delay: SimTime = 0,
     ) -> SimTime:
-        """Schedule a deliver event after the link latency (plus injections)."""
+        """Schedule a deliver event after the link latency."""
         topo = self.topology
         topo.node(src)
         topo.node(dst)
-        delay = topo.latency(src, dst) + self._injected.get((src, dst), 0)
-        at = self.now + delay + extra_delay
+        at = self.now + topo.latency(src, dst) + extra_delay
         self.schedule_call(at, DELIVER, dst, fn, payload)
         return at
-
-    def inject_link_delay(self, src: str, dst: str, extra: SimTime) -> None:
-        self._injected[(src, dst)] = extra
 
     # -- execution --------------------------------------------------------
 

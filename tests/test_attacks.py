@@ -1,17 +1,29 @@
 """Attack orchestration: scripted outcomes, negative variants, invariants."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conflictsim.attacks import (
     PRECONDITION_PHASES,
+    SimulationRun,
+    clone_tx,
     conservation_holds,
     recompute_success,
     run_attack,
 )
 from conflictsim.cli import resolve_scenario
-from conflictsim.core import TxStatus, total_supply
+from conflictsim.core import (
+    PriorityClass,
+    Query,
+    Transaction,
+    TxStatus,
+    total_supply,
+    transfer_tx,
+)
 from conflictsim.errors import ScenarioMismatchError
 from conflictsim.harness import sweep_scenario
+from conflictsim.simnet import SUBMIT
 from conflictsim.workload import parse_scenario
 
 
@@ -280,3 +292,71 @@ def test_countermeasure_dominance_small_sample():
 def test_counts_sum_to_submitted(outcome_zoo):
     for _, out in outcome_zoo:
         assert sum(out.status_counts.values()) == out.submitted
+
+
+# -- transaction copies and submission planning ----------------------------------
+
+
+WALLETS = ("A1", "A2", "V1", "V2", "W001", "W002")
+NAMES = st.text(alphabet="abcxyz0123456789-", min_size=1, max_size=8)
+
+
+@st.composite
+def transactions(draw):
+    tx_id = draw(NAMES)
+    extra = tuple(draw(st.lists(st.sampled_from(WALLETS), max_size=3)))
+    deps = draw(st.frozensets(NAMES, max_size=3))
+    common = dict(
+        channel=draw(st.sampled_from(("main", "ch1", "ch2"))),
+        submitter=draw(NAMES),
+        submit_time=draw(st.integers(-50, 20_000)),
+    )
+    if draw(st.booleans()):
+        src, dst = draw(st.lists(
+            st.sampled_from(WALLETS), min_size=2, max_size=2, unique=True))
+        tx = transfer_tx(tx_id, src, dst, draw(st.integers(1, 20)),
+                         extra_reads=extra, deps=tuple(deps), **common)
+    else:
+        wallets = tuple(draw(st.lists(
+            st.sampled_from(WALLETS), min_size=1, max_size=3, unique=True)))
+        tx = Transaction(id=tx_id, payload=Query(wallets),
+                         reads=dict.fromkeys(wallets + extra, 0),
+                         declared_deps=deps, **common)
+    tx.priority = draw(st.sampled_from(PriorityClass))
+    for wallet in tx.reads:
+        tx.reads[wallet] = draw(st.integers(0, 50))  # endorsement stamps
+    return tx
+
+
+@given(transactions())
+def test_clone_tx_equals_source_and_copies_are_independent(tx):
+    assert not hasattr(tx, "__dict__")
+    before = (dict(tx.reads), tx.priority, tx.channel, tx.submitter,
+              tx.submit_time)
+    dup = clone_tx(tx)
+    assert dup == tx and dup is not tx
+    for wallet in dup.reads:
+        dup.reads[wallet] += 1
+    dup.reads["ZZ"] = 0
+    dup.priority = PriorityClass((dup.priority + 1) % len(PriorityClass))
+    dup.channel += "-copy"
+    dup.submitter += "-copy"
+    dup.submit_time += 1
+    assert (tx.reads, tx.priority, tx.channel, tx.submitter,
+            tx.submit_time) == before
+
+
+def test_submission_arriving_after_deadline_is_never_planned():
+    config = resolve_scenario("fig1_race")
+    run = SimulationRun(config, "baseline", config.seed)
+    latency = run.client_latency("client1")
+    for tx_id, arrive_at in (("late", config.deadline + 1),
+                             ("on_time", config.deadline)):
+        run.submit(
+            transfer_tx(tx_id, "X", "Y", 1, submitter="client1",
+                        submit_time=arrive_at - latency),
+            valid=True,
+        )
+    run.run_until_deadline()
+    assert run.submitted_ids == {"on_time"}
+    assert all(event[2] != SUBMIT for event in run.engine._heap)

@@ -1,12 +1,14 @@
 """Trial runner, aggregation, result files, bench wiring, CLI surface."""
 
+import gc
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conflictsim.cli import resolve_scenario
+from conflictsim.cli import main, resolve_scenario
 from conflictsim.errors import EmptyInputError
 from conflictsim.harness import (
     CSV_COLUMNS,
@@ -115,6 +117,53 @@ def test_record_counts_sum_to_submitted():
     for record in run_trials(small_plan(trials=2)):
         total = record.committed + record.failed + record.pending + record.timeout
         assert total == record.outcome.submitted
+
+
+ATTACK_SCENARIOS = (
+    "table2_block_withholding", "sec3b_double_spend",
+    "table2_balance_attack", "ddos_default",
+)
+
+
+def test_run_trials_leaves_no_cyclic_garbage():
+    # Nine paired trials per call, so the mid-sweep collection runs too.
+    plans = [
+        TrialPlan(scenario=resolve_scenario(name), trials=9, base_seed=0,
+                  sweep=[50], lean=True)
+        for name in ATTACK_SCENARIOS
+    ]
+    gc.collect()
+    tracked = []
+    for _ in range(6):
+        for plan in plans:
+            records = run_trials(plan)
+            assert gc.collect() == 0
+        tracked.append(len(gc.get_objects()))
+    assert len(set(tracked)) == 1, tracked
+
+
+# SHA-256 of `conflictsim sweep --conflicts 1000..2000:1000 --trials 2` CSV
+# output per scenario (default seeds).  Any change to these bytes changes the
+# paper's success-rate tables.
+SWEEP_CSV_SHA256 = {
+    "table2_block_withholding":
+        "bdc41001bc90efc30131a9abf3120a674f5845b3e70c4c2ba3c266f7d090bc20",
+    "sec3b_double_spend":
+        "b4c08a9c5d4016fac0ba5cb5490afa69d03fbb878e10e8f2ce120e89b7ca912c",
+    "table2_balance_attack":
+        "b589bc64d182c3e36ca0a72cef01b6724b19996caa7425d9126c19d317d1f491",
+    "ddos_default":
+        "58a3e2666ca917e1bf6aad20577f2c5586b89a25ccebca0ef4abef54a24f7bdc",
+}
+
+
+@pytest.mark.parametrize("name", ATTACK_SCENARIOS)
+def test_sweep_csv_bytes_match_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--scenario", name, "--conflicts", "1000..2000:1000",
+                 "--trials", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SWEEP_CSV_SHA256[name]
 
 
 # -- bench -------------------------------------------------------------------

@@ -80,18 +80,6 @@ def test_broadcast_distinct_latencies():
     assert delivers == [(3, "p1"), (8, "p2"), (11, "p3")]
 
 
-def test_injected_link_delay_adds_to_latency():
-    # Hand-computed schedule: latency 7 plus injected 4 -> delivery at t=11.
-    eng = Engine(seed=1, topology=small_topology(), record_trace=True)
-    eng.inject_link_delay("a", "b", 4)
-    at = eng.send("a", "b")
-    assert at == 11
-    eng.send("a", "c")  # default latency, unaffected: t=5
-    eng.run_until(20)
-    delivers = [(t, target) for t, _, kind, target in eng.trace if kind == DELIVER]
-    assert delivers == [(5, "c"), (11, "b")]
-
-
 def test_send_unknown_node():
     eng = Engine(seed=1, topology=small_topology())
     with pytest.raises(UnknownNodeError):
