@@ -3,7 +3,6 @@ permissioned execute-order-validate ledger, with an ordering-countermeasure
 pipeline and an experiment harness."""
 
 from .core import (
-    Block,
     LedgerState,
     PriorityClass,
     Query,
@@ -11,7 +10,6 @@ from .core import (
     Transfer,
     TxStatus,
     apply_transaction,
-    commit_block,
     conflicts_with,
     query_tx,
     total_supply,
@@ -27,7 +25,7 @@ from .ordering import (
     check_dependencies,
     partition,
 )
-from .simnet import Engine, Event, NodeConfig, Topology
+from .simnet import Engine, NodeConfig, Topology
 from .workload import (
     ConflictSpec,
     ScenarioConfig,

@@ -316,7 +316,9 @@ class SimulationRun:
         self._flush_submissions()
         self.engine.run_until(self.config.deadline)
 
-    def collect(self, kind: str, success: bool, facts: dict) -> AttackOutcome:
+    def collect(self, kind: str, facts: dict) -> AttackOutcome:
+        """Gather the run's outcome; success comes from its recorded facts
+        through ``recompute_success``, the one predicate per attack."""
         statuses: dict[str, int] = {
             "committed": 0, "conflict_failed": 0, "insufficient_funds": 0,
             "timeout": 0, "rejected": 0, "pending": 0,
@@ -360,11 +362,11 @@ class SimulationRun:
                 s.peak_queue_occupancy() for s in self.services.values()
             )
 
-        return AttackOutcome(
+        outcome = AttackOutcome(
             kind=kind,
             policy_mode=self.policy.mode,
             seed=self.seed,
-            success=success,
+            success=False,
             phase_log=list(self.phases.log),
             ledgers={ch: s.ledger for ch, s in self.channels.items()},
             chain_sizes={ch: s.chain_length for ch, s in self.channels.items()},
@@ -381,6 +383,8 @@ class SimulationRun:
             ),
             facts=facts,
         )
+        outcome.success = recompute_success(outcome)
+        return outcome
 
 
 def _conflict_batch(
@@ -503,8 +507,7 @@ def run_block_withholding(
         "attacker_delta": attacker_delta,
         "variant": variant,
     }
-    success = (not target_committed) and attacker_delta > 0
-    return run.collect("block_withholding", success, facts)
+    return run.collect("block_withholding", facts)
 
 
 # -- double spending -------------------------------------------------------------
@@ -593,8 +596,7 @@ def run_double_spending(
         "asset_delivered": asset_delivered[0],
         "valid_status": state.status("valid").value,
     }
-    success = ds_committed and not valid_committed and asset_delivered[0]
-    return run.collect("double_spending", success, facts)
+    return run.collect("double_spending", facts)
 
 
 # -- balance attack ---------------------------------------------------------------
@@ -701,9 +703,6 @@ def run_balance_attack(
     run.phases.enter("P3", config.deadline)
     run.phases.enter("P4", config.deadline)
 
-    chain_attacked = att_state.chain_length
-    chain_reference = ref_state.chain_length
-
     # P5 epilogue: replay the first still-pending attacked-channel transaction
     # on the reference chain (validated on a copy so recorded metrics stay a
     # deadline snapshot).
@@ -735,8 +734,7 @@ def run_balance_attack(
         "replayed_tx": replayed,
         "initial_pending": initial_pending,
     }
-    success = chain_reference > chain_attacked and replay_committed
-    return run.collect("balance", success, facts)
+    return run.collect("balance", facts)
 
 
 # -- DDoS --------------------------------------------------------------------------
@@ -820,8 +818,7 @@ def run_ddos(
         "theta": theta,
         "n_accounts": n_accounts,
     }
-    success = facts["overflowed"] and rate > theta
-    return run.collect("ddos", success, facts)
+    return run.collect("ddos", facts)
 
 
 # -- ordering race probe -------------------------------------------------------------
@@ -842,8 +839,7 @@ def run_ordering_race(
     run.phases.enter("P2", config.deadline)
     run.phases.enter("P3", config.deadline)
     violations = sum(s.dependency_violations() for s in run.channels.values())
-    facts = {"violations": violations}
-    return run.collect("ordering_race", violations >= 1, facts)
+    return run.collect("ordering_race", {"violations": violations})
 
 
 # -- dispatch ---------------------------------------------------------------------

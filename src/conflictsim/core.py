@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .errors import (
-    HeightMismatchError,
-    TokenOverflowError,
-    UnknownWalletError,
-)
+from .errors import TokenOverflowError, UnknownWalletError
 
 # Wallet / transaction / channel identifiers are plain opaque strings.
 WalletId = str
@@ -105,10 +101,6 @@ class Transaction:
                 self.reads = {w: 0 for w in p.wallets}
 
     @property
-    def read_wallets(self) -> set[WalletId]:
-        return set(self.reads)
-
-    @property
     def is_read_only(self) -> bool:
         return isinstance(self.payload, Query)
 
@@ -194,18 +186,6 @@ class LedgerState:
         )
 
 
-@dataclass(eq=True)
-class Block:
-    height: int
-    channel: ChannelId
-    txs: list[Transaction]
-    proposer: str
-
-    def __post_init__(self):
-        if not self.txs:
-            raise ValueError("block must contain at least one transaction")
-
-
 def conflicts_with(a: Transaction, b: Transaction) -> bool:
     """Two transactions conflict when a write overlaps the other's footprint.
 
@@ -269,24 +249,6 @@ def apply_transaction(
             raise UnknownWalletError(f"{tx.id}: unknown written wallet {wallet}")
         versions[wallet] += 1
     return state, TxStatus.COMMITTED
-
-
-def commit_block(
-    state: LedgerState, block: Block
-) -> tuple[LedgerState, list[tuple[TransactionId, TxStatus]]]:
-    """Apply a block's transactions in order and advance the chain head."""
-    if block.height != state.height + 1:
-        raise HeightMismatchError(
-            f"block height {block.height}, expected {state.height + 1}"
-        )
-    results: list[tuple[TransactionId, TxStatus]] = []
-    for tx in block.txs:
-        _, status = apply_transaction(state, tx)
-        results.append((tx.id, status))
-        if status is TxStatus.COMMITTED:
-            state.committed_tx_count += 1
-    state.height += 1
-    return state, results
 
 
 def total_supply(state: LedgerState) -> int:

@@ -13,10 +13,6 @@ class TokenOverflowError(SimulatorError):
     """Token arithmetic left the 64-bit amount domain."""
 
 
-class HeightMismatchError(SimulatorError):
-    pass
-
-
 class TimeInPastError(SimulatorError):
     pass
 

@@ -382,8 +382,6 @@ def _drain_queue(queue, ledger, committed, failed, lock, io_delay_s) -> None:
 def _bench_pipeline(
     balances, txs, workers, io_delay_s, parallel: bool
 ) -> tuple[LedgerState, float]:
-    for tx in txs:
-        assign_priority(tx)
     queues = partition(txs, workers)
     ledger = LedgerState.from_balances(balances)
     committed: set[str] = set()
@@ -421,6 +419,8 @@ def bench_throughput(
 
     Every pipeline rep is checked against a single-context reference run of
     the same partitioned schedule; divergence raises StateMismatchError.
+    Each rep generates its batch and assigns priorities once; the three runs
+    share it, since each re-stamps every read before applying.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -434,16 +434,11 @@ def bench_throughput(
         balances, workload = generate_bench_workload(
             txs, read_ratio, n_wallets=n_wallets, seed=seed + rep
         )
+        for tx in workload:
+            assign_priority(tx)
         _, b_time = _bench_baseline(balances, workload, io_delay_s)
-
-        balances, workload = generate_bench_workload(
-            txs, read_ratio, n_wallets=n_wallets, seed=seed + rep
-        )
         p_ledger, p_time = _bench_pipeline(
             balances, workload, workers, io_delay_s, parallel=True
-        )
-        balances, workload = generate_bench_workload(
-            txs, read_ratio, n_wallets=n_wallets, seed=seed + rep
         )
         ref_ledger, _ = _bench_pipeline(
             balances, workload, workers, 0.0, parallel=False

@@ -127,6 +127,13 @@ class Mempool:
         return False
 
 
+def _jitter(engine: Engine, lo: int, hi: int) -> int:
+    """Seeded ordering delay drawn uniformly from [lo, hi]."""
+    if hi <= lo:
+        return lo
+    return lo + int(engine.rng.random() * (hi - lo + 1))
+
+
 # -- countermeasure primitives ----------------------------------------------
 
 
@@ -184,8 +191,8 @@ class OrdererQueue:
     def __len__(self) -> int:
         return len(self._live)
 
-    def has_space(self) -> bool:
-        return len(self._live) < self.capacity
+    def __contains__(self, tx_id: str) -> bool:
+        return tx_id in self._live
 
     def append(self, tx: Transaction) -> None:
         self._live.add(tx.id)
@@ -219,62 +226,177 @@ class OrdererQueue:
         return out
 
 
+class _Group:
+    __slots__ = ("queue_index", "seq", "members")
+
+    def __init__(self, queue_index: int, seq: int):
+        self.queue_index = queue_index
+        self.seq = seq
+        # Transactions ever enqueued for this group; pruned on relocation.
+        self.members: list = []
+
+
+class FootprintGroups:
+    """Online union-find over wallet and transaction-id keys, each group
+    dealt to one of ``n`` queues.
+
+    A transaction's keys are its wallets (the insertion-ordered reads, then
+    any writes it does not read, sorted), so key order stays independent of
+    the per-process string hash seed.  A ``t:<id>`` key carries declared
+    dependency edges; it exists only once some transaction references the
+    id.  New groups are dealt round-robin when created.  When a join
+    bridges two groups the older one (and its queue) survives, and
+    ``on_merge(younger, older)`` is called to move the younger group's
+    pending members.
+    """
+
+    def __init__(
+        self, n: int, on_merge: Callable[[_Group, _Group], None] | None = None
+    ):
+        self.n = n
+        self.on_merge = on_merge
+        self.next_queue = 0
+        self._parent: dict[str, str] = {}
+        self._groups: dict[str, _Group] = {}
+        self._wkeys: dict[str, str] = {}
+        self._group_seq = 0
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def keys(self, tx: Transaction) -> list[str]:
+        """The keys ``tx`` would join, in union order; registers none."""
+        wkeys = self._wkeys
+        keys = []
+        for w in tx.reads:
+            key = wkeys.get(w)
+            if key is None:
+                key = wkeys[w] = "w:" + w
+            keys.append(key)
+        extra = tx.writes.difference(tx.reads)
+        if extra:
+            keys.extend("w:" + w for w in sorted(extra))
+        tid = f"t:{tx.id}"
+        if tx.declared_deps or tid in self._parent or not keys:
+            keys.append(tid)
+            for dep in tx.declared_deps:
+                keys.append(f"t:{dep}")
+        return keys
+
+    def reference(self, tx_id: str) -> None:
+        """Register ``t:<tx_id>`` so the transaction joins its dependents."""
+        key = f"t:{tx_id}"
+        self._parent.setdefault(key, key)
+
+    def find(self, key: str) -> str:
+        parent = self._parent
+        root = parent[key]
+        if parent[root] == root:  # a root or its direct child
+            return root
+        while parent[root] != root:
+            root = parent[root]
+        while parent[key] != root:
+            parent[key], key = root, parent[key]
+        return root
+
+    def group(self, key: str) -> _Group:
+        return self._groups[self.find(key)]
+
+    def touched(self, keys: list[str]) -> tuple[list[_Group], bool]:
+        """Existing groups ``keys`` reach, oldest first, and whether every
+        key already sits in the one group (a join would change nothing).
+        Changes nothing but path compression."""
+        parent, groups, find = self._parent, self._groups, self.find
+        found: list[_Group] = []
+        settled = True
+        for key in keys:
+            group = groups.get(find(key)) if key in parent else None
+            if group is None:
+                settled = False
+            elif group not in found:
+                found.append(group)
+        if len(found) > 1:
+            found.sort(key=lambda g: g.seq)
+            settled = False
+        return found, settled and bool(found)
+
+    def join(self, keys: list[str]) -> _Group:
+        """Union ``keys`` into one group, dealing a new group if none."""
+        parent, find = self._parent, self.find
+        for key in keys:
+            if key not in parent:
+                parent[key] = key
+        root = find(keys[0])
+        for key in keys[1:]:
+            other = find(key)
+            if other != root:
+                self._merge(root, other)
+        group = self._groups.get(root)
+        if group is None:
+            group = _Group(self.next_queue % self.n, self._group_seq)
+            self._group_seq += 1
+            self.next_queue += 1
+            self._groups[root] = group
+        return group
+
+    def _merge(self, ra: str, rb: str) -> None:
+        # Root rb joins root ra; ra stays the root.
+        groups = self._groups
+        ga, gb = groups.get(ra), groups.get(rb)
+        if ga is not None and gb is not None:
+            if ga is not gb:
+                keep, drop = (ga, gb) if ga.seq <= gb.seq else (gb, ga)
+                if self.on_merge is not None:
+                    self.on_merge(drop, keep)
+                survivor = keep
+            else:
+                survivor = ga
+        else:
+            survivor = ga or gb
+        self._parent[rb] = ra
+        if survivor is not None:
+            groups[ra] = survivor
+        groups.pop(rb, None)
+
+
 def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     """Split a workload into n queues, keeping conflicting transactions
     together.
 
-    Groups are the connected components of the shared-wallet relation
-    (union-find over read/write footprints, plus declared-dependency edges
-    so a dependent transaction always shares a queue with its dependency).
-    Groups are dealt round-robin in creation order; within each queue
-    transactions keep (priority class, submit time) order.
+    Groups are the pipeline's footprint groups over the whole batch: every
+    id a declared dependency names is registered first, so a dependent
+    transaction always shares a queue with its dependency.  The final
+    groups are dealt round-robin in order of first appearance; within each
+    queue transactions keep (priority class, submit time) order.
     """
     if n < 1:
         raise ValueError("need at least one queue")
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: str, b: str) -> str:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-        return ra
-
-    tx_key: dict[str, str] = {}
+    groups = FootprintGroups(n)
     for tx in txs:
-        keys = [f"w:{w}" for w in sorted(tx.footprint())]
-        keys.append(f"t:{tx.id}")
         for dep in tx.declared_deps:
-            keys.append(f"t:{dep}")
-        for key in keys:
-            parent.setdefault(key, key)
-        root = keys[0]
-        for key in keys[1:]:
-            root = union(root, key)
-        tx_key[tx.id] = keys[0]
+            groups.reference(dep)
+    first_keys = []
+    for tx in txs:
+        keys = groups.keys(tx)
+        groups.join(keys)
+        first_keys.append(keys[0])
 
-    group_queue: dict[str, int] = {}
-    next_queue = 0
-    for tx in txs:  # group creation follows arrival order
-        root = find(tx_key[tx.id])
-        if root not in group_queue:
-            group_queue[root] = next_queue % n
-            next_queue += 1
+    queue_of: dict[_Group, int] = {}
+    tx_queue = []
+    for key in first_keys:
+        group = groups.group(key)
+        index = queue_of.get(group)
+        if index is None:
+            index = queue_of[group] = len(queue_of) % n
+        tx_queue.append(index)
 
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
     ordered = sorted(
-        enumerate(txs),
-        key=lambda item: (item[1].priority, item[1].submit_time, item[0]),
+        range(len(txs)),
+        key=lambda i: (txs[i].priority, txs[i].submit_time, i),
     )
-    for _, tx in ordered:
-        queues[group_queue[find(tx_key[tx.id])]].append(tx)
+    for i in ordered:
+        queues[tx_queue[i]].append(txs[i])
     return queues
 
 
@@ -291,8 +413,6 @@ class ChannelState:
         self.committed: set[str] = set()
         self.failed: set[str] = set()
         self.order_stream: list[str] = []
-        self.blocks_this_run = 0
-        self.committed_this_run = 0
         self.terminal_listeners: list[Callable[[Transaction, TxStatus], None]] = []
         self._declared: dict[str, frozenset[str]] = {}
 
@@ -335,10 +455,8 @@ class ChannelState:
         self.order_stream.append(tx.id)
         if status is TxStatus.COMMITTED:
             self.ledger.committed_tx_count += 1
-            self.committed_this_run += 1
             if tx.writes:
                 self.ledger.height += 1
-                self.blocks_this_run += 1
         self.set_status(tx, status)
         return status
 
@@ -390,12 +508,6 @@ class BaselineOrderingService:
         self._idle = deque(orderers)
         self._lo, self._hi = policy.jitter
 
-    def _jitter(self) -> int:
-        lo, hi = self._lo, self._hi
-        if hi <= lo:
-            return lo
-        return lo + int(self.engine.rng.random() * (hi - lo + 1))
-
     def _commit_latency(self, orderer: NodeConfig) -> int:
         if self.peer_id is None:
             return self.engine.topology.default_latency
@@ -430,7 +542,7 @@ class BaselineOrderingService:
         self._dispatch(orderer, tx)
 
     def _dispatch(self, orderer: NodeConfig, tx: Transaction) -> None:
-        delay = self._jitter() + orderer.processing_delay
+        delay = _jitter(self.engine, self._lo, self._hi) + orderer.processing_delay
         at = self.engine.now + delay + self._commit_latency(orderer)
         self.engine.schedule_call(at, COMMIT, orderer.id, self._on_commit, (orderer, tx))
 
@@ -439,24 +551,8 @@ class BaselineOrderingService:
         self.state.finalize(tx, restamp=False)
         self._start_cycle(orderer)
 
-    def peak_occupancy(self) -> int:
-        return self.mempool.peak_occupancy
-
-    def drained(self) -> bool:
-        return len(self.mempool) == 0
-
 
 # -- countermeasure pipeline ---------------------------------------------------
-
-
-class _Group:
-    __slots__ = ("queue_index", "seq", "members")
-
-    def __init__(self, queue_index: int, seq: int):
-        self.queue_index = queue_index
-        self.seq = seq
-        # Transactions ever enqueued for this group; pruned on relocation.
-        self.members: list = []
 
 
 class PipelineOrderingService:
@@ -481,6 +577,7 @@ class PipelineOrderingService:
         cap = policy.per_queue_capacity
         self.queues = [OrdererQueue(owner=f"worker{i}", capacity=cap) for i in range(n)]
         self.worker_nodes = worker_nodes or []
+        self.groups = FootprintGroups(n, on_merge=self._relocate)
         self._busy = [False] * n
         self._seen: set[str] = set()
         self.rejected_full = 0
@@ -489,46 +586,8 @@ class PipelineOrderingService:
         self._total_live = 0
         self._in_flight: dict[str, Transaction] = {}
         self._defer_counts: dict[str, int] = {}
-        self._parent: dict[str, str] = {}
-        self._groups: dict[str, _Group] = {}
-        self._wkeys: dict[str, str] = {}
-        self._next_queue = 0
-        self._group_seq = 0
         self._retry_scheduled = [False] * n
         self._lo, self._hi = policy.jitter
-
-    # union-find over wallet / transaction-id keys
-
-    def _find(self, key: str) -> str:
-        parent = self._parent
-        root = key
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
-    def _union(self, a: str, b: str) -> str:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return ra
-        ga, gb = self._groups.get(ra), self._groups.get(rb)
-        if ga is not None and gb is not None:
-            if ga is not gb:
-                # Two assigned groups got bridged; the older assignment wins
-                # and the younger group's pending transactions relocate.
-                keep, drop = (ga, gb) if ga.seq <= gb.seq else (gb, ga)
-                self._relocate(drop, keep)
-                survivor = keep
-            else:
-                survivor = ga
-        else:
-            survivor = ga or gb
-        self._parent[rb] = ra
-        if survivor is not None:
-            self._groups[ra] = survivor
-        self._groups.pop(rb, None)
-        return ra
 
     def _relocate(self, source: _Group, dest: _Group) -> None:
         # Move only the source group's still-pending members; other groups
@@ -546,54 +605,33 @@ class PipelineOrderingService:
         if moved:
             self._wake(dest.queue_index)
 
-    def _group_for(self, tx: Transaction) -> _Group:
-        # Reads are an insertion-ordered dict, so key order stays independent
-        # of the per-process string hash seed; stray writes (never produced
-        # by the factories) get sorted in.
-        parent = self._parent
-        wkeys = self._wkeys
-        keys = []
-        for w in tx.reads:
-            key = wkeys.get(w)
-            if key is None:
-                key = wkeys[w] = "w:" + w
-            keys.append(key)
-        extra = tx.writes.difference(tx.reads)
-        if extra:
-            keys.extend("w:" + w for w in sorted(extra))
-        # Transaction-id keys carry declared-dependency edges; they are only
-        # materialized when some transaction references the id.
-        tid = f"t:{tx.id}"
-        if tx.declared_deps or tid in parent:
-            keys.append(tid)
-            for dep in tx.declared_deps:
-                keys.append(f"t:{dep}")
-        for key in keys:
-            if key not in parent:
-                parent[key] = key
-        root = keys[0]
-        for key in keys[1:]:
-            root = self._union(root, key)
-        root = self._find(root)
-        group = self._groups.get(root)
-        if group is None:
-            group = _Group(self._next_queue % self.policy.workers, self._group_seq)
-            self._group_seq += 1
-            self._next_queue += 1
-            self._groups[root] = group
-        return group
-
     # admission (C2 + C4)
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
         if tx.id in self._seen:
             self.rejected_duplicate += 1
             return SubmitOutcome.DUPLICATE
-        group = self._group_for(tx)
-        queue = self.queues[group.queue_index]
-        if not queue.has_space():
+        groups = self.groups
+        keys = groups.keys(tx)
+        # Check the landing queue before joining, so a rejection leaves no
+        # trace: it must hold the transaction plus every pending member a
+        # bridge would pull in from other queues.
+        touched, settled = groups.touched(keys)
+        incoming = 1
+        if touched:
+            index = touched[0].queue_index
+            if not settled:
+                for other in touched[1:]:
+                    if other.queue_index != index:
+                        pending = self.queues[other.queue_index]
+                        incoming += sum(1 for m in other.members if m.id in pending)
+        else:
+            index = groups.next_queue % groups.n
+        queue = self.queues[index]
+        if len(queue) + incoming > queue.capacity:
             self.rejected_full += 1
             return SubmitOutcome.MEMPOOL_FULL
+        group = touched[0] if settled else groups.join(keys)
         self._seen.add(tx.id)
         if tx.priority is PriorityClass.UNASSIGNED:
             assign_priority(tx)
@@ -603,7 +641,7 @@ class PipelineOrderingService:
         self._total_live += 1
         if self._total_live > self.peak_total:
             self.peak_total = self._total_live
-        self._wake(group.queue_index)
+        self._wake(index)
         return SubmitOutcome.ACCEPTED
 
     def discard(self, tx_id: str) -> bool:
@@ -614,12 +652,6 @@ class PipelineOrderingService:
         return False
 
     # drain (C1 + C3)
-
-    def _jitter(self) -> int:
-        lo, hi = self._lo, self._hi
-        if hi <= lo:
-            return lo
-        return lo + int(self.engine.rng.random() * (hi - lo + 1))
 
     def _wake(self, index: int) -> None:
         if self._busy[index] or index == self.withheld_worker:
@@ -682,7 +714,9 @@ class PipelineOrderingService:
         self._busy[index] = True
         self._in_flight[tx.id] = tx
         node = self.worker_nodes[index] if index < len(self.worker_nodes) else None
-        delay = self._jitter() + (node.processing_delay if node else 0)
+        delay = _jitter(self.engine, self._lo, self._hi) + (
+            node.processing_delay if node else 0
+        )
         latency = self.engine.topology.default_latency
         if node is not None and self.peer_id is not None:
             latency = self.engine.topology.latency(node.id, self.peer_id)
@@ -704,12 +738,5 @@ class PipelineOrderingService:
             if i != index and not busy and len(self.queues[i]):
                 self._wake(i)
 
-    @property
-    def total_pending(self) -> int:
-        return self._total_live
-
     def peak_queue_occupancy(self) -> int:
         return max(q.peak_occupancy for q in self.queues)
-
-    def drained(self) -> bool:
-        return self._total_live == 0 and not self._in_flight

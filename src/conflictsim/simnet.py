@@ -19,20 +19,10 @@ SimTime = int
 
 # Event kinds recorded in traces.
 SUBMIT = "submit"
-DELIVER = "deliver"
 ORDER_TICK = "order-tick"
 COMMIT = "commit"
 TIMEOUT = "timeout"
 ATTACK_PHASE = "attack-phase"
-
-
-@dataclass(frozen=True)
-class Event:
-    fire_at: SimTime
-    seq: int
-    kind: str
-    target: str
-    payload: Any = None
 
 
 @dataclass
@@ -65,10 +55,6 @@ class Topology:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._by_id
-
-    def add_node(self, node: NodeConfig) -> None:
-        self.nodes.append(node)
-        self._by_id[node.id] = node
 
     def latency(self, src: str, dst: str) -> SimTime:
         link = self.links.get((src, dst))
@@ -117,11 +103,6 @@ class Engine:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, event: Event) -> None:
-        """Enqueue a pre-built event; its seq is reassigned on insertion."""
-        self.schedule_call(event.fire_at, event.kind, event.target,
-                           payload=event.payload)
-
     def schedule_call(
         self,
         fire_at: SimTime,
@@ -137,22 +118,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (fire_at, self._seq, kind, target, payload, fn))
         return self._seq
-
-    def send(
-        self,
-        src: str,
-        dst: str,
-        fn: Callable[["Engine", Any], None] | None = None,
-        payload: Any = None,
-        extra_delay: SimTime = 0,
-    ) -> SimTime:
-        """Schedule a deliver event after the link latency."""
-        topo = self.topology
-        topo.node(src)
-        topo.node(dst)
-        at = self.now + topo.latency(src, dst) + extra_delay
-        self.schedule_call(at, DELIVER, dst, fn, payload)
-        return at
 
     # -- execution --------------------------------------------------------
 

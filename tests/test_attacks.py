@@ -265,8 +265,21 @@ def test_phase_log_strictly_increasing_with_preconditions(outcome_zoo):
             assert required in names, (out.kind, names)
 
 
+# The zoo's successful runs, recorded while each runner still computed its
+# own success flag: 7 of the 18 outcomes.
+ZOO_SUCCESSES = {
+    ("block_withholding", "baseline", 7), ("block_withholding", "baseline", 8),
+    ("double_spending", "baseline", 11), ("double_spending", "baseline", 12),
+    ("balance", "baseline", 13), ("balance", "baseline", 14),
+    ("ddos", "baseline", 17),
+}
+
+
 def test_success_recomputable_from_outcome_fields(outcome_zoo):
+    assert len(outcome_zoo) == 18
     for _, out in outcome_zoo:
+        key = (out.kind, out.policy_mode, out.seed)
+        assert out.success == (key in ZOO_SUCCESSES), key
         assert recompute_success(out) == out.success
 
 

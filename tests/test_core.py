@@ -7,29 +7,30 @@ import pytest
 
 from conflictsim.core import (
     MAX_TOKENS,
-    Block,
     LedgerState,
     Query,
     Transaction,
     Transfer,
     TxStatus,
     apply_transaction,
-    commit_block,
     conflicts_with,
     query_tx,
     stamp_read_versions,
     total_supply,
     transfer_tx,
 )
-from conflictsim.errors import (
-    HeightMismatchError,
-    TokenOverflowError,
-    UnknownWalletError,
-)
+from conflictsim.errors import TokenOverflowError, UnknownWalletError
+from conflictsim.ordering import ChannelState
 
 
 def fresh_state(**balances):
     return LedgerState.from_balances(balances or {"A1": 1000, "V1": 1000, "V2": 1000})
+
+
+def finalize_all(channel: ChannelState, txs) -> list[TxStatus]:
+    """Commit ``txs`` in order through the channel's commit path, with the
+    read stamps they carry."""
+    return [channel.finalize(tx, restamp=False) for tx in txs]
 
 
 # -- conflicts_with -----------------------------------------------------------
@@ -121,25 +122,17 @@ def test_transfer_invariants_enforced_at_construction():
         Transaction(id="", payload=Transfer("a", "b", 1))
 
 
-# -- commit_block ----------------------------------------------------------------
+# -- channel commit ----------------------------------------------------------------
 
 
 def test_single_valid_block():
     state = fresh_state(V1=1000, V2=1000)
-    block = Block(height=1, channel="main", txs=[transfer_tx("t", "V1", "V2", 5)],
-                  proposer="o1")
-    _, results = commit_block(state, block)
-    assert results == [("t", TxStatus.COMMITTED)]
+    channel = ChannelState("main", state)
+    assert finalize_all(channel, [transfer_tx("t", "V1", "V2", 5)]) == [
+        TxStatus.COMMITTED
+    ]
     assert state.height == 1
     assert state.committed_tx_count == 1
-
-
-def test_height_mismatch_rejected():
-    state = fresh_state(V1=1000, V2=1000)
-    block = Block(height=5, channel="main", txs=[transfer_tx("t", "V1", "V2", 5)],
-                  proposer="o1")
-    with pytest.raises(HeightMismatchError):
-        commit_block(state, block)
 
 
 def test_two_spends_of_last_tokens_first_wins():
@@ -161,21 +154,22 @@ def test_two_spends_of_last_tokens_first_wins():
         assert state.balances["W"] == 0
 
     # Without re-endorsement the loser trips the version check instead.
-    state = LedgerState.from_balances({"W": 10, "X": 0, "Y": 0})
-    block = Block(
-        height=1, channel="main",
-        txs=[transfer_tx("a", "W", "X", 10), transfer_tx("b", "W", "Y", 10)],
-        proposer="o1",
+    channel = ChannelState(
+        "main", LedgerState.from_balances({"W": 10, "X": 0, "Y": 0})
     )
-    _, results = commit_block(state, block)
-    assert [s for _, s in results] == [TxStatus.COMMITTED, TxStatus.CONFLICT_FAILED]
+    statuses = finalize_all(
+        channel, [transfer_tx("a", "W", "X", 10), transfer_tx("b", "W", "Y", 10)]
+    )
+    assert statuses == [TxStatus.COMMITTED, TxStatus.CONFLICT_FAILED]
 
 
 def test_scripted_conflict_batch_inflates_height_to_105():
-    # Five single-transaction blocks on top of height 100 / 200 transactions.
+    # Five committed transfers, one block each, on top of height 100 / 200
+    # transactions.
     state = LedgerState.from_balances(
         {"A1": 1000, "V1": 1000, "V2": 1000}, height=100, tx_count=200
     )
+    channel = ChannelState("main", state)
     moves = [
         ("V1", "A1", 5), ("V1", "A1", 5), ("V1", "V2", 5),
         ("A1", "V2", 5), ("V2", "A1", 5),
@@ -183,8 +177,7 @@ def test_scripted_conflict_batch_inflates_height_to_105():
     for i, (src, dst, amount) in enumerate(moves):
         tx = transfer_tx(f"w{i}", src, dst, amount)
         stamp_read_versions(tx, state)
-        commit_block(state, Block(height=state.height + 1, channel="main",
-                                  txs=[tx], proposer="o1"))
+        assert channel.finalize(tx, restamp=False) is TxStatus.COMMITTED
     assert state.height == 105
     assert state.committed_tx_count == 205
     assert state.balances == {"A1": 1010, "V1": 985, "V2": 1005}
@@ -243,8 +236,8 @@ def _serial_oracle(balances, txs):
 
 
 def test_serial_oracle_equivalence_exhaustive_orders():
-    # Blocks of <= 10 transactions over <= 4 wallets, exhaustive permutations
-    # for the small sizes, sampled seeds for the larger ones.
+    # Every commit order of five transactions over 4 wallets, some with
+    # stale stamps, against an independent serial interpreter.
     wallets = ["w0", "w1", "w2", "w3"]
     balances = {w: 40 for w in wallets}
     rng = random.Random(7)
@@ -254,14 +247,11 @@ def test_serial_oracle_equivalence_exhaustive_orders():
             tx.reads[tx.payload.src] = rng.randint(0, 1)  # some stale stamps
     for perm in itertools.permutations(base):
         state = LedgerState.from_balances(balances)
-        block = Block(height=1, channel="main",
-                      txs=[t for t in perm], proposer="o1")
         snapshot = [dict(t.reads) for t in perm]
-        _, results = commit_block(state, block)
-        for t, reads in zip(perm, snapshot):
-            t.reads = reads  # commit_block must not alter stamps
+        statuses = finalize_all(ChannelState("main", state), perm)
+        assert [t.reads for t in perm] == snapshot  # stamps left as carried
         obal, over, ostatus = _serial_oracle(balances, perm)
-        assert [s for _, s in results] == ostatus
+        assert statuses == ostatus
         assert state.balances == obal
         assert state.versions == over
 
@@ -272,23 +262,19 @@ def test_conservation_and_version_monotonicity_random_blocks():
     for trial in range(30):
         balances = {w: rng.randint(0, 100) for w in wallets}
         state = LedgerState.from_balances(balances)
+        channel = ChannelState("main", state)
         supply = total_supply(state)
         versions_seen = {w: 0 for w in wallets}
-        height = 0
         for b in range(6):
             txs = [_random_tx(rng, wallets, f"{trial}-{b}-{i}")
                    for i in range(rng.randint(1, 10))]
             for tx in txs:
                 if rng.random() < 0.6:
                     stamp_read_versions(tx, state)
-            _, results = commit_block(
-                state,
-                Block(height=height + 1, channel="main", txs=txs, proposer="o"),
-            )
-            height += 1
+            statuses = finalize_all(channel, txs)
             assert total_supply(state) == supply
             committed_writes = {}
-            for tx, (_, status) in zip(txs, results):
+            for tx, status in zip(txs, statuses):
                 if status is TxStatus.COMMITTED:
                     for w in tx.writes:
                         committed_writes[w] = committed_writes.get(w, 0) + 1

@@ -142,28 +142,38 @@ def test_run_trials_leaves_no_cyclic_garbage():
     assert len(set(tracked)) == 1, tracked
 
 
-# SHA-256 of `conflictsim sweep --conflicts 1000..2000:1000 --trials 2` CSV
-# output per scenario (default seeds).  Any change to these bytes changes the
-# paper's success-rate tables.
-SWEEP_CSV_SHA256 = {
-    "table2_block_withholding":
-        "bdc41001bc90efc30131a9abf3120a674f5845b3e70c4c2ba3c266f7d090bc20",
-    "sec3b_double_spend":
-        "b4c08a9c5d4016fac0ba5cb5490afa69d03fbb878e10e8f2ce120e89b7ca912c",
-    "table2_balance_attack":
-        "b589bc64d182c3e36ca0a72cef01b6724b19996caa7425d9126c19d317d1f491",
-    "ddos_default":
-        "58a3e2666ca917e1bf6aad20577f2c5586b89a25ccebca0ef4abef54a24f7bdc",
+# SHA-256 of the CSV output of `conflictsim sweep --conflicts 1000..2000:1000
+# --trials 2` per attack scenario (default seeds), and of `conflictsim run
+# --trials 20 --seed 0 --policy both` for fig1_race, the one scenario with
+# declared dependencies.  Any change to these bytes changes the paper's
+# success-rate tables.
+SWEEP_ARGS = ["--conflicts", "1000..2000:1000", "--trials", "2"]
+GOLDEN_CSV = {
+    "table2_block_withholding": (
+        "sweep", SWEEP_ARGS,
+        "bdc41001bc90efc30131a9abf3120a674f5845b3e70c4c2ba3c266f7d090bc20"),
+    "sec3b_double_spend": (
+        "sweep", SWEEP_ARGS,
+        "b4c08a9c5d4016fac0ba5cb5490afa69d03fbb878e10e8f2ce120e89b7ca912c"),
+    "table2_balance_attack": (
+        "sweep", SWEEP_ARGS,
+        "b589bc64d182c3e36ca0a72cef01b6724b19996caa7425d9126c19d317d1f491"),
+    "ddos_default": (
+        "sweep", SWEEP_ARGS,
+        "58a3e2666ca917e1bf6aad20577f2c5586b89a25ccebca0ef4abef54a24f7bdc"),
+    "fig1_race": (
+        "run", ["--trials", "20", "--seed", "0", "--policy", "both"],
+        "ad660b340240f295aa1e44984d99410993be4ac7cde51c2e6de4a5ae65bdff68"),
 }
 
 
-@pytest.mark.parametrize("name", ATTACK_SCENARIOS)
+@pytest.mark.parametrize("name", list(GOLDEN_CSV))
 def test_sweep_csv_bytes_match_golden(name, tmp_path, capsys):
+    command, args, expected = GOLDEN_CSV[name]
     out = tmp_path / f"{name}.csv"
-    assert main(["sweep", "--scenario", name, "--conflicts", "1000..2000:1000",
-                 "--trials", "2", "--out", str(out)]) == 0
+    assert main([command, "--scenario", name, *args, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == SWEEP_CSV_SHA256[name]
+    assert digest == expected
 
 
 # -- bench -------------------------------------------------------------------
@@ -174,6 +184,24 @@ def test_bench_small_run_state_ok_and_parallel_gain():
                               io_delay_us=150, n_wallets=600, seed=3)
     assert all(row.state_ok for row in report.rows)
     assert report.pipeline_tps > report.baseline_tps
+
+
+def test_bench_generates_each_rep_once(monkeypatch):
+    # Baseline, pipeline and reference runs share one batch per rep.
+    from conflictsim import harness
+
+    seeds = []
+    generate = harness.generate_bench_workload
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_bench_workload", counting)
+    report = bench_throughput(txs=300, read_ratio=0.5, workers=2, reps=3,
+                              io_delay_us=0, n_wallets=200, seed=5)
+    assert seeds == [5, 6, 7]
+    assert all(row.state_ok for row in report.rows)
 
 
 def test_bench_rejects_bad_args():

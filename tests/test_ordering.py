@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conflictsim.core import (
     LedgerState,
@@ -232,14 +234,20 @@ def test_partition_matches_union_find_oracle():
     rng = random.Random(17)
     wallets = [f"w{i}" for i in range(12)]
     for trial in range(40):
+        ids = [f"x{trial}-{i}" for i in range(rng.randint(2, 24))]
         txs = []
-        for i in range(rng.randint(2, 24)):
+        for i, tx_id in enumerate(ids):
             if rng.random() < 0.25:
-                txs.append(query_tx(f"q{trial}-{i}", (rng.choice(wallets),),
+                txs.append(query_tx(tx_id, (rng.choice(wallets),),
                                     submit_time=i))
             else:
                 src, dst = rng.sample(wallets, 2)
-                txs.append(transfer_tx(f"t{trial}-{i}", src, dst, 1,
+                deps = ()
+                if rng.random() < 0.3:
+                    # A dependency earlier or later in the batch, or outside it.
+                    others = [d for d in ids if d != tx_id]
+                    deps = (rng.choice(others + [f"out{trial}"]),)
+                txs.append(transfer_tx(tx_id, src, dst, 1, deps=deps,
                                        submit_time=i))
         queues = partition(txs, rng.randint(1, 5))
         got = {
@@ -255,6 +263,11 @@ def test_partition_matches_union_find_oracle():
             assert len(holders) == 1
             assert group <= {tx.id for tx in holders[0].snapshot()}
         assert got  # partition produced output
+        queue_of = {tx.id: k for k, q in enumerate(queues) for tx in q.snapshot()}
+        for tx in txs:
+            for dep in tx.declared_deps:
+                if dep in queue_of:
+                    assert queue_of[dep] == queue_of[tx.id]
 
 
 # -- service-level helpers -----------------------------------------------------------
@@ -488,27 +501,39 @@ def test_terminal_status_never_overwritten():
     assert state.status("h") is TxStatus.TIMEOUT
 
 
-def test_group_merge_relocates_only_bridged_group():
-    # g0 = {a,b} on queue 0, g1 = {c,d} on queue 1, g2 = {e,f} on queue 2; a
-    # bridge touching b and c must pull g1's pending into queue 0 and leave
-    # g2 untouched.
-    orderers = [NodeConfig(f"o{i}", role="orderer") for i in range(3)]
+def _pipeline(workers, queue_capacity, wallets):
+    """A zero-jitter countermeasure service over ``wallets``, and an admit
+    that endorses each transaction first."""
+    orderers = [NodeConfig(f"o{i}", role="orderer") for i in range(workers)]
     topo = Topology(
         nodes=[NodeConfig("client", role="client")] + orderers
         + [NodeConfig("peer1", role="peer")],
         default_latency=5,
     )
     engine = Engine(seed=1, topology=topo)
-    balances = {w: 100 for w in "abcdef"}
-    state = ChannelState("main", LedgerState.from_balances(balances))
-    policy = OrderingPolicy(mode=COUNTERMEASURES, workers=3, jitter=(0, 0),
-                            mempool_capacity=100)
+    state = ChannelState(
+        "main", LedgerState.from_balances({w: 1000 for w in wallets})
+    )
+    policy = OrderingPolicy(mode=COUNTERMEASURES, workers=workers, jitter=(0, 0),
+                            mempool_capacity=100, queue_capacity=queue_capacity)
     service = PipelineOrderingService(engine, state, policy, "peer1",
                                       worker_nodes=orderers)
 
     def admit(tx):
         stamp_read_versions(tx, state.ledger)
-        assert service.admit(tx) is SubmitOutcome.ACCEPTED
+        return service.admit(tx)
+
+    return engine, state, service, admit
+
+
+def test_group_merge_relocates_only_bridged_group():
+    # g0 = {a,b} on queue 0, g1 = {c,d} on queue 1, g2 = {e,f} on queue 2; a
+    # bridge touching b and c must pull g1's pending into queue 0 and leave
+    # g2 untouched.
+    engine, state, service, pipeline_admit = _pipeline(3, None, "abcdef")
+
+    def admit(tx):
+        assert pipeline_admit(tx) is SubmitOutcome.ACCEPTED
 
     seeds = [transfer_tx("s0", "a", "b", 1), transfer_tx("s1", "c", "d", 1),
              transfer_tx("s2", "e", "f", 1)]
@@ -529,3 +554,79 @@ def test_group_merge_relocates_only_bridged_group():
     assert state.status("bridge") is TxStatus.COMMITTED
     assert all(state.status(tx.id) is TxStatus.COMMITTED
                for tx in seeds + waiting)
+
+
+@pytest.mark.parametrize("capacity, ab, cd", [(2, 3, 3), (3, 2, 4)])
+def test_rejected_bridge_leaves_queues_untouched(capacity, ab, cd):
+    # Each pair's first transfer is in flight and the rest wait in its
+    # group's queue.  A bridge would pull the c,d queue's waiting transfers
+    # into the a,b queue, which has no room for them (in the second case it
+    # has room for the bridge alone): it is rejected and nothing moves.
+    engine, state, service, admit = _pipeline(2, capacity, "abcd")
+    for i in range(max(ab, cd)):
+        if i < ab:
+            assert admit(transfer_tx(f"ab{i}", "a", "b", 1)) is SubmitOutcome.ACCEPTED
+        if i < cd:
+            assert admit(transfer_tx(f"cd{i}", "c", "d", 1)) is SubmitOutcome.ACCEPTED
+    waiting = [ab - 1, cd - 1]
+    assert [len(q) for q in service.queues] == waiting
+    assert admit(transfer_tx("bridge", "b", "c", 1)) is SubmitOutcome.MEMPOOL_FULL
+    assert [len(q) for q in service.queues] == waiting
+    assert [q.peak_occupancy for q in service.queues] == waiting
+    engine.run_until(10_000)
+    assert state.status("bridge") is TxStatus.PENDING
+    assert len(state.committed) == ab + cd
+
+
+# Four disjoint wallet pairs; a bridge joins two pairs' groups.
+_PAIRS = ("ab", "cd", "ef", "gh")
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), st.integers(0, 3), st.integers(0, 2)),
+        st.tuples(st.just("bridge"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("discard"), st.integers(0, 63), st.just(0)),
+        st.tuples(st.just("run"), st.integers(1, 30), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(workers=st.integers(1, 3), capacity=st.integers(1, 3), ops=_ops)
+def test_admission_respects_capacity_and_rejection_leaves_no_trace(
+    workers, capacity, ops
+):
+    engine, state, service, admit = _pipeline(workers, capacity, "".join(_PAIRS))
+    groups = service.groups
+    admitted = []
+
+    def shape():
+        return [len(q) for q in service.queues], len(groups), groups.next_queue
+
+    for n, (op, x, y) in enumerate(ops):
+        tx_id = f"op{n}"
+        if op == "run":
+            engine.run_until(engine.now + x)
+            continue
+        if op == "discard":
+            if admitted:
+                tx = admitted[x % len(admitted)]
+                if not state.status(tx.id).terminal:  # as a client timeout
+                    service.discard(tx.id)
+                    state.set_status(tx, TxStatus.TIMEOUT)
+            continue
+        if op == "bridge":
+            tx = transfer_tx(tx_id, _PAIRS[x][0], _PAIRS[y][1], 1)
+        elif y == 2:
+            tx = query_tx(tx_id, (_PAIRS[x][0],))
+        else:
+            tx = transfer_tx(tx_id, _PAIRS[x][y], _PAIRS[x][1 - y], 1)
+        before = shape()
+        outcome = admit(tx)
+        if outcome is SubmitOutcome.ACCEPTED:
+            admitted.append(tx)
+        else:
+            assert outcome is SubmitOutcome.MEMPOOL_FULL
+            assert shape() == before
+        for q in service.queues:
+            assert len(q) <= q.peak_occupancy <= capacity

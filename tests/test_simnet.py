@@ -3,7 +3,7 @@
 import pytest
 
 from conflictsim.errors import TimeInPastError, UnknownNodeError
-from conflictsim.simnet import DELIVER, Engine, Event, NodeConfig, Topology
+from conflictsim.simnet import COMMIT, Engine, NodeConfig, Topology
 
 
 def small_topology():
@@ -50,18 +50,26 @@ def test_empty_queue_returns_deadline():
     assert eng.run_until(100) == 100
 
 
-def test_event_object_schedule():
-    eng = Engine(seed=1, record_trace=True)
-    eng.schedule(Event(fire_at=4, seq=0, kind="submit", target="n1"))
-    eng.run_until(10)
-    assert eng.trace == [(4, 1, "submit", "n1")]
+def deliver(eng, src, dst, fn=None, payload=None):
+    """Schedule ``fn`` at ``dst`` after the src->dst latency, the way the
+    ordering services schedule their commits."""
+    topo = eng.topology
+    topo.node(src)
+    topo.node(dst)
+    at = eng.now + topo.latency(src, dst)
+    eng.schedule_call(at, COMMIT, dst, fn, payload)
+    return at
 
 
 def test_send_uses_link_latency():
-    eng = Engine(seed=1, topology=small_topology())
+    topo = small_topology()
+    assert topo.latency("a", "b") == topo.latency("b", "a") == 7
+    assert topo.latency("a", "c") == 5  # no link: default latency
+    eng = Engine(seed=1, topology=topo)
     fired = []
     eng.schedule_call(10, "order-tick", "a",
-                      lambda e, p: e.send("a", "b", lambda e2, p2: fired.append(e2.now)))
+                      lambda e, p: deliver(e, "a", "b",
+                                           lambda e2, p2: fired.append(e2.now)))
     eng.run_until(50)
     assert fired == [17]
 
@@ -74,16 +82,17 @@ def test_broadcast_distinct_latencies():
     )
     eng = Engine(seed=1, topology=topo, record_trace=True)
     for peer in ("p1", "p2", "p3"):
-        eng.send("src", peer)
+        deliver(eng, "src", peer)
     eng.run_until(20)
-    delivers = [(t, target) for t, _, kind, target in eng.trace if kind == DELIVER]
+    delivers = [(t, target) for t, _, kind, target in eng.trace if kind == COMMIT]
     assert delivers == [(3, "p1"), (8, "p2"), (11, "p3")]
 
 
 def test_send_unknown_node():
-    eng = Engine(seed=1, topology=small_topology())
+    topo = small_topology()
+    assert topo.node("a").role == "client"
     with pytest.raises(UnknownNodeError):
-        eng.send("a", "zz")
+        topo.node("zz")
 
 
 def test_trace_is_pure_function_of_seed():
@@ -110,11 +119,11 @@ def test_no_lost_events_and_causality():
     def chain(e, n):
         if n < 25:
             sent.append(e.now)
-            e.send("a", "b", chain, n + 1)
+            deliver(e, "a", "b", chain, n + 1)
 
     eng.schedule_call(0, "order-tick", "a", chain, 0)
     eng.run_until(1000)
-    delivers = [t for t, _, kind, _ in eng.trace if kind == DELIVER]
+    delivers = [t for t, _, kind, _ in eng.trace if kind == COMMIT]
     assert len(delivers) == len(sent)  # exactly once each
     for send_time, deliver_time in zip(sent, delivers):
         assert deliver_time > send_time  # never before its send
