@@ -73,7 +73,6 @@ class AttackOutcome:
     ledgers: dict[str, LedgerState]
     chain_sizes: dict[str, int]
     pending: dict[str, int]
-    balance_deltas: dict[str, dict[str, int]]
     status_counts: dict[str, int]
     submitted: int
     conflict_count: int
@@ -133,14 +132,15 @@ class SimulationRun:
 
     def __init__(self, config: ScenarioConfig, mode: str, seed: int):
         self.config = config
-        self.mode = mode
         self.seed = seed
         policy = replace(config.policy, mode=mode)
         self.policy = policy
         self.engine = Engine(seed=seed * 4 + 3, topology=config.topology)
         self.phases = PhaseRecorder()
         self.channels: dict[str, ChannelState] = {}
-        self.services: dict[str, object] = {}
+        self.services: dict[
+            str, BaselineOrderingService | PipelineOrderingService
+        ] = {}
         self.valid_ids: set[str] = set()
         self.adversary_ids: set[str] = set()
         self.rejected: dict[str, str] = {}
@@ -177,7 +177,7 @@ class SimulationRun:
                         f"channel {channel} has no usable orderer"
                     )
                 self.services[channel] = BaselineOrderingService(
-                    self.engine, state, cycling, policy, peer_id
+                    self.engine, state, cycling, policy, peer_id, self.pinned
                 )
             else:
                 withheld = None
@@ -253,34 +253,13 @@ class SimulationRun:
 
     def _on_arrivals(self, engine: Engine, group) -> None:
         submitted = self.submitted_ids
-        channels = self.channels
         services = self.services
         rejected = self.rejected
-        pinned_map = self.pinned
         for _, tx, timeout, hook, _submitter in group:
             submitted.add(tx.id)
-            state = channels[tx.channel]
-            service = services[tx.channel]
-            if hook is not None:
-                stamp_read_versions(tx, state.ledger)
-                if hook(tx):
-                    continue  # intercepted (e.g. withheld by the adversary)
-                if type(service) is BaselineOrderingService:
-                    outcome = service.admit(tx, pinned_orderer=pinned_map.get(tx.id))
-                else:
-                    outcome = service.admit(tx)
-            else:
-                # Endorsement stamps only matter once the service accepts
-                # the transaction, so probe admission first on the fast path.
-                if type(service) is BaselineOrderingService:
-                    outcome = service.admit(
-                        tx,
-                        pinned_orderer=pinned_map.get(tx.id) if pinned_map else None,
-                    )
-                else:
-                    outcome = service.admit(tx)
-                if outcome is SubmitOutcome.ACCEPTED:
-                    stamp_read_versions(tx, state.ledger)
+            if hook is not None and hook(tx):
+                continue  # intercepted (e.g. withheld by the adversary)
+            outcome = services[tx.channel].admit(tx)
             if outcome is not SubmitOutcome.ACCEPTED:
                 rejected[tx.id] = outcome.value
                 continue
@@ -294,11 +273,7 @@ class SimulationRun:
         state = self.channels[tx.channel]
         if state.status(tx.id).terminal:
             return
-        service = self.services[tx.channel]
-        if isinstance(service, BaselineOrderingService):
-            service.mempool.discard(tx.id)
-        else:
-            service.discard(tx.id)
+        self.services[tx.channel].discard(tx.id)
         state.set_status(tx, TxStatus.TIMEOUT)
 
     def phase_marker(self, phase: str):
@@ -343,25 +318,7 @@ class SimulationRun:
             else:
                 statuses["pending"] += 1
                 pending[ch] += 1
-
-        deltas: dict[str, dict[str, int]] = {}
-        for ch, state in self.channels.items():
-            deltas[ch] = {
-                w: state.ledger.balances[w] - self.config.balances[w]
-                for w in self.config.balances
-            }
-
-        if self.policy.mode == BASELINE:
-            peak_pool = max(
-                s.mempool.peak_occupancy for s in self.services.values()
-            )
-            peak_queue = peak_pool
-        else:
-            peak_pool = max(s.peak_total for s in self.services.values())
-            peak_queue = max(
-                s.peak_queue_occupancy() for s in self.services.values()
-            )
-
+        services = self.services.values()
         outcome = AttackOutcome(
             kind=kind,
             policy_mode=self.policy.mode,
@@ -371,12 +328,11 @@ class SimulationRun:
             ledgers={ch: s.ledger for ch, s in self.channels.items()},
             chain_sizes={ch: s.chain_length for ch, s in self.channels.items()},
             pending=pending,
-            balance_deltas=deltas,
             status_counts=statuses,
             submitted=len(self.submitted_ids),
             conflict_count=self.conflict_count,
-            peak_mempool=peak_pool,
-            peak_queue=peak_queue,
+            peak_mempool=max(s.peak_pool for s in services),
+            peak_queue=max(s.peak_queue for s in services),
             makespan=min(self.engine.last_event_time, self.config.deadline),
             dep_violations=sum(
                 s.dependency_violations() for s in self.channels.values()
@@ -439,8 +395,10 @@ def run_block_withholding(
         # The adversary orderer validates the endorsed transaction, then
         # holds it instead of broadcasting (baseline only; the pipeline's
         # withheld worker models the same behaviour under countermeasures).
+        # A release commits the withheld transaction with these stamps.
         if run.policy.mode == BASELINE:
             run.phases.enter("P2", run.engine.now)
+            stamp_read_versions(tx, state.ledger)
             state.set_status(tx, TxStatus.WITHHELD)
             withheld.append(tx)
             return True
@@ -480,7 +438,7 @@ def run_block_withholding(
         def release(engine: Engine, _payload) -> None:
             run.phases.enter("P5", engine.now)
             for tx in withheld:
-                state.finalize(tx, restamp=False)
+                state.finalize(tx)
 
         run.engine.schedule_call(release_at, ATTACK_PHASE, "adversary", release)
 
@@ -784,9 +742,8 @@ def run_ddos(
     run.phases.enter("P1", max(0, (burst or batch[0].submit_time) - 1))
     adv_client = _client_of(config, adversary=True)
     first = True
-    for i, tx in enumerate(batch):
+    for tx in batch:
         tx.channel = channel
-        tx.submitter = accounts[i % n_accounts]
         hook = run.phase_marker("P2") if first else None
         first = False
         run.submit(tx, valid=False, via=adv_client, on_arrival=hook)
@@ -807,10 +764,7 @@ def run_ddos(
     rate = failed / submitted_valid if submitted_valid else 0.0
 
     capacity = run.policy.mempool_capacity
-    if run.policy.mode == BASELINE:
-        peak = run.services[channel].mempool.peak_occupancy
-    else:
-        peak = run.services[channel].peak_total
+    peak = run.services[channel].peak_pool
     facts = {
         "mempool_capacity": capacity,
         "overflowed": peak >= capacity,

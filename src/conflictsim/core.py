@@ -62,9 +62,10 @@ class Transaction:
     """A single wallet operation plus the read/write footprint it declared.
 
     ``reads`` maps each read wallet to the version observed at endorsement.
-    Transactions are created with version 0 (a fresh, untouched wallet);
-    the simulation re-stamps them from live ledger state when the client's
-    submission is endorsed.
+    Transactions are created with version 0 (a fresh, untouched wallet).
+    In a simulation the ordering service stamps them from the live ledger:
+    the baseline when it accepts the transaction, the countermeasure
+    pipeline when a worker orders it.  Commit validates the stamps carried.
     """
 
     id: TransactionId

@@ -119,20 +119,10 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     attack = config.attack
     kind = attack.kind
     window = attack.p_int("sweep_window", 10000)
-    if kind == "block_withholding":
-        wallets = (
-            attack.p_str("attacker_wallet", "A1"),
-            attack.p_str("target_from", "V1"),
-            attack.p_str("target_to", "V2"),
+    if kind in ("block_withholding", "double_spending"):
+        spec = ConflictSpec(
+            wallets=tuple(config.attack_wallets()), count=count, window=window
         )
-        spec = ConflictSpec(wallets=wallets, count=count, window=window)
-    elif kind == "double_spending":
-        wallets = (
-            attack.p_str("source", "A1"),
-            attack.p_str("victim", "V1"),
-            attack.p_str("alt", "A2"),
-        )
-        spec = ConflictSpec(wallets=wallets, count=count, window=window)
     elif kind == "balance":
         pool = sorted(
             w for w in config.balances
@@ -256,34 +246,29 @@ def _chain_sizes_cell(chain_sizes: dict[str, int]) -> str:
     return ";".join(f"{ch}:{size}" for ch, size in sorted(chain_sizes.items()))
 
 
+def _record_row(r: MetricsRecord) -> list:
+    """One record's cells, in ``CSV_COLUMNS`` order."""
+    return [
+        r.attack, r.policy, r.conflict_count, r.seed,
+        "true" if r.success else "false",
+        r.committed, r.failed, r.pending, r.timeout,
+        _chain_sizes_cell(r.chain_sizes), r.peak_mempool, r.makespan,
+    ]
+
+
 def render_records(records: list[MetricsRecord], fmt: str = "csv") -> str:
     """Render records deterministically; no wall-clock timestamps."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.attack, r.policy, r.conflict_count, r.seed,
-                "true" if r.success else "false",
-                r.committed, r.failed, r.pending, r.timeout,
-                _chain_sizes_cell(r.chain_sizes), r.peak_mempool, r.makespan,
-            ])
+        writer.writerows(_record_row(r) for r in records)
         return buf.getvalue()
     if fmt == "text":
-        lines = []
-        for r in records:
-            lines.append(
-                " ".join(
-                    f"{col}={val}" for col, val in zip(CSV_COLUMNS, [
-                        r.attack, r.policy, r.conflict_count, r.seed,
-                        "true" if r.success else "false",
-                        r.committed, r.failed, r.pending, r.timeout,
-                        _chain_sizes_cell(r.chain_sizes), r.peak_mempool,
-                        r.makespan,
-                    ])
-                )
-            )
+        lines = [
+            " ".join(f"{col}={val}" for col, val in zip(CSV_COLUMNS, _record_row(r)))
+            for r in records
+        ]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

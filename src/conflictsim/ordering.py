@@ -5,9 +5,13 @@ The pipeline composes four measures: priority assignment for read-only
 transactions (applied at admission), dependency gating at dequeue time,
 wallet-footprint partitioning into one bounded queue per worker, and the
 workers themselves running as concurrent logical processes on the event
-engine.  Ordering a transaction under the pipeline re-endorses it against
-the current ledger, so a gated transaction commits with fresh read versions
-once its dependencies have landed.
+engine.
+
+Both services offer one surface to a simulation run (``admit``,
+``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement: the
+baseline stamps a transaction's read versions when it accepts it, and the
+pipeline re-endorses at ordering time, so a gated transaction commits with
+fresh read versions once its dependencies have landed.
 """
 
 from __future__ import annotations
@@ -85,8 +89,6 @@ class Mempool:
         self._live: set[str] = set()
         self._seen: set[str] = set()
         self.peak_occupancy = 0
-        self.rejected_full = 0
-        self.rejected_duplicate = 0
 
     @property
     def occupancy(self) -> int:
@@ -97,10 +99,8 @@ class Mempool:
 
     def submit(self, tx: Transaction) -> SubmitOutcome:
         if tx.id in self._seen:
-            self.rejected_duplicate += 1
             return SubmitOutcome.DUPLICATE
         if len(self._live) >= self.capacity:
-            self.rejected_full += 1
             return SubmitOutcome.MEMPOOL_FULL
         self._seen.add(tx.id)
         self._live.add(tx.id)
@@ -127,11 +127,24 @@ class Mempool:
         return False
 
 
-def _jitter(engine: Engine, lo: int, hi: int) -> int:
-    """Seeded ordering delay drawn uniformly from [lo, hi]."""
-    if hi <= lo:
-        return lo
-    return lo + int(engine.rng.random() * (hi - lo + 1))
+def _commit_at(
+    engine: Engine, jitter: tuple[int, int], node: NodeConfig | None,
+    peer_id: str | None,
+) -> int:
+    """Logical time at which a transaction ``node`` dispatches now commits at
+    the peer: a seeded jitter drawn uniformly from ``jitter``, the node's
+    processing delay, then the node-to-peer latency (the default latency
+    when the node or the peer is unknown)."""
+    lo, hi = jitter
+    delay = lo if hi <= lo else lo + int(engine.rng.random() * (hi - lo + 1))
+    topology = engine.topology
+    if node is None or peer_id is None:
+        latency = topology.default_latency
+    else:
+        latency = topology.latency(node.id, peer_id)
+    if node is not None:
+        delay += node.processing_delay
+    return engine.now + delay + latency
 
 
 # -- countermeasure primitives ----------------------------------------------
@@ -440,8 +453,9 @@ class ChannelState:
             for listener in self.terminal_listeners:
                 listener(tx, status)
 
-    def finalize(self, tx: Transaction, *, restamp: bool) -> TxStatus:
-        """Validate a pulled transaction against the ledger and commit it.
+    def finalize(self, tx: Transaction) -> TxStatus:
+        """Validate an ordered transaction's carried read stamps against the
+        ledger and commit it.
 
         Committed writers extend the chain by one single-transaction block;
         failed transactions never occupy block space.
@@ -449,8 +463,6 @@ class ChannelState:
         current = self.statuses.get(tx.id)
         if current is not None and current.terminal:
             return current
-        if restamp:
-            stamp_read_versions(tx, self.ledger)
         _, status = apply_transaction(self.ledger, tx)
         self.order_stream.append(tx.id)
         if status is TxStatus.COMMITTED:
@@ -487,6 +499,10 @@ class BaselineOrderingService:
     single-transaction block at the peer.  Two orderers holding adjacent
     transactions can finish out of pull order, which is the race that breaks
     dependent transactions on some seeds.
+
+    ``pinned`` maps a transaction id to the orderer a scripted scenario
+    routes it to; the service reads it on admission, so entries added after
+    construction still apply.
     """
 
     def __init__(
@@ -496,30 +512,33 @@ class BaselineOrderingService:
         orderers: list[NodeConfig],
         policy: OrderingPolicy,
         peer_id: str | None = None,
+        pinned: dict[str, str] | None = None,
     ):
         if not orderers:
             raise ValueError("baseline ordering needs at least one orderer")
         self.engine = engine
         self.state = channel_state
-        self.orderers = orderers
         self.policy = policy
         self.peer_id = peer_id
+        self.pinned = {} if pinned is None else pinned
         self.mempool = Mempool(policy.mempool_capacity)
         self._idle = deque(orderers)
-        self._lo, self._hi = policy.jitter
 
-    def _commit_latency(self, orderer: NodeConfig) -> int:
-        if self.peer_id is None:
-            return self.engine.topology.default_latency
-        return self.engine.topology.latency(orderer.id, self.peer_id)
+    @property
+    def peak_pool(self) -> int:
+        return self.mempool.peak_occupancy
 
-    def admit(
-        self, tx: Transaction, pinned_orderer: str | None = None
-    ) -> SubmitOutcome:
+    # The shared pool is the only queue.
+    peak_queue = peak_pool
+
+    def admit(self, tx: Transaction) -> SubmitOutcome:
         outcome = self.mempool.submit(tx)
         if outcome is not SubmitOutcome.ACCEPTED:
             return outcome
+        # Endorse on acceptance: the transaction commits with these stamps.
+        stamp_read_versions(tx, self.state.ledger)
         self.state.note_declared_deps(tx)
+        pinned_orderer = self.pinned.get(tx.id)
         if pinned_orderer is not None:
             # Scripted scenarios route a transaction to a named orderer, which
             # takes it out of pool order immediately.
@@ -534,6 +553,9 @@ class BaselineOrderingService:
             self._start_cycle(self._idle.popleft())
         return outcome
 
+    def discard(self, tx_id: str) -> bool:
+        return self.mempool.discard(tx_id)
+
     def _start_cycle(self, orderer: NodeConfig) -> None:
         tx = self.mempool.take_next()
         if tx is None:
@@ -542,13 +564,12 @@ class BaselineOrderingService:
         self._dispatch(orderer, tx)
 
     def _dispatch(self, orderer: NodeConfig, tx: Transaction) -> None:
-        delay = _jitter(self.engine, self._lo, self._hi) + orderer.processing_delay
-        at = self.engine.now + delay + self._commit_latency(orderer)
+        at = _commit_at(self.engine, self.policy.jitter, orderer, self.peer_id)
         self.engine.schedule_call(at, COMMIT, orderer.id, self._on_commit, (orderer, tx))
 
     def _on_commit(self, engine: Engine, payload) -> None:
         orderer, tx = payload
-        self.state.finalize(tx, restamp=False)
+        self.state.finalize(tx)
         self._start_cycle(orderer)
 
 
@@ -557,7 +578,11 @@ class BaselineOrderingService:
 
 class PipelineOrderingService:
     """C2 priority + C1 dependency gating + C4 per-worker queues + C3
-    concurrent workers, composed as admission -> partition -> gated drain."""
+    concurrent workers, composed as admission -> partition -> gated drain.
+
+    Admission leaves a transaction's read stamps as carried; a worker
+    endorses it when it orders it.
+    """
 
     def __init__(
         self,
@@ -580,14 +605,15 @@ class PipelineOrderingService:
         self.groups = FootprintGroups(n, on_merge=self._relocate)
         self._busy = [False] * n
         self._seen: set[str] = set()
-        self.rejected_full = 0
-        self.rejected_duplicate = 0
-        self.peak_total = 0
+        self.peak_pool = 0  # most transactions pending across all queues
         self._total_live = 0
         self._in_flight: dict[str, Transaction] = {}
         self._defer_counts: dict[str, int] = {}
         self._retry_scheduled = [False] * n
-        self._lo, self._hi = policy.jitter
+
+    @property
+    def peak_queue(self) -> int:
+        return max(q.peak_occupancy for q in self.queues)
 
     def _relocate(self, source: _Group, dest: _Group) -> None:
         # Move only the source group's still-pending members; other groups
@@ -609,7 +635,6 @@ class PipelineOrderingService:
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
         if tx.id in self._seen:
-            self.rejected_duplicate += 1
             return SubmitOutcome.DUPLICATE
         groups = self.groups
         keys = groups.keys(tx)
@@ -629,7 +654,6 @@ class PipelineOrderingService:
             index = groups.next_queue % groups.n
         queue = self.queues[index]
         if len(queue) + incoming > queue.capacity:
-            self.rejected_full += 1
             return SubmitOutcome.MEMPOOL_FULL
         group = touched[0] if settled else groups.join(keys)
         self._seen.add(tx.id)
@@ -639,8 +663,8 @@ class PipelineOrderingService:
         queue.append(tx)
         group.members.append(tx)
         self._total_live += 1
-        if self._total_live > self.peak_total:
-            self.peak_total = self._total_live
+        if self._total_live > self.peak_pool:
+            self.peak_pool = self._total_live
         self._wake(index)
         return SubmitOutcome.ACCEPTED
 
@@ -714,29 +738,21 @@ class PipelineOrderingService:
         self._busy[index] = True
         self._in_flight[tx.id] = tx
         node = self.worker_nodes[index] if index < len(self.worker_nodes) else None
-        delay = _jitter(self.engine, self._lo, self._hi) + (
-            node.processing_delay if node else 0
-        )
-        latency = self.engine.topology.default_latency
-        if node is not None and self.peer_id is not None:
-            latency = self.engine.topology.latency(node.id, self.peer_id)
+        at = _commit_at(self.engine, self.policy.jitter, node, self.peer_id)
         self.engine.schedule_call(
-            self.engine.now + delay + latency, COMMIT, f"worker{index}",
-            self._on_commit, (index, tx),
+            at, COMMIT, f"worker{index}", self._on_commit, (index, tx)
         )
 
     def _on_commit(self, engine: Engine, payload) -> None:
         index, tx = payload
         self._in_flight.pop(tx.id, None)
         self._busy[index] = False
-        # Re-endorse at ordering time: dependencies were gated, so the
+        # Endorse at ordering time: dependencies were gated, so the
         # transaction executes against the state it was waiting for.
-        self.state.finalize(tx, restamp=True)
+        stamp_read_versions(tx, self.state.ledger)
+        self.state.finalize(tx)
         self._wake(index)
         # A commit can unblock deferred transactions in other queues.
         for i, busy in enumerate(self._busy):
             if i != index and not busy and len(self.queues[i]):
                 self._wake(i)
-
-    def peak_queue_occupancy(self) -> int:
-        return max(q.peak_occupancy for q in self.queues)

@@ -241,7 +241,7 @@ class ScenarioConfig:
         for wallet, amount in self.balances.items():
             if amount < 0:
                 raise ScenarioValidationError(f"negative balance for {wallet}")
-        for wallet in self._attack_wallets():
+        for wallet in self.attack_wallets():
             if wallet not in self.balances:
                 raise ScenarioValidationError(
                     f"attack references wallet {wallet} absent from initial balances"
@@ -273,7 +273,8 @@ class ScenarioConfig:
                     f"transaction {tx_id} pinned to unknown orderer {orderer}"
                 )
 
-    def _attack_wallets(self) -> list[str]:
+    def attack_wallets(self) -> list[str]:
+        """The wallets the attack's parameters name (defaults included)."""
         kind, p = self.attack.kind, self.attack
         if kind == "block_withholding":
             return [

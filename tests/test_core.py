@@ -30,7 +30,7 @@ def fresh_state(**balances):
 def finalize_all(channel: ChannelState, txs) -> list[TxStatus]:
     """Commit ``txs`` in order through the channel's commit path, with the
     read stamps they carry."""
-    return [channel.finalize(tx, restamp=False) for tx in txs]
+    return [channel.finalize(tx) for tx in txs]
 
 
 # -- conflicts_with -----------------------------------------------------------
@@ -177,7 +177,7 @@ def test_scripted_conflict_batch_inflates_height_to_105():
     for i, (src, dst, amount) in enumerate(moves):
         tx = transfer_tx(f"w{i}", src, dst, amount)
         stamp_read_versions(tx, state)
-        assert channel.finalize(tx, restamp=False) is TxStatus.COMMITTED
+        assert channel.finalize(tx) is TxStatus.COMMITTED
     assert state.height == 105
     assert state.committed_tx_count == 205
     assert state.balances == {"A1": 1010, "V1": 985, "V2": 1005}

@@ -143,35 +143,54 @@ def test_run_trials_leaves_no_cyclic_garbage():
 
 
 # SHA-256 of the CSV output of `conflictsim sweep --conflicts 1000..2000:1000
-# --trials 2` per attack scenario (default seeds), and of `conflictsim run
-# --trials 20 --seed 0 --policy both` for fig1_race, the one scenario with
-# declared dependencies.  Any change to these bytes changes the paper's
-# success-rate tables.
+# --trials 2` per attack scenario (default seeds), keyed by scenario name; of
+# `conflictsim run --trials 20 --seed 0 --policy both` for fig1_race, the one
+# scenario with declared dependencies; and, under `run-` keys, of `conflictsim
+# run` on each scripted scenario, which covers the pinned orderer, the
+# withholding intercept, the balance replay and the text renderer.  Any change
+# to these bytes changes the paper's success-rate tables.
 SWEEP_ARGS = ["--conflicts", "1000..2000:1000", "--trials", "2"]
+RUN_ARGS = ["--trials", "10", "--seed", "0", "--policy", "both"]
 GOLDEN_CSV = {
     "table2_block_withholding": (
-        "sweep", SWEEP_ARGS,
+        "table2_block_withholding", "sweep", SWEEP_ARGS,
         "bdc41001bc90efc30131a9abf3120a674f5845b3e70c4c2ba3c266f7d090bc20"),
     "sec3b_double_spend": (
-        "sweep", SWEEP_ARGS,
+        "sec3b_double_spend", "sweep", SWEEP_ARGS,
         "b4c08a9c5d4016fac0ba5cb5490afa69d03fbb878e10e8f2ce120e89b7ca912c"),
     "table2_balance_attack": (
-        "sweep", SWEEP_ARGS,
+        "table2_balance_attack", "sweep", SWEEP_ARGS,
         "b589bc64d182c3e36ca0a72cef01b6724b19996caa7425d9126c19d317d1f491"),
     "ddos_default": (
-        "sweep", SWEEP_ARGS,
+        "ddos_default", "sweep", SWEEP_ARGS,
         "58a3e2666ca917e1bf6aad20577f2c5586b89a25ccebca0ef4abef54a24f7bdc"),
     "fig1_race": (
-        "run", ["--trials", "20", "--seed", "0", "--policy", "both"],
+        "fig1_race", "run", ["--trials", "20", "--seed", "0", "--policy", "both"],
         "ad660b340240f295aa1e44984d99410993be4ac7cde51c2e6de4a5ae65bdff68"),
+    "run-table2_block_withholding": (
+        "table2_block_withholding", "run", RUN_ARGS,
+        "25521b880e61384ca0dcd95ae574fd2da00a54c6e2e41acea7843812eb0c4bbf"),
+    "run-sec3b_double_spend": (
+        "sec3b_double_spend", "run", RUN_ARGS,
+        "bfc2b6c04b2790e04ab895a0485df70b2e8378b281e3c8805ee729b76065b21d"),
+    "run-table2_balance_attack": (
+        "table2_balance_attack", "run", RUN_ARGS,
+        "f4a67329b6bec09d2d541b3f1ad98ab627bff9aa42ef56939a6370a5e775d302"),
+    "run-ddos_default": (
+        "ddos_default", "run", RUN_ARGS,
+        "0c8c9dd282fcad8d9e7337121db64333538d329906b57bb2592cd942f873da9f"),
+    "run-text-fig1_race": (
+        "fig1_race", "run",
+        ["--trials", "5", "--seed", "0", "--policy", "both", "--format", "text"],
+        "5d06c624879245eae5195bac1cff3eaeb084bf3755c244815fd035d215e0dc96"),
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_CSV))
-def test_sweep_csv_bytes_match_golden(name, tmp_path, capsys):
-    command, args, expected = GOLDEN_CSV[name]
-    out = tmp_path / f"{name}.csv"
-    assert main([command, "--scenario", name, *args, "--out", str(out)]) == 0
+@pytest.mark.parametrize("key", list(GOLDEN_CSV))
+def test_sweep_csv_bytes_match_golden(key, tmp_path, capsys):
+    scenario, command, args, expected = GOLDEN_CSV[key]
+    out = tmp_path / f"{key}.out"
+    assert main([command, "--scenario", scenario, *args, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == expected
 

@@ -54,7 +54,6 @@ def test_submit_rejects_at_capacity_without_peak_change():
     peak = pool.peak_occupancy
     assert pool.submit(transfer_tx("t3", "a", "b", 1)) is SubmitOutcome.MEMPOOL_FULL
     assert pool.peak_occupancy == peak == 3
-    assert pool.rejected_full == 1
 
 
 def test_submit_rejects_duplicate_id():
@@ -294,12 +293,9 @@ def _drive(txs, mode, seed, *, workers=3, jitter=(1, 20), balances=None,
         service = PipelineOrderingService(engine, state, policy, "peer1",
                                           worker_nodes=orderers)
 
-    def arrive(e, tx):
-        stamp_read_versions(tx, state.ledger)
-        service.admit(tx)
-
     for tx in txs:
-        engine.schedule_call(tx.submit_time + 5, SUBMIT, "client", arrive, tx)
+        engine.schedule_call(tx.submit_time + 5, SUBMIT, "client",
+                             lambda e, tx: service.admit(tx), tx)
     engine.run_until(deadline)
     return state, service
 
@@ -340,6 +336,48 @@ def test_baseline_same_seed_identical_stream():
     b, _ = _drive(fig1_txs(), BASELINE, seed=42)
     assert a.order_stream == b.order_stream
     assert a.statuses == b.statuses
+
+
+# -- endorsement -----------------------------------------------------------------------
+
+
+def test_each_service_endorses_when_its_contract_says():
+    # Baseline: an accepted transaction carries the ledger versions of its
+    # acceptance instant; a rejected one keeps the reads it arrived with.
+    orderer = NodeConfig("o1", role="orderer")
+    topo = Topology(nodes=[orderer, NodeConfig("peer1", role="peer")],
+                    default_latency=5)
+    state = ChannelState("main", LedgerState.from_balances({"a": 100, "b": 100}))
+    policy = OrderingPolicy(mode=BASELINE, workers=1, mempool_capacity=1)
+    service = BaselineOrderingService(Engine(seed=0, topology=topo), state,
+                                      [orderer], policy, "peer1")
+    versions = state.ledger.versions
+    versions.update(a=3, b=5)
+    first = transfer_tx("t1", "a", "b", 1)
+    assert service.admit(first) is SubmitOutcome.ACCEPTED  # dispatched
+    assert first.reads == {"a": 3, "b": 5}
+    versions.update(a=4, b=7)
+    second = transfer_tx("t2", "b", "a", 1)
+    assert service.admit(second) is SubmitOutcome.ACCEPTED  # waits in the pool
+    assert second.reads == {"b": 7, "a": 4}
+    versions.update(a=9, b=9)
+    duplicate = transfer_tx("t1", "a", "b", 2)
+    full = transfer_tx("t3", "a", "b", 1)
+    assert service.admit(duplicate) is SubmitOutcome.DUPLICATE
+    assert service.admit(full) is SubmitOutcome.MEMPOOL_FULL
+    assert duplicate.reads == full.reads == {"a": 0, "b": 0}
+    assert first.reads == {"a": 3, "b": 5}
+
+    # Pipeline: admission leaves the reads as carried; the worker endorses
+    # the transaction when it orders it, so it still commits.
+    engine, state, service, admit = _pipeline(1, None, "ab")
+    state.ledger.versions.update(a=3, b=5)
+    tx = transfer_tx("p1", "a", "b", 1)
+    assert admit(tx) is SubmitOutcome.ACCEPTED
+    assert tx.reads == {"a": 0, "b": 0}
+    engine.run_until(10_000)
+    assert state.status("p1") is TxStatus.COMMITTED
+    assert tx.reads == {"a": 3, "b": 5}
 
 
 # -- pipeline ordering -----------------------------------------------------------------
@@ -464,12 +502,9 @@ def test_pipeline_logical_makespan_beats_baseline_at_scale():
             service = PipelineOrderingService(engine, state, policy, "peer1",
                                               worker_nodes=orderers)
 
-        def arrive(e, tx):
-            stamp_read_versions(tx, state.ledger)
-            service.admit(tx)
-
         for tx in txs:
-            engine.schedule_call(0, SUBMIT, "client", arrive, _fresh(tx))
+            engine.schedule_call(0, SUBMIT, "client",
+                                 lambda e, tx: service.admit(tx), _fresh(tx))
         engine.run_until(10_000_000)
         terminal = len(state.committed) + len(state.failed)
         assert terminal == len(txs)  # fully drained
@@ -502,8 +537,7 @@ def test_terminal_status_never_overwritten():
 
 
 def _pipeline(workers, queue_capacity, wallets):
-    """A zero-jitter countermeasure service over ``wallets``, and an admit
-    that endorses each transaction first."""
+    """A zero-jitter countermeasure service over ``wallets``, and its admit."""
     orderers = [NodeConfig(f"o{i}", role="orderer") for i in range(workers)]
     topo = Topology(
         nodes=[NodeConfig("client", role="client")] + orderers
@@ -518,12 +552,7 @@ def _pipeline(workers, queue_capacity, wallets):
                             mempool_capacity=100, queue_capacity=queue_capacity)
     service = PipelineOrderingService(engine, state, policy, "peer1",
                                       worker_nodes=orderers)
-
-    def admit(tx):
-        stamp_read_versions(tx, state.ledger)
-        return service.admit(tx)
-
-    return engine, state, service, admit
+    return engine, state, service, service.admit
 
 
 def test_group_merge_relocates_only_bridged_group():
