@@ -31,7 +31,6 @@ from .workload import (
     ScenarioConfig,
     generate_conflicting_set,
     load_scenario,
-    save_scenario,
 )
 from .attacks import AttackOutcome, recompute_success, run_attack
 from .harness import (

@@ -326,7 +326,7 @@ class SimulationRun:
             success=False,
             phase_log=list(self.phases.log),
             ledgers={ch: s.ledger for ch, s in self.channels.items()},
-            chain_sizes={ch: s.chain_length for ch, s in self.channels.items()},
+            chain_sizes={ch: s.ledger.height for ch, s in self.channels.items()},
             pending=pending,
             status_counts=statuses,
             submitted=len(self.submitted_ids),

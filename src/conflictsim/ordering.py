@@ -90,10 +90,6 @@ class Mempool:
         self._seen: set[str] = set()
         self.peak_occupancy = 0
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._live)
-
     def __len__(self) -> int:
         return len(self._live)
 
@@ -196,10 +192,6 @@ class OrdererQueue:
         self._write: deque[Transaction] = deque()
         self._live: set[str] = set()
         self.peak_occupancy = 0
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._live)
 
     def __len__(self) -> int:
         return len(self._live)
@@ -429,10 +421,6 @@ class ChannelState:
         self.terminal_listeners: list[Callable[[Transaction, TxStatus], None]] = []
         self._declared: dict[str, frozenset[str]] = {}
 
-    @property
-    def chain_length(self) -> int:
-        return self.ledger.height
-
     def status(self, tx_id: str) -> TxStatus:
         return self.statuses.get(tx_id, TxStatus.PENDING)
 
@@ -486,6 +474,51 @@ class ChannelState:
                 if dep_pos is None or dep_pos > pos:
                     violations += 1
         return violations
+
+
+STALLED = object()  # every transaction left in the queue was deferred
+
+
+def next_ready(
+    queue: OrdererQueue,
+    state: ChannelState,
+    defer_counts: dict[str, int],
+    defer_limit: int,
+    in_flight: Iterable[Transaction] = (),
+):
+    """The gated drain (C1): take ``queue``'s next transaction that is ready
+    to order against ``state``.
+
+    A transaction already terminal is skipped, one whose declared
+    dependency failed aborts, and a deferred one goes back to the tail of
+    its priority class, timing out once deferred more than ``defer_limit``
+    times.  Returns the ready transaction, ``None`` when the queue is
+    empty, or ``STALLED`` once a pass of ``len(queue)`` deferrals is spent.
+    """
+    committed, failed = state.committed, state.failed
+    budget = len(queue)
+    while True:
+        tx = queue.take_next()
+        if tx is None:
+            return None
+        if tx.id in committed or tx.id in failed:  # already terminal
+            continue
+        verdict = check_dependencies(tx, committed, failed, in_flight)
+        if verdict is DependencyVerdict.READY:
+            return tx
+        if verdict is DependencyVerdict.ABORT:
+            state.order_stream.append(tx.id)
+            state.set_status(tx, TxStatus.CONFLICT_FAILED)
+            continue
+        count = defer_counts.get(tx.id, 0) + 1
+        defer_counts[tx.id] = count
+        if count > defer_limit:
+            state.set_status(tx, TxStatus.TIMEOUT)
+            continue
+        queue.append(tx)  # tail of its priority class
+        budget -= 1
+        if budget <= 0:
+            return STALLED
 
 
 # -- baseline service ---------------------------------------------------------
@@ -681,41 +714,16 @@ class PipelineOrderingService:
         if self._busy[index] or index == self.withheld_worker:
             return
         queue = self.queues[index]
-        state = self.state
-        defer_limit = self.policy.defer_limit
-        deferred = 0
-        budget = len(queue)
-        while True:
-            tx = queue.take_next()
-            if tx is None:
-                return
-            status = state.statuses.get(tx.id)
-            if status is not None and status.terminal:
-                self._total_live -= 1
-                continue
-            verdict = check_dependencies(
-                tx, state.committed, state.failed, self._in_flight.values()
-            )
-            if verdict is DependencyVerdict.READY:
-                self._total_live -= 1
-                self._dispatch(index, tx)
-                return
-            if verdict is DependencyVerdict.ABORT:
-                self._total_live -= 1
-                state.order_stream.append(tx.id)
-                state.set_status(tx, TxStatus.CONFLICT_FAILED)
-                continue
-            count = self._defer_counts.get(tx.id, 0) + 1
-            self._defer_counts[tx.id] = count
-            if count > defer_limit:
-                self._total_live -= 1
-                state.set_status(tx, TxStatus.TIMEOUT)
-                continue
-            queue.append(tx)  # tail of its priority class
-            deferred += 1
-            if deferred >= budget:
-                self._ensure_retry(index)
-                return
+        pending = len(queue)
+        tx = next_ready(
+            queue, self.state, self._defer_counts, self.policy.defer_limit,
+            self._in_flight.values(),
+        )
+        self._total_live -= pending - len(queue)
+        if tx is STALLED:
+            self._ensure_retry(index)
+        elif tx is not None:
+            self._dispatch(index, tx)
 
     def _ensure_retry(self, index: int) -> None:
         # Whole queue deferred: if nothing is in flight anywhere there is no

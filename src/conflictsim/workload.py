@@ -595,10 +595,6 @@ def _dump_tx_line(tx: Transaction, orderer: str | None) -> str:
     return line
 
 
-def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(dump_scenario(config))
-
-
 # -- bench workload --------------------------------------------------------------
 
 

@@ -3,13 +3,15 @@
 import gc
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from conflictsim.cli import main, resolve_scenario
-from conflictsim.errors import EmptyInputError
+from conflictsim.core import query_tx, transfer_tx
+from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -206,21 +208,120 @@ def test_bench_small_run_state_ok_and_parallel_gain():
 
 
 def test_bench_generates_each_rep_once(monkeypatch):
-    # Baseline, pipeline and reference runs share one batch per rep.
+    # Baseline and pipeline runs share one batch per rep, which is
+    # partitioned once and drained once.
     from conflictsim import harness
 
     seeds = []
+    calls = {"partition": 0, "_bench_pipeline": 0}
     generate = harness.generate_bench_workload
 
     def counting(*args, **kwargs):
         seeds.append(kwargs["seed"])
         return generate(*args, **kwargs)
 
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(harness, "generate_bench_workload", counting)
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
     report = bench_throughput(txs=300, read_ratio=0.5, workers=2, reps=3,
                               io_delay_us=0, n_wallets=200, seed=5)
     assert seeds == [5, 6, 7]
+    assert calls == {"partition": 3, "_bench_pipeline": 3}
     assert all(row.state_ok for row in report.rows)
+
+
+def test_bench_drain_commits_deferred_dependent_after_its_dependency(monkeypatch):
+    # t1 spends what t2 brings in and declares t2 as a dependency, but is
+    # submitted first: the gate defers it until t2 has committed.
+    from conflictsim import harness
+    from conflictsim.ordering import ChannelState
+
+    finalized = []
+    finalize = ChannelState.finalize
+
+    def recording(self, tx):
+        status = finalize(self, tx)
+        finalized.append((tx.id, status.value))
+        return status
+
+    monkeypatch.setattr(ChannelState, "finalize", recording)
+    txs = [
+        transfer_tx("t1", "A", "B", 5, deps=("t2",), submit_time=0),
+        transfer_tx("t2", "C", "A", 5, submit_time=1),
+    ]
+    ledger, _ = harness._bench_pipeline(
+        {"A": 0, "B": 0, "C": 5}, txs, 1, 0.0, True
+    )
+    assert finalized == [("t2", "committed"), ("t1", "committed")]
+    assert ledger.balances == {"A": 0, "B": 5, "C": 0}
+    assert ledger.versions == {"A": 2, "B": 1, "C": 1}
+    assert (ledger.height, ledger.committed_tx_count) == (2, 2)
+
+
+def _dep_batch(rng, trial):
+    """Transfers over few, thin wallets with backward, forward, cyclic and
+    out-of-batch declared dependencies, plus some queries."""
+    wallets = [f"w{i}" for i in range(8)]
+    balances = {w: rng.randint(0, 4) for w in wallets}
+    ids = [f"d{trial}-{i}" for i in range(rng.randint(2, 30))]
+    cycle = (f"d{trial}-cycA", f"d{trial}-cycB")
+    txs = []
+    for i, tx_id in enumerate(ids + list(cycle)):
+        if tx_id in cycle:
+            deps = (cycle[1] if tx_id == cycle[0] else cycle[0],)
+        elif rng.random() < 0.2:
+            txs.append(query_tx(tx_id, (rng.choice(wallets),), submit_time=i))
+            continue
+        elif rng.random() < 0.4:
+            deps = (rng.choice([d for d in ids if d != tx_id] + [f"out{trial}"]),)
+        else:
+            deps = ()
+        src, dst = rng.sample(wallets, 2)
+        txs.append(transfer_tx(tx_id, src, dst, rng.randint(1, 3), deps=deps,
+                               submit_time=rng.randint(0, 40)))
+    return balances, txs
+
+
+def test_bench_threaded_drain_matches_serial_drain():
+    # Each queue drains against its own shard, so running the queues on
+    # threads or one after another must give the same merged ledger.  A
+    # small service cost makes the worker threads interleave.
+    from conflictsim.harness import _bench_pipeline
+
+    rng = random.Random(23)
+    for trial in range(20):
+        balances, txs = _dep_batch(rng, trial)
+        for workers in (1, 2, 3, 4):
+            threaded, _ = _bench_pipeline(balances, txs, workers, 1e-5, True)
+            serial, _ = _bench_pipeline(balances, txs, workers, 1e-5, False)
+            assert threaded == serial, (trial, workers)
+            assert sum(threaded.balances.values()) == sum(balances.values())
+
+
+def test_bench_raises_when_pipeline_ledger_diverges(monkeypatch):
+    from conflictsim import harness
+
+    pipeline = harness._bench_pipeline
+
+    def skewed(*args, **kwargs):
+        ledger, elapsed = pipeline(*args, **kwargs)
+        src, dst = sorted(ledger.balances)[:2]
+        ledger.balances[src] -= 1
+        ledger.balances[dst] += 1
+        return ledger, elapsed
+
+    monkeypatch.setattr(harness, "_bench_pipeline", skewed)
+    with pytest.raises(StateMismatchError):
+        bench_throughput(txs=200, read_ratio=0.5, workers=2, reps=1,
+                         io_delay_us=0, n_wallets=100)
 
 
 def test_bench_rejects_bad_args():
@@ -228,6 +329,8 @@ def test_bench_rejects_bad_args():
         bench_throughput(txs=0, read_ratio=0.5, workers=2)
     with pytest.raises(ValueError):
         bench_throughput(txs=10, read_ratio=0.5, workers=0)
+    with pytest.raises(ValueError):
+        bench_throughput(txs=10, read_ratio=0.5, workers=2, reps=0)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -249,6 +352,12 @@ def test_cli_validate_ok():
 def test_cli_unknown_scenario_is_config_error():
     proc = run_cli("validate", "--scenario", "no_such_thing")
     assert proc.returncode == 2
+
+
+def test_cli_bench_zero_reps_is_config_error():
+    proc = run_cli("bench", "--txs", "10", "--reps", "0")
+    assert proc.returncode == 2
+    assert "reps" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_sweep_attack_mismatch_is_config_error():

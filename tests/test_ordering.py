@@ -44,7 +44,7 @@ def test_submit_accepts_below_capacity():
     for i in range(4999):
         assert pool.submit(transfer_tx(f"t{i}", "a", "b", 1)) is SubmitOutcome.ACCEPTED
     assert pool.submit(transfer_tx("last", "a", "b", 1)) is SubmitOutcome.ACCEPTED
-    assert pool.occupancy == 5000
+    assert len(pool) == 5000
 
 
 def test_submit_rejects_at_capacity_without_peak_change():
@@ -75,7 +75,7 @@ def test_mempool_bound_and_peak_shadow_counter():
             if pool.take_next() is not None:
                 live -= 1
         shadow_peak = max(shadow_peak, live)
-        assert pool.occupancy == live <= 8
+        assert len(pool) == live <= 8
     assert pool.peak_occupancy == shadow_peak
 
 
