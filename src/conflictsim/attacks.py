@@ -10,7 +10,9 @@ background workload) deterministically from the trial seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .core import (
     LedgerState,
@@ -83,6 +85,9 @@ class AttackOutcome:
     facts: dict[str, object] = field(default_factory=dict)
 
 
+_TERMINAL = tuple(st for st in TxStatus if st.terminal)
+
+
 def recompute_success(outcome: AttackOutcome) -> bool:
     """Re-derive the success flag from recorded outcome fields only."""
     facts = outcome.facts
@@ -144,10 +149,11 @@ class SimulationRun:
         self.valid_ids: set[str] = set()
         self.adversary_ids: set[str] = set()
         self.rejected: dict[str, str] = {}
-        self.submitted_ids: set[str] = set()
+        # Ids that arrived, per channel.
+        self.arrived: dict[str, set[str]] = {ch: set() for ch in config.channels}
         self.all_txs: dict[str, Transaction] = {}
         self.pinned = dict(config.pinned_orderers)
-        self._plan: list = []
+        self._requests: list = []
         self._latency_cache: dict[str, int] = {}
         self.conflict_count = config.conflict_count
 
@@ -220,26 +226,41 @@ class SimulationRun:
         A transaction that would arrive after the deadline is not planned:
         the engine would never fire its arrival, and everything read after
         the run (collection, the balance replay, the DDoS failure rate)
-        looks only at arrived transactions, in ``submitted_ids``.
+        looks only at arrived transactions, in ``arrived``.
         """
-        submitter = via or tx.submitter
-        arrive_at = tx.submit_time + self.client_latency(submitter)
-        if arrive_at > self.config.deadline:
-            return
-        self.all_txs[tx.id] = tx
-        if valid:
-            self.valid_ids.add(tx.id)
-        else:
-            self.adversary_ids.add(tx.id)
-        self._plan.append((arrive_at, tx, timeout, on_arrival, submitter))
+        self._requests.append(([tx], valid, via or tx.submitter, timeout, on_arrival))
+
+    def submit_batch(
+        self, txs: list[Transaction], *, via: str, on_first_arrival=None
+    ) -> None:
+        """Plan an adversary batch sent through client ``via``, as
+        ``submit(tx, valid=False, via=via)`` for each transaction in order
+        would, with ``on_first_arrival`` as the first one's arrival hook."""
+        self._requests.append((txs, False, via, None, on_first_arrival))
 
     def _flush_submissions(self) -> None:
+        # Expand the requests in submission order, testing the deadline once
+        # per transaction with the client latency looked up once per request.
+        deadline = self.config.deadline
+        all_txs = self.all_txs
+        plan = []
+        for txs, valid, via, timeout, hook in self._requests:
+            latency = self.client_latency(via)
+            last = deadline - latency  # the latest submit time that arrives
+            ids = self.valid_ids if valid else self.adversary_ids
+            for tx in txs:
+                t = tx.submit_time
+                if t <= last:
+                    tx_id = tx.id
+                    all_txs[tx_id] = tx
+                    ids.add(tx_id)
+                    plan.append((t + latency, tx, timeout, hook, via))
+                hook = None  # a dropped first transaction takes its hook along
+        self._requests = []
         # Consecutive same-instant arrivals share one event: their relative
         # order already equals schedule order, so commit events (scheduled
         # later, higher seq) still interleave correctly between instants.
-        plan = self._plan
-        self._plan = []
-        plan.sort(key=lambda item: item[0])
+        plan.sort(key=itemgetter(0))
         i, n = 0, len(plan)
         while i < n:
             j = i + 1
@@ -252,14 +273,15 @@ class SimulationRun:
             i = j
 
     def _on_arrivals(self, engine: Engine, group) -> None:
-        submitted = self.submitted_ids
+        arrived = self.arrived
         services = self.services
         rejected = self.rejected
         for _, tx, timeout, hook, _submitter in group:
-            submitted.add(tx.id)
+            channel = tx.channel
+            arrived[channel].add(tx.id)
             if hook is not None and hook(tx):
                 continue  # intercepted (e.g. withheld by the adversary)
-            outcome = services[tx.channel].admit(tx)
+            outcome = services[channel].admit(tx)
             if outcome is not SubmitOutcome.ACCEPTED:
                 rejected[tx.id] = outcome.value
                 continue
@@ -293,31 +315,28 @@ class SimulationRun:
 
     def collect(self, kind: str, facts: dict) -> AttackOutcome:
         """Gather the run's outcome; success comes from its recorded facts
-        through ``recompute_success``, the one predicate per attack."""
-        statuses: dict[str, int] = {
-            "committed": 0, "conflict_failed": 0, "insufficient_funds": 0,
-            "timeout": 0, "rejected": 0, "pending": 0,
-        }
-        pending: dict[str, int] = {ch: 0 for ch in self.channels}
-        all_txs = self.all_txs
+        through ``recompute_success``, the one predicate per attack.
+
+        Counts come from each channel's status registry and its arrived
+        ids.  An id counts as rejected if any arrival of it was rejected;
+        otherwise it counts on the channel it arrived on, by its terminal
+        status there or as pending."""
         rejected = self.rejected
-        for tx_id in self.submitted_ids:
-            if tx_id in rejected:
-                statuses["rejected"] += 1
-                continue
-            ch = all_txs[tx_id].channel
-            st = self.channels[ch].status(tx_id)
-            if st is TxStatus.COMMITTED:
-                statuses["committed"] += 1
-            elif st is TxStatus.CONFLICT_FAILED:
-                statuses["conflict_failed"] += 1
-            elif st is TxStatus.INSUFFICIENT_FUNDS:
-                statuses["insufficient_funds"] += 1
-            elif st is TxStatus.TIMEOUT:
-                statuses["timeout"] += 1
-            else:
-                statuses["pending"] += 1
-                pending[ch] += 1
+        statuses = {st.value: 0 for st in _TERMINAL}
+        statuses["rejected"] = len(rejected)
+        pending: dict[str, int] = {}
+        for ch, state in self.channels.items():
+            registry = state.statuses
+            tally = Counter(registry.values())
+            for tx_id in registry.keys() & rejected.keys():
+                tally[registry[tx_id]] -= 1
+            arrived = self.arrived[ch]
+            live = len(arrived) - len(arrived.intersection(rejected))
+            for st in _TERMINAL:
+                statuses[st.value] += tally[st]
+                live -= tally[st]
+            pending[ch] = live
+        statuses["pending"] = sum(pending.values())
         services = self.services.values()
         outcome = AttackOutcome(
             kind=kind,
@@ -329,7 +348,7 @@ class SimulationRun:
             chain_sizes={ch: s.ledger.height for ch, s in self.channels.items()},
             pending=pending,
             status_counts=statuses,
-            submitted=len(self.submitted_ids),
+            submitted=sum(len(ids) for ids in self.arrived.values()),
             conflict_count=self.conflict_count,
             peak_mempool=max(s.peak_pool for s in services),
             peak_queue=max(s.peak_queue for s in services),
@@ -425,13 +444,12 @@ def run_block_withholding(
                 tx.writes = frozenset((src, attacker_wallet))
                 tx.reads = {src: 0, attacker_wallet: 0}
 
-    adv_client = _client_of(config, adversary=True)
-    first = True
     for tx in batch:
         tx.channel = channel
-        hook = run.phase_marker("P3") if first else None
-        first = False
-        run.submit(tx, valid=False, via=adv_client, on_arrival=hook)
+    run.submit_batch(
+        batch, via=_client_of(config, adversary=True),
+        on_first_arrival=run.phase_marker("P3"),
+    )
 
     release_at = attack.p_int("release_at", 0)
     if variant == "release" and release_at:
@@ -529,12 +547,10 @@ def run_double_spending(
             f"scripted double spend needs a transaction with id {ds_id!r}",
         )
 
-    adv_client = _client_of(config, adversary=True)
-    first = True
-    for tx in batch:
-        hook = run.phase_marker("P3") if first else None
-        first = False
-        run.submit(tx, valid=False, via=adv_client, on_arrival=hook)
+    run.submit_batch(
+        batch, via=_client_of(config, adversary=True),
+        on_first_arrival=run.phase_marker("P3"),
+    )
 
     def watch(tx: Transaction, status: TxStatus) -> None:
         if tx.id == ds_id:
@@ -632,15 +648,13 @@ def run_balance_attack(
     build_valid(reference, attack.p_int("valid_reference", 90), 0, 0)
 
     batch = _conflict_batch(config, seed, batch)
-    adv_client = _client_of(config, adversary=True)
-    generated = isinstance(config.conflicts, ConflictSpec)
-    first = True
-    for tx in batch:
-        if generated:
+    if isinstance(config.conflicts, ConflictSpec):
+        for tx in batch:
             tx.channel = attacked
-        hook = run.phase_marker("P1") if first else None
-        first = False
-        run.submit(tx, valid=False, via=adv_client, on_arrival=hook)
+    run.submit_batch(
+        batch, via=_client_of(config, adversary=True),
+        on_first_arrival=run.phase_marker("P1"),
+    )
 
     ref_state = run.channels[reference]
     att_state = run.channels[attacked]
@@ -667,10 +681,8 @@ def run_balance_attack(
     replay_committed = False
     replayed: str | None = None
     pending_order = [
-        tx_id for tx_id in run.submitted_ids
-        if tx_id not in run.rejected
-        and run.all_txs[tx_id].channel == attacked
-        and not att_state.status(tx_id).terminal
+        tx_id for tx_id in run.arrived[attacked]
+        if tx_id not in run.rejected and not att_state.status(tx_id).terminal
     ]
     pending_order.sort(key=lambda tx_id: (run.all_txs[tx_id].submit_time, tx_id))
     if pending_order:
@@ -740,28 +752,25 @@ def run_ddos(
     batch = _conflict_batch(config, seed, batch)
     burst = isinstance(config.conflicts, ConflictSpec) and config.conflicts.start or 0
     run.phases.enter("P1", max(0, (burst or batch[0].submit_time) - 1))
-    adv_client = _client_of(config, adversary=True)
-    first = True
     for tx in batch:
         tx.channel = channel
-        hook = run.phase_marker("P2") if first else None
-        first = False
-        run.submit(tx, valid=False, via=adv_client, on_arrival=hook)
+    run.submit_batch(
+        batch, via=_client_of(config, adversary=True),
+        on_first_arrival=run.phase_marker("P2"),
+    )
 
     run.run_until_deadline()
     run.phases.enter("P3", config.deadline)
 
     failed = 0
-    for tx_id in run.valid_ids:
-        if tx_id not in run.submitted_ids:
-            continue
+    submitted_valid = run.valid_ids & run.arrived[channel]
+    for tx_id in submitted_valid:
         if tx_id in run.rejected:
             failed += 1  # admission rejection surfaces as a client timeout
             continue
         if state.status(tx_id) in (TxStatus.TIMEOUT, TxStatus.CONFLICT_FAILED):
             failed += 1
-    submitted_valid = len(run.valid_ids & run.submitted_ids)
-    rate = failed / submitted_valid if submitted_valid else 0.0
+    rate = failed / len(submitted_valid) if submitted_valid else 0.0
 
     capacity = run.policy.mempool_capacity
     peak = run.services[channel].peak_pool

@@ -265,6 +265,7 @@ class FootprintGroups:
         self._groups: dict[str, _Group] = {}
         self._wkeys: dict[str, str] = {}
         self._group_seq = 0
+        self._tkeys = False  # whether any ``t:`` key may exist yet
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -281,10 +282,11 @@ class FootprintGroups:
         extra = tx.writes.difference(tx.reads)
         if extra:
             keys.extend("w:" + w for w in sorted(extra))
-        tid = f"t:{tx.id}"
-        if tx.declared_deps or tid in self._parent or not keys:
-            keys.append(tid)
-            for dep in tx.declared_deps:
+        deps = tx.declared_deps
+        if deps or not keys or (self._tkeys and f"t:{tx.id}" in self._parent):
+            self._tkeys = True
+            keys.append(f"t:{tx.id}")
+            for dep in deps:
                 keys.append(f"t:{dep}")
         return keys
 
@@ -292,6 +294,7 @@ class FootprintGroups:
         """Register ``t:<tx_id>`` so the transaction joins its dependents."""
         key = f"t:{tx_id}"
         self._parent.setdefault(key, key)
+        self._tkeys = True
 
     def find(self, key: str) -> str:
         parent = self._parent
@@ -315,7 +318,10 @@ class FootprintGroups:
         found: list[_Group] = []
         settled = True
         for key in keys:
-            group = groups.get(find(key)) if key in parent else None
+            root = parent.get(key)
+            if root is not None and parent[root] != root:
+                root = find(key)
+            group = groups.get(root)
             if group is None:
                 settled = False
             elif group not in found:
@@ -492,20 +498,25 @@ def next_ready(
     A transaction already terminal is skipped, one whose declared
     dependency failed aborts, and a deferred one goes back to the tail of
     its priority class, timing out once deferred more than ``defer_limit``
-    times.  Returns the ready transaction, ``None`` when the queue is
-    empty, or ``STALLED`` once a pass of ``len(queue)`` deferrals is spent.
+    times.  A pass looks at each queued transaction at most once: deferred
+    ones are held aside and re-queued when the pass ends, so a deferred read
+    cannot hide a ready writer behind it.  Returns the ready transaction,
+    ``None`` when the queue is empty, or ``STALLED`` when every transaction
+    left was deferred.
     """
     committed, failed = state.committed, state.failed
-    budget = len(queue)
-    while True:
-        tx = queue.take_next()
-        if tx is None:
-            return None
+    deferred: list[Transaction] = []
+    ready = None
+    while (tx := queue.take_next()) is not None:
         if tx.id in committed or tx.id in failed:  # already terminal
             continue
-        verdict = check_dependencies(tx, committed, failed, in_flight)
+        if not tx.declared_deps and not in_flight:
+            verdict = DependencyVerdict.READY
+        else:
+            verdict = check_dependencies(tx, committed, failed, in_flight)
         if verdict is DependencyVerdict.READY:
-            return tx
+            ready = tx
+            break
         if verdict is DependencyVerdict.ABORT:
             state.order_stream.append(tx.id)
             state.set_status(tx, TxStatus.CONFLICT_FAILED)
@@ -515,10 +526,12 @@ def next_ready(
         if count > defer_limit:
             state.set_status(tx, TxStatus.TIMEOUT)
             continue
+        deferred.append(tx)
+    for tx in deferred:
         queue.append(tx)  # tail of its priority class
-        budget -= 1
-        if budget <= 0:
-            return STALLED
+    if ready is None and deferred:
+        return STALLED
+    return ready
 
 
 # -- baseline service ---------------------------------------------------------

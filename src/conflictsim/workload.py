@@ -88,6 +88,10 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
     wallets = list(spec.wallets)
     pair_writes = {}
     n = len(wallets)
+    # Per wallet index: transfers writing it and queries reading it.  They
+    # decide which transactions the conflict graph leaves isolated.
+    written = [0] * n
+    queried = [0] * n
     txs: list[Transaction] = []
     new = Transaction.__new__
     unassigned = PriorityClass.UNASSIGNED
@@ -109,7 +113,9 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
         # The first element is always a transfer so the batch has a writer
         # for the conflict-density repair below to anchor on.
         if i > 0 and rand() < spec.mix_query:
-            wallet = wallets[int(rand() * n)]
+            k = int(rand() * n)
+            queried[k] += 1
+            wallet = wallets[k]
             tx.payload = Query((wallet,))
             tx.reads = {wallet: 0}
             tx.writes = empty
@@ -118,6 +124,8 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
             b = int(rand() * (n - 1))
             if b >= a:
                 b += 1
+            written[a] += 1
+            written[b] += 1
             src, dst = wallets[a], wallets[b]
             tx.payload = Transfer(src, dst, 1 + int(rand() * 20))
             tx.reads = {src: 0, dst: 0}
@@ -128,42 +136,31 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
                 pair_writes[key] = writes
             tx.writes = writes
         txs.append(tx)
-    _repair_isolated(txs)
+    # Repair conflict-graph isolation.  A transfer is isolated when nothing
+    # else touches either of its wallets, a query when nothing writes its
+    # wallet; the batch is scanned only when some wallet allows either.
+    # Every isolated transaction is found before any is repaired, then gains
+    # a read of the first other transfer's source wallet.
+    once = {wallets[k] for k in range(n) if written[k] == 1 and not queried[k]}
+    unwritten = {wallets[k] for k in range(n) if queried[k] and not written[k]}
+    if once or unwritten:
+
+        def isolated(tx: Transaction) -> bool:
+            p = tx.payload
+            if isinstance(p, Transfer):
+                return p.src in once and p.dst in once
+            return p.wallets[0] in unwritten
+
+        lonely = [tx for tx in txs if isolated(tx)]
+        for tx in lonely:
+            anchor = next(
+                (other.payload.src for other in txs
+                 if other is not tx and isinstance(other.payload, Transfer)),
+                None,
+            )
+            if anchor is not None and anchor not in tx.reads:
+                tx.reads[anchor] = 0
     return txs
-
-
-def _repair_isolated(txs: list[Transaction]) -> None:
-    """Give every conflict-graph-isolated transaction a read of a wallet some
-    other transaction writes."""
-    writers: dict[str, int] = {}
-    touchers: dict[str, int] = {}
-    for tx in txs:
-        for w in tx.writes:
-            writers[w] = writers.get(w, 0) + 1
-        for w in tx.footprint():
-            touchers[w] = touchers.get(w, 0) + 1
-
-    def isolated(tx: Transaction) -> bool:
-        for w in tx.writes:
-            if touchers.get(w, 0) > 1:
-                return False
-        for r in tx.reads:
-            others = writers.get(r, 0) - (1 if r in tx.writes else 0)
-            if others > 0:
-                return False
-        return True
-
-    lonely = [tx for tx in txs if isolated(tx)]
-    for tx in lonely:
-        anchor = None
-        for other in txs:
-            if other.id != tx.id and isinstance(other.payload, Transfer):
-                anchor = other.payload.src
-                break
-        if anchor is None or anchor in tx.reads:
-            continue
-        tx.reads[anchor] = 0
-        touchers[anchor] = touchers.get(anchor, 0) + 1
 
 
 def conflict_graph_has_isolated(txs: list[Transaction]) -> bool:

@@ -371,5 +371,163 @@ def test_submission_arriving_after_deadline_is_never_planned():
             valid=True,
         )
     run.run_until_deadline()
-    assert run.submitted_ids == {"on_time"}
+    assert run.arrived == {"main": {"on_time"}}
     assert all(event[2] != SUBMIT for event in run.engine._heap)
+
+
+def test_submit_batch_plans_as_per_transaction_submits():
+    config = resolve_scenario("fig1_race")
+    latency = 5  # client1's
+    late = config.deadline - latency + 1
+    hook = object()  # planning only carries the hook; it never fires here
+    batch = [
+        transfer_tx(f"b{i}", "X", "Y", 1, submitter="adv", submit_time=t)
+        for i, t in enumerate((late, 100, 3, late - 1, late, 7, 100))
+    ]
+    before = transfer_tx("v0", "P", "Q", 1, submitter="client1", submit_time=50)
+    after = transfer_tx("v1", "Q", "R", 1, submitter="client1", submit_time=3)
+
+    def planned(one_call: bool):
+        run = SimulationRun(config, "baseline", config.seed)
+        run.submit(before, valid=True)
+        if one_call:
+            run.submit_batch(batch, via="client1", on_first_arrival=hook)
+        else:
+            for i, tx in enumerate(batch):
+                run.submit(tx, valid=False, via="client1",
+                           on_arrival=hook if i == 0 else None)
+        run.submit(after, valid=True)
+        run._flush_submissions()
+        events = sorted(
+            (seq, at, kind, target,
+             [(e[0], e[1].id, e[2], e[3], e[4]) for e in group])
+            for at, seq, kind, target, group, _fn in run.engine._heap
+        )
+        return events, run.all_txs, run.valid_ids, run.adversary_ids
+
+    events, all_txs, valid, adversary = planned(one_call=True)
+    assert (events, all_txs, valid, adversary) == planned(one_call=False)
+    # The first transaction arrives too late, so its hook goes with it.
+    assert all(e[3] is None for ev in events for e in ev[4])
+    assert adversary == {"b1", "b2", "b3", "b5", "b6"}
+
+
+# -- outcome collection ------------------------------------------------------------
+
+
+def _collect_by_arrival(run):
+    """The per-arrival collection loop ``SimulationRun.collect`` replaced,
+    kept as its oracle: every arrived id, looked up on its channel."""
+    statuses = {
+        "committed": 0, "conflict_failed": 0, "insufficient_funds": 0,
+        "timeout": 0, "rejected": 0, "pending": 0,
+    }
+    pending = {ch: 0 for ch in run.channels}
+    submitted_ids = set().union(*run.arrived.values())
+    for tx_id in submitted_ids:
+        if tx_id in run.rejected:
+            statuses["rejected"] += 1
+            continue
+        ch = run.all_txs[tx_id].channel
+        st = run.channels[ch].status(tx_id)
+        if st is TxStatus.COMMITTED:
+            statuses["committed"] += 1
+        elif st is TxStatus.CONFLICT_FAILED:
+            statuses["conflict_failed"] += 1
+        elif st is TxStatus.INSUFFICIENT_FUNDS:
+            statuses["insufficient_funds"] += 1
+        elif st is TxStatus.TIMEOUT:
+            statuses["timeout"] += 1
+        else:
+            statuses["pending"] += 1
+            pending[ch] += 1
+    return statuses, pending, len(submitted_ids)
+
+
+@pytest.fixture
+def collect_oracle(monkeypatch):
+    """Check every ``collect`` against the per-arrival oracle; yields the
+    outcomes checked."""
+    checked = []
+    collect = SimulationRun.collect
+
+    def checking(run, kind, facts):
+        out = collect(run, kind, facts)
+        assert (out.status_counts, out.pending, out.submitted) \
+            == _collect_by_arrival(run)
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(SimulationRun, "collect", checking)
+    return checked
+
+
+@pytest.mark.parametrize("name", [
+    "table2_block_withholding", "sec3b_double_spend", "table2_balance_attack",
+    "ddos_default", "fig1_race",
+])
+def test_collect_matches_per_arrival_oracle_on_bundled_scenarios(
+    name, collect_oracle
+):
+    config = resolve_scenario(name)
+    for mode in ("baseline", "countermeasures"):
+        run_attack(config, mode, config.seed)
+    assert len(collect_oracle) == 2
+
+
+@pytest.mark.parametrize("name", [
+    "table2_block_withholding", "sec3b_double_spend", "table2_balance_attack",
+    "ddos_default",
+])
+def test_collect_matches_per_arrival_oracle_on_10k_sweep_pair(
+    name, collect_oracle
+):
+    config = sweep_scenario(resolve_scenario(name), 10_000)
+    for mode in ("baseline", "countermeasures"):
+        run_attack(config, mode, 0)
+    assert len(collect_oracle) == 2
+    assert all(out.submitted > 4_000 for out in collect_oracle)
+
+
+DUPLICATE_ID = """
+[topology]
+default_latency 5
+node client1 role=client channels=main latency=5
+node orderer1 role=orderer channels=main
+node peer1 role=peer channels=main
+[balances]
+P 1000
+Q 1000
+X 1000
+Y 1000
+[attack]
+kind ordering_race
+[policy]
+mode {mode}
+jitter 1 1
+[conflicts]
+tx t1 transfer X Y 10 at 0
+tx t2 transfer P Q 5 at 0
+tx t1 transfer X Y 10 at 500
+[seed]
+1
+[deadline]
+1000
+"""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "countermeasures"])
+def test_id_arriving_again_after_its_status_counts_only_as_rejected(
+    mode, collect_oracle
+):
+    config = parse_scenario(DUPLICATE_ID.format(mode=mode))
+    out = run_attack(config, mode, config.seed)
+    # The first t1 committed before its second copy arrived and was refused.
+    assert collect_oracle == [out]
+    assert out.ledgers["main"].balances == {"P": 995, "Q": 1005, "X": 990, "Y": 1010}
+    assert out.status_counts == {
+        "committed": 1, "conflict_failed": 0, "insufficient_funds": 0,
+        "timeout": 0, "rejected": 1, "pending": 0,
+    }
+    assert out.pending == {"main": 0}
+    assert out.submitted == 2

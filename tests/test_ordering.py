@@ -21,6 +21,7 @@ from conflictsim.errors import AlreadyAssignedError
 from conflictsim.ordering import (
     BASELINE,
     COUNTERMEASURES,
+    STALLED,
     BaselineOrderingService,
     ChannelState,
     DependencyVerdict,
@@ -31,6 +32,7 @@ from conflictsim.ordering import (
     SubmitOutcome,
     assign_priority,
     check_dependencies,
+    next_ready,
     partition,
 )
 from conflictsim.simnet import SUBMIT, Engine, NodeConfig, Topology
@@ -465,6 +467,47 @@ def test_pipeline_defer_limit_times_out_cyclic_deps():
     # terminally failed dependency and aborts. Either way the run terminates.
     assert state.status("a") is TxStatus.TIMEOUT
     assert state.status("b") is TxStatus.CONFLICT_FAILED
+
+
+def test_deferred_read_does_not_starve_ready_writer():
+    query = query_tx("q", ("P",), submit_time=0)
+    query.declared_deps = frozenset({"missing"})
+    writer = transfer_tx("w", "P", "Q", 5, submit_time=0)
+    finalized = {}
+    state, service = _drive([query, writer], COUNTERMEASURES, seed=1,
+                            workers=1, deadline=0)
+    state.terminal_listeners.append(
+        lambda tx, _status: finalized.setdefault(tx.id, service.engine.now))
+    service.engine.run_until(200)
+    # The writer commits after one arrival, jitter and peer hop; the query
+    # waits on its missing dependency, deferred once per wake of its worker.
+    assert state.status("w") is TxStatus.COMMITTED
+    assert finalized["w"] <= 5 + 20 + 5
+    assert state.status("q") is TxStatus.PENDING
+    assert service._defer_counts["q"] <= 2 + 200 // 10
+
+
+def test_gate_looks_at_each_transaction_once_per_pass():
+    state = ChannelState("main", LedgerState.from_balances({"P": 9, "Q": 9}))
+    blocked = query_tx("r", ("P",))
+    blocked.declared_deps = frozenset({"missing"})
+    waiting = transfer_tx("w1", "P", "Q", 1, deps=("missing",))
+    ready = transfer_tx("w2", "Q", "P", 1)
+    behind = transfer_tx("w3", "P", "Q", 1)
+    queue = OrdererQueue("q0", capacity=10)
+    for tx in (blocked, waiting, ready, behind):
+        assign_priority(tx)
+        queue.append(tx)
+    counts = {}
+    assert next_ready(queue, state, counts, 1000) is ready
+    assert counts == {"r": 1, "w1": 1}
+    # Deferred transactions go back to the tail of their class, so writers
+    # keep the order the one-at-a-time re-queue gave them.
+    assert [tx.id for tx in queue.snapshot()] == ["r", "w3", "w1"]
+    assert next_ready(queue, state, counts, 1000) is behind
+    assert next_ready(queue, state, counts, 1000) is STALLED
+    assert counts == {"r": 3, "w1": 2}
+    assert [tx.id for tx in queue.snapshot()] == ["r", "w1"]
 
 
 def test_pipeline_aborts_dependent_of_failed_tx():

@@ -1,5 +1,6 @@
 """Conflict generation and scenario file round trips."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,97 @@ def test_burst_window_zero_puts_everything_at_start():
                         seed=1)
     txs = generate_conflicting_set(spec)
     assert {tx.submit_time for tx in txs} == {1000}
+
+
+# Batches pinned by value: (wallets, count, window, mix_query, seed) and the
+# SHA-256 of every transaction's fields, taken before isolation was counted
+# during generation.  Several specs repair isolated transfers and queries.
+GENERATOR_DIGESTS = [
+    (2, 2, 0, 0.0, 1,
+     "43bf8eaa451dfeb5c8376e515e616afbd21900388849bd795d7501b4c16b1c69"),
+    (3, 1000, 1000, 0.0, 7,
+     "785199516346bea31d7f17080d87bae017d068fd37dc0abe7a3fb33b3c279938"),
+    (40, 2, 0, 0.0, 3,
+     "a52ca74ff172ff1da4a110ce6a0a2338a63643e9d06a6fefe087a549b714baab"),
+    (40, 2, 10, 0.95, 5,
+     "8c3648555104df09f39955c0a96ca7ef57bdb6fcc621b7269a3c427667a3ebb9"),
+    (40, 10, 1000, 0.95, 11,
+     "772e2a501f6152c11e82d0f885701af57aadf06c1878aa856318aa83ddc4a2b4"),
+    (40, 12, 10, 0.8, 2,
+     "303b1dda7894355b4987b63dcfd6a7a59969e047e360f39c1edbd8f8d161996d"),
+    (20, 6, 1000, 0.3, 4,
+     "ef5f0b537958406c3c6a0718f3f9bd0da6355fbf0629da924f47201dc7017711"),
+    (30, 8, 0, 0.0, 9,
+     "5e0fca2f99b5d2ec41271d462cf9e3dd7e3a716d6a0f43446f9149c0f84759e6"),
+    (5, 40, 10, 0.8, 13,
+     "02cfb69261e6ec90c20ffe90fb79288e6a8a6af1c8743bbe3cbfd07db7d3fee0"),
+    (12, 300, 1000, 0.3, 21,
+     "2e86ad388c15bcf6595591ffc9c3d1b973f8b08d7e453d6d12b57184db99d788"),
+    (40, 1000, 1000, 0.95, 17,
+     "3d63717b4ce61442dd496206458341f937b08c03430b720bed8f2ad4420604ef"),
+    (8, 3, 0, 0.3, 6,
+     "249ba6e11f812b687722fa921d588befe4aa268132dd3fd2a412cb17510dcd61"),
+    (25, 5, 10, 0.8, 8,
+     "6cdd2ca042138fb5e259207aa8fb4acb1fa2f483a52346cd5c2c14b4a9f7c004"),
+    (2, 50, 1000, 0.95, 10,
+     "5594097bd89638d4e070c760232332aa951156c188984d3269ac7c6b1539ae0b"),
+    (16, 100, 0, 0.0, 12,
+     "9ced29f58c8264d31c5cb34ff4c2e138ac9dacac19d521ef9f1ed41654d07beb"),
+    (40, 20, 10, 0.3, 14,
+     "494689d275694629282f003689f9ef9cee7868e22df92d2af325cf3eb50d8878"),
+    (33, 4, 1000, 0.0, 15,
+     "39a95f4a0436752efced497ab174ee9b71372d23f7c1df6c0ab3f3fdb9b9a76b"),
+    (40, 3, 10, 0.95, 16,
+     "fa494efc3b2a555603e52ea70159524f93e0527616f756a86417c34f3cf5d081"),
+]
+
+
+def _batch_digest(txs) -> str:
+    h = hashlib.sha256()
+    for tx in txs:
+        h.update(repr((
+            tx.id, tx.payload, tx.channel, tx.submitter, list(tx.reads.items()),
+            sorted(tx.writes), sorted(tx.declared_deps), int(tx.priority),
+            tx.submit_time,
+        )).encode())
+    return h.hexdigest()
+
+
+def _repaired(txs) -> tuple[int, int]:
+    """(queries, transfers) that gained a read outside their payload."""
+    queries = transfers = 0
+    for tx in txs:
+        p = tx.payload
+        own = {p.src, p.dst} if isinstance(p, Transfer) else set(p.wallets)
+        if set(tx.reads) - own:
+            if isinstance(p, Transfer):
+                transfers += 1
+            else:
+                queries += 1
+    return queries, transfers
+
+
+def _pinned_batch(wallets, count, window, mix, seed):
+    return generate_conflicting_set(ConflictSpec(
+        wallets=tuple(f"W{i:02d}" for i in range(wallets)), count=count,
+        window=window, mix_query=mix, seed=seed,
+    ))
+
+
+@pytest.mark.parametrize(
+    "wallets,count,window,mix,seed,digest", GENERATOR_DIGESTS,
+    ids=[f"w{r[0]}-n{r[1]}-win{r[2]}-q{r[3]}-s{r[4]}" for r in GENERATOR_DIGESTS],
+)
+def test_generated_batch_matches_pinned_digest(wallets, count, window, mix,
+                                               seed, digest):
+    assert _batch_digest(_pinned_batch(wallets, count, window, mix, seed)) == digest
+
+
+def test_pinned_generator_specs_cover_both_repairs():
+    repaired = [_repaired(_pinned_batch(*row[:5])) for row in GENERATOR_DIGESTS]
+    assert any(queries for queries, _ in repaired)
+    assert any(transfers for _, transfers in repaired)
+    assert any(queries == transfers == 0 for queries, transfers in repaired)
 
 
 # -- scenario files ---------------------------------------------------------------
