@@ -35,7 +35,20 @@ class TxStatus(Enum):
 
     @property
     def terminal(self) -> bool:
-        return self not in (TxStatus.PENDING, TxStatus.WITHHELD)
+        return self in TERMINAL
+
+
+# Statuses no later event may change.
+TERMINAL = frozenset((
+    TxStatus.COMMITTED, TxStatus.CONFLICT_FAILED, TxStatus.INSUFFICIENT_FUNDS,
+    TxStatus.TIMEOUT,
+))
+
+# On CPython 3.11 each read of an enum member through its class runs a
+# descriptor in Python; the per-transaction paths read these aliases.
+_COMMITTED = TxStatus.COMMITTED
+_CONFLICT_FAILED = TxStatus.CONFLICT_FAILED
+_INSUFFICIENT_FUNDS = TxStatus.INSUFFICIENT_FUNDS
 
 
 class PriorityClass(IntEnum):
@@ -223,33 +236,35 @@ def apply_transaction(
     Any non-committed status leaves balances and versions untouched.  The
     returned state is the same object, mutated only on commit.
     """
-    balances = state.balances
     versions = state.versions
-    if tx.is_read_only:
+    payload = tx.payload
+    if type(payload) is Query:
         for wallet in tx.reads:
             if wallet not in versions:
                 raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
-        return state, TxStatus.COMMITTED
+        return state, _COMMITTED
     for wallet, expected in tx.reads.items():
         current = versions.get(wallet)
         if current is None:
             raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
         if current != expected:
-            return state, TxStatus.CONFLICT_FAILED
-    payload = tx.payload
-    if payload.src not in balances or payload.dst not in balances:
+            return state, _CONFLICT_FAILED
+    balances = state.balances
+    src, dst, amount = payload.src, payload.dst, payload.amount
+    src_balance, dst_balance = balances.get(src), balances.get(dst)
+    if src_balance is None or dst_balance is None:
         raise UnknownWalletError(f"{tx.id}: unknown transfer wallet")
-    if payload.amount > balances[payload.src]:
-        return state, TxStatus.INSUFFICIENT_FUNDS
-    if balances[payload.dst] + payload.amount > MAX_TOKENS:
+    if amount > src_balance:
+        return state, _INSUFFICIENT_FUNDS
+    if dst_balance + amount > MAX_TOKENS:
         raise TokenOverflowError(f"{tx.id}: destination balance overflow")
-    balances[payload.src] -= payload.amount
-    balances[payload.dst] += payload.amount
+    balances[src] = src_balance - amount
+    balances[dst] = dst_balance + amount
     for wallet in tx.writes:
         if wallet not in versions:
             raise UnknownWalletError(f"{tx.id}: unknown written wallet {wallet}")
         versions[wallet] += 1
-    return state, TxStatus.COMMITTED
+    return state, _COMMITTED
 
 
 def total_supply(state: LedgerState) -> int:

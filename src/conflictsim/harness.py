@@ -15,6 +15,7 @@ import gc
 import io
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .attacks import AttackOutcome, run_attack
@@ -153,6 +154,25 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     )
 
 
+@contextmanager
+def _young_collection():
+    """Run the body with automatic garbage collection off, then restore the
+    caller's setting and collect generation 0 once, also when it raises.
+
+    With automatic collection off, nothing the body allocates is promoted,
+    so the cycles it leaves behind are all young and the young collection
+    frees them without walking the old heap, as a full collection would.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        gc.collect(0)
+
+
 def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
     """One MetricsRecord per (sweep point, trial, policy); trial i runs with
     seed base_seed + i, and policy=both pairs the modes on identical seeds."""
@@ -163,15 +183,10 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
     modes = plan.modes
     # Engines and services form reference cycles per trial; generational GC
     # scanning dominates large sweeps, so collect on our own schedule:
-    # generation 0 only, every eighth trial and once on the way out.  With
-    # automatic collection off, nothing a trial allocates is promoted before
-    # one of these collections, and a trial's cycles are unreachable by the
-    # time it runs, so they are all young and the young collection frees
-    # them.  A full collection would also walk the whole old heap each call.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
+    # generation 0 only, every eighth trial and once on the way out.  A
+    # trial's cycles are unreachable by the time the next one runs.
     sinced_collect = 0
-    try:
+    with _young_collection():
         for count in counts:
             config = plan.scenario if count is None else sweep_scenario(
                 plan.scenario, count
@@ -197,10 +212,6 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
                 if sinced_collect >= 8:
                     sinced_collect = 0
                     gc.collect(0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect(0)
     return records
 
 
@@ -383,6 +394,27 @@ def _bench_pipeline(
     return ledger, time.perf_counter() - start
 
 
+def _bench_rep(
+    rep, txs, read_ratio, workers, io_delay_s, n_wallets, seed
+) -> tuple[float, float]:
+    """Generate one batch, order it both ways and check the pipeline's
+    ledger against the baseline's; returns the two drain times."""
+    balances, workload = generate_bench_workload(
+        txs, read_ratio, n_wallets=n_wallets, seed=seed
+    )
+    for tx in workload:
+        assign_priority(tx)
+    b_ledger, b_time = _bench_baseline(balances, workload, io_delay_s)
+    p_ledger, p_time = _bench_pipeline(
+        balances, workload, workers, io_delay_s, parallel=True
+    )
+    if p_ledger != b_ledger:
+        raise StateMismatchError(
+            f"rep {rep}: pipeline ledger diverged from the baseline's"
+        )
+    return b_time, p_time
+
+
 def bench_throughput(
     txs: int,
     read_ratio: float,
@@ -412,18 +444,11 @@ def bench_throughput(
     base_elapsed: list[float] = []
     pipe_elapsed: list[float] = []
     for rep in range(reps):
-        balances, workload = generate_bench_workload(
-            txs, read_ratio, n_wallets=n_wallets, seed=seed + rep
-        )
-        for tx in workload:
-            assign_priority(tx)
-        b_ledger, b_time = _bench_baseline(balances, workload, io_delay_s)
-        p_ledger, p_time = _bench_pipeline(
-            balances, workload, workers, io_delay_s, parallel=True
-        )
-        if p_ledger != b_ledger:
-            raise StateMismatchError(
-                f"rep {rep}: pipeline ledger diverged from the baseline's"
+        # A rep's batch, queues and shards die when _bench_rep returns, so
+        # the one young collection after it finds only the rep's cycles.
+        with _young_collection():
+            b_time, p_time = _bench_rep(
+                rep, txs, read_ratio, workers, io_delay_s, n_wallets, seed + rep
             )
         base_elapsed.append(b_time)
         pipe_elapsed.append(p_time)

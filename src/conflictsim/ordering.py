@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .core import (
+    TERMINAL,
     LedgerState,
     PriorityClass,
     Transaction,
@@ -52,6 +53,15 @@ class DependencyVerdict(Enum):
     READY = "ready"
     DEFERRED = "deferred"
     ABORT = "abort"
+
+
+# On CPython 3.11 each read of an enum member through its class runs a
+# descriptor in Python; the per-transaction paths read these aliases.
+_READY, _ABORT = DependencyVerdict.READY, DependencyVerdict.ABORT
+_COMMITTED = TxStatus.COMMITTED
+_READ_HIGH = PriorityClass.READ_HIGH
+_WRITE_NORMAL = PriorityClass.WRITE_NORMAL
+_UNASSIGNED = PriorityClass.UNASSIGNED
 
 
 @dataclass
@@ -148,11 +158,9 @@ def _commit_at(
 
 def assign_priority(tx: Transaction) -> PriorityClass:
     """Read-only transactions jump the queue; writers keep normal priority."""
-    if tx.priority is not PriorityClass.UNASSIGNED:
+    if tx.priority is not _UNASSIGNED:
         raise AlreadyAssignedError(f"{tx.id} already has priority {tx.priority}")
-    tx.priority = (
-        PriorityClass.READ_HIGH if tx.is_read_only else PriorityClass.WRITE_NORMAL
-    )
+    tx.priority = _READ_HIGH if tx.is_read_only else _WRITE_NORMAL
     return tx.priority
 
 
@@ -201,7 +209,7 @@ class OrdererQueue:
 
     def append(self, tx: Transaction) -> None:
         self._live.add(tx.id)
-        if tx.priority is PriorityClass.READ_HIGH:
+        if tx.priority is _READ_HIGH:
             self._read.append(tx)
         else:
             self._write.append(tx)
@@ -209,11 +217,12 @@ class OrdererQueue:
             self.peak_occupancy = len(self._live)
 
     def take_next(self) -> Transaction | None:
+        live = self._live
         for queue in (self._read, self._write):
             while queue:
                 tx = queue.popleft()
-                if tx.id in self._live:
-                    self._live.discard(tx.id)
+                if tx.id in live:
+                    live.discard(tx.id)
                     return tx
         return None
 
@@ -307,8 +316,31 @@ class FootprintGroups:
             parent[key], key = root, parent[key]
         return root
 
-    def group(self, key: str) -> _Group:
-        return self._groups[self.find(key)]
+    def roots(self, txs: list[Transaction]) -> list[str]:
+        """Union every transaction's keys, dealing no groups, and return the
+        root of each one's final component, in batch order.
+
+        Roots only name components: which key of a component is its root
+        depends on union order, the components themselves do not.
+        """
+        parent, find = self._parent, self.find
+        firsts = []
+        for tx in txs:
+            keys = self.keys(tx)
+            first = keys[0]
+            if first not in parent:
+                parent[first] = first
+            if len(keys) > 1:  # a single key joins nothing
+                root = find(first)
+                for key in keys[1:]:
+                    if key not in parent:
+                        parent[key] = root
+                    else:
+                        other = find(key)
+                        if other != root:
+                            parent[other] = root
+            firsts.append(first)
+        return [find(key) for key in firsts]
 
     def touched(self, keys: list[str]) -> tuple[list[_Group], bool]:
         """Existing groups ``keys`` reach, oldest first, and whether every
@@ -386,27 +418,17 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     for tx in txs:
         for dep in tx.declared_deps:
             groups.reference(dep)
-    first_keys = []
-    for tx in txs:
-        keys = groups.keys(tx)
-        groups.join(keys)
-        first_keys.append(keys[0])
-
-    queue_of: dict[_Group, int] = {}
+    queue_of: dict[str, int] = {}
     tx_queue = []
-    for key in first_keys:
-        group = groups.group(key)
-        index = queue_of.get(group)
+    for root in groups.roots(txs):
+        index = queue_of.get(root)
         if index is None:
-            index = queue_of[group] = len(queue_of) % n
+            index = queue_of[root] = len(queue_of) % n
         tx_queue.append(index)
 
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
-    ordered = sorted(
-        range(len(txs)),
-        key=lambda i: (txs[i].priority, txs[i].submit_time, i),
-    )
-    for i in ordered:
+    order = sorted([(tx.priority, tx.submit_time, i) for i, tx in enumerate(txs)])
+    for _priority, _time, i in order:
         queues[tx_queue[i]].append(txs[i])
     return queues
 
@@ -436,16 +458,22 @@ class ChannelState:
 
     def set_status(self, tx: Transaction, status: TxStatus) -> None:
         current = self.statuses.get(tx.id)
-        if current is not None and current.terminal:
+        if current in TERMINAL:
             raise ValueError(f"{tx.id}: terminal status {current} already set")
+        if status in TERMINAL:
+            self._settle(tx, status)
+        else:
+            self.statuses[tx.id] = status
+
+    def _settle(self, tx: Transaction, status: TxStatus) -> None:
+        """Record terminal ``status`` for ``tx``, which has none yet."""
         self.statuses[tx.id] = status
-        if status is TxStatus.COMMITTED:
+        if status is _COMMITTED:
             self.committed.add(tx.id)
-        elif status.terminal:
+        else:
             self.failed.add(tx.id)
-        if status.terminal:
-            for listener in self.terminal_listeners:
-                listener(tx, status)
+        for listener in self.terminal_listeners:
+            listener(tx, status)
 
     def finalize(self, tx: Transaction) -> TxStatus:
         """Validate an ordered transaction's carried read stamps against the
@@ -455,15 +483,17 @@ class ChannelState:
         failed transactions never occupy block space.
         """
         current = self.statuses.get(tx.id)
-        if current is not None and current.terminal:
+        if current in TERMINAL:
             return current
-        _, status = apply_transaction(self.ledger, tx)
+        ledger = self.ledger
+        # Every status apply_transaction returns is terminal.
+        _, status = apply_transaction(ledger, tx)
         self.order_stream.append(tx.id)
-        if status is TxStatus.COMMITTED:
-            self.ledger.committed_tx_count += 1
+        if status is _COMMITTED:
+            ledger.committed_tx_count += 1
             if tx.writes:
-                self.ledger.height += 1
-        self.set_status(tx, status)
+                ledger.height += 1
+        self._settle(tx, status)
         return status
 
     def dependency_violations(self) -> int:
@@ -505,24 +535,26 @@ def next_ready(
     left was deferred.
     """
     committed, failed = state.committed, state.failed
+    take = queue.take_next
     deferred: list[Transaction] = []
     ready = None
-    while (tx := queue.take_next()) is not None:
-        if tx.id in committed or tx.id in failed:  # already terminal
+    while (tx := take()) is not None:
+        tx_id = tx.id
+        if tx_id in committed or tx_id in failed:  # already terminal
             continue
         if not tx.declared_deps and not in_flight:
-            verdict = DependencyVerdict.READY
-        else:
-            verdict = check_dependencies(tx, committed, failed, in_flight)
-        if verdict is DependencyVerdict.READY:
             ready = tx
             break
-        if verdict is DependencyVerdict.ABORT:
-            state.order_stream.append(tx.id)
+        verdict = check_dependencies(tx, committed, failed, in_flight)
+        if verdict is _READY:
+            ready = tx
+            break
+        if verdict is _ABORT:
+            state.order_stream.append(tx_id)
             state.set_status(tx, TxStatus.CONFLICT_FAILED)
             continue
-        count = defer_counts.get(tx.id, 0) + 1
-        defer_counts[tx.id] = count
+        count = defer_counts.get(tx_id, 0) + 1
+        defer_counts[tx_id] = count
         if count > defer_limit:
             state.set_status(tx, TxStatus.TIMEOUT)
             continue
@@ -703,7 +735,7 @@ class PipelineOrderingService:
             return SubmitOutcome.MEMPOOL_FULL
         group = touched[0] if settled else groups.join(keys)
         self._seen.add(tx.id)
-        if tx.priority is PriorityClass.UNASSIGNED:
+        if tx.priority is _UNASSIGNED:
             assign_priority(tx)
         self.state.note_declared_deps(tx)
         queue.append(tx)

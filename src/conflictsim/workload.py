@@ -21,7 +21,6 @@ from .core import (
     Transfer,
     conflicts_with,
     query_tx,
-    transfer_tx,
 )
 from .errors import (
     InfeasibleSpecError,
@@ -604,28 +603,68 @@ def generate_bench_workload(
     Wallets come in disjoint clusters and transfers stay inside a cluster,
     so the footprint partition yields many independent groups instead of one
     percolated component; random pairing over a shared pool would collapse
-    everything into a single queue.
+    everything into a single queue.  A transfer needs two wallets in its
+    cluster; a batch of queries only (``read_ratio`` at least 1) needs one.
     """
+    if n_wallets < 1:
+        raise ValueError("the bench needs at least one wallet")
+    if cluster_size < 1:
+        raise ValueError("wallet clusters need at least one wallet")
+    # Every cluster is cluster_size wide, or all n_wallets when fewer.
+    width = min(cluster_size, n_wallets)
+    if not read_ratio >= 1.0 and width < 2:
+        raise ValueError("transfers need clusters of at least two wallets")
     rng = random.Random(seed)
+    rand, bits = rng.random, rng.getrandbits
     wallets = [f"B{i:05d}" for i in range(n_wallets)]
     balances = {w: 1000 for w in wallets}
     clusters = max(1, n_wallets // cluster_size)
+    # randrange(n) and randint(1, n) draw getrandbits(n.bit_length()) until
+    # the draw is below n; the loops below make exactly those draws.
+    k_wallet, k_cluster = n_wallets.bit_length(), clusters.bit_length()
+    k_a, k_b = width.bit_length(), (width - 1).bit_length()
+    k_amount = (20).bit_length()
     txs: list[Transaction] = []
+    new = Transaction.__new__
+    unassigned = PriorityClass.UNASSIGNED
+    empty = frozenset()
+    # Construction bypasses dataclass validation, as in
+    # generate_conflicting_set: every payload drawn here is well formed.
     for i in range(count):
-        tx_id = f"bench{i:06d}"
-        if rng.random() < read_ratio:
-            wallet = wallets[rng.randrange(n_wallets)]
-            txs.append(query_tx(tx_id, (wallet,), submit_time=i))
+        tx = new(Transaction)
+        tx.id = f"bench{i:06d}"
+        tx.channel = "main"
+        tx.submitter = "client"
+        tx.declared_deps = empty
+        tx.priority = unassigned
+        tx.submit_time = i
+        if rand() < read_ratio:
+            r = bits(k_wallet)
+            while r >= n_wallets:
+                r = bits(k_wallet)
+            wallet = wallets[r]
+            tx.payload = Query((wallet,))
+            tx.reads = {wallet: 0}
+            tx.writes = empty
         else:
-            c = rng.randrange(clusters)
-            base = c * cluster_size
-            width = min(cluster_size, n_wallets - base)
-            a = base + rng.randrange(width)
-            b = base + rng.randrange(width - 1)
+            c = bits(k_cluster)
+            while c >= clusters:
+                c = bits(k_cluster)
+            a = bits(k_a)
+            while a >= width:
+                a = bits(k_a)
+            b = bits(k_b)
+            while b >= width - 1:
+                b = bits(k_b)
             if b >= a:
                 b += 1
-            txs.append(
-                transfer_tx(tx_id, wallets[a], wallets[b], rng.randint(1, 20),
-                            submit_time=i)
-            )
+            amount = bits(k_amount)
+            while amount >= 20:
+                amount = bits(k_amount)
+            base = c * cluster_size
+            src, dst = wallets[base + a], wallets[base + b]
+            tx.payload = Transfer(src, dst, 1 + amount)
+            tx.reads = {src: 0, dst: 0}
+            tx.writes = frozenset((src, dst))
+        txs.append(tx)
     return balances, txs

@@ -2,15 +2,18 @@
 
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from conflictsim.cli import main, resolve_scenario
-from conflictsim.core import query_tx, transfer_tx
+from conflictsim.core import PriorityClass, query_tx, transfer_tx
 from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
     CSV_COLUMNS,
@@ -23,6 +26,8 @@ from conflictsim.harness import (
     summarize,
     write_results,
 )
+from conflictsim.ordering import assign_priority, partition
+from test_workload import bench_batches
 
 
 def small_plan(**kw):
@@ -306,6 +311,116 @@ def test_bench_threaded_drain_matches_serial_drain():
             assert sum(threaded.balances.values()) == sum(balances.values())
 
 
+def _queues_digest(txs) -> str:
+    """SHA-256 of the partition queues' owners, capacities and contents in
+    dequeue order, at 1 to 4 workers, after the bench's priority pass."""
+    for tx in txs:
+        if tx.priority is PriorityClass.UNASSIGNED:
+            assign_priority(tx)
+    h = hashlib.sha256()
+    for workers in (1, 2, 3, 4):
+        h.update(repr([
+            (q.owner, q.capacity, [tx.id for tx in q.snapshot()])
+            for q in partition(txs, workers)
+        ]).encode())
+    return h.hexdigest()
+
+
+# Partition queues of the bench batches that test_workload pins, by shape.
+QUEUE_DIGESTS = [
+    (1, 2, 2,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 2, 25,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 24, 2,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 24, 25,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 400, 2,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 400, 25,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 2000, 2,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 2000, 25,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 2001, 2,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (1, 2001, 25,
+     "b449dabf71ed0b5afc195be2f65359aeba1038a7516078245ce3131651f85649"),
+    (2, 2, 2,
+     "7d0562f1a0db787db6930009fac5ca7851463b1e7f0bd7026aed71c243b28cde"),
+    (2, 2, 25,
+     "7d0562f1a0db787db6930009fac5ca7851463b1e7f0bd7026aed71c243b28cde"),
+    (2, 24, 2,
+     "ace46491940dc5918607ee3eef49d41aaf69f19d0b5dcb5c8ed06e78c3f8d28f"),
+    (2, 24, 25,
+     "92c9657415b5a5b6bcca81d3d3752eb0820ad809c41db1d1313eceaca7ecbcd1"),
+    (2, 400, 2,
+     "b878bcd63b33fa59b6cad1229093205a0b499eb71158f6b2b28160cb6a645a59"),
+    (2, 400, 25,
+     "ace46491940dc5918607ee3eef49d41aaf69f19d0b5dcb5c8ed06e78c3f8d28f"),
+    (2, 2000, 2,
+     "b878bcd63b33fa59b6cad1229093205a0b499eb71158f6b2b28160cb6a645a59"),
+    (2, 2000, 25,
+     "ace46491940dc5918607ee3eef49d41aaf69f19d0b5dcb5c8ed06e78c3f8d28f"),
+    (2, 2001, 2,
+     "b878bcd63b33fa59b6cad1229093205a0b499eb71158f6b2b28160cb6a645a59"),
+    (2, 2001, 25,
+     "ace46491940dc5918607ee3eef49d41aaf69f19d0b5dcb5c8ed06e78c3f8d28f"),
+    (1000, 2, 2,
+     "3ab2b48c849e050249376ca89f22768985ea9db8578d3b90263ada7ab919bd0c"),
+    (1000, 2, 25,
+     "3ab2b48c849e050249376ca89f22768985ea9db8578d3b90263ada7ab919bd0c"),
+    (1000, 24, 2,
+     "99850c49c65f30ea47b2ff469860f2d6b445e8b1acf90a14a5f98e1d9f3cea6b"),
+    (1000, 24, 25,
+     "a6526bc6f6fa106fbc06998de4ae790e6149027eda0c4d92f0a82c3ae569b011"),
+    (1000, 400, 2,
+     "f7214fda23ed2794d615113d1463dc6c810fe00849a7ed4c6795c2349f72cffb"),
+    (1000, 400, 25,
+     "c1cd6792a75e071fc912cc2e551d54bbbe48919b250b3df7d9a84569a95a6658"),
+    (1000, 2000, 2,
+     "8532a30b7a152023a1ee65bf6451ef47c26390be3697bcf0a35817c269846276"),
+    (1000, 2000, 25,
+     "b3feccf691fa40abea3f03d79cc6f557d3c5c4a084e76b5936e9c92031caa83c"),
+    (1000, 2001, 2,
+     "d320945f29185babb42f9862fc17a1983fd7351506c8ac4b7622ce6ef8f3f9b8"),
+    (1000, 2001, 25,
+     "b03a1c95bbd3b609dd028f0ddf3be82c93d3eaa2bb49bac01f8499c07de5eb47"),
+    (20000, 2000, 25,
+     "1419c168c9a34710392dc9b783083fc65d449d6da73d6bdcd522e7d906487ef5"),
+    (20000, 2001, 2,
+     "7fd027503d3689689e4d71bd063339ab6141ed380e147a97bb6fa7ca168560b6"),
+]
+
+
+@pytest.mark.parametrize(
+    "count,n_wallets,cluster_size,digest", QUEUE_DIGESTS,
+    ids=[f"n{r[0]}-w{r[1]}-c{r[2]}" for r in QUEUE_DIGESTS],
+)
+def test_bench_partition_queues_match_pinned_digest(count, n_wallets,
+                                                    cluster_size, digest):
+    h = hashlib.sha256()
+    for _balances, txs in bench_batches(count, n_wallets, cluster_size):
+        h.update(_queues_digest(txs).encode())
+    assert h.hexdigest() == digest
+
+
+# The same for 40 batches with forward, backward, cyclic and out-of-batch
+# declared dependencies.
+DEP_QUEUES_DIGEST = "80ae754bd2dfcc25e6f0fb0752978464396282aa346db430cefa229a88047836"
+
+
+def test_dependency_batch_partition_queues_match_pinned_digest():
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for trial in range(40):
+        _balances, txs = _dep_batch(rng, trial)
+        h.update(_queues_digest(txs).encode())
+    assert h.hexdigest() == DEP_QUEUES_DIGEST
+
+
 def test_bench_raises_when_pipeline_ledger_diverges(monkeypatch):
     from conflictsim import harness
 
@@ -322,6 +437,89 @@ def test_bench_raises_when_pipeline_ledger_diverges(monkeypatch):
     with pytest.raises(StateMismatchError):
         bench_throughput(txs=200, read_ratio=0.5, workers=2, reps=1,
                          io_delay_us=0, n_wallets=100)
+
+
+def _gc_left_as_set(enabled: bool, run) -> bool:
+    """Call ``run`` with automatic collection set as given; return whether
+    it was left that way.  Always re-enables collection on the way out."""
+    if not enabled:
+        gc.disable()
+    try:
+        run()
+        return gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bench_leaves_gc_as_the_caller_set_it(enabled, monkeypatch):
+    from conflictsim import harness
+
+    args = dict(txs=2000, read_ratio=0.8, workers=2, reps=2, io_delay_us=0,
+                n_wallets=400, seed=1)
+    gc.collect()
+    assert _gc_left_as_set(enabled, lambda: bench_throughput(**args))
+    assert gc.collect() == 0
+
+    pipeline = harness._bench_pipeline
+
+    def diverged(*args, **kwargs):
+        ledger, elapsed = pipeline(*args, **kwargs)
+        ledger.height += 1
+        return ledger, elapsed
+
+    def diverging_bench():
+        with pytest.raises(StateMismatchError):
+            bench_throughput(**args)
+
+    monkeypatch.setattr(harness, "_bench_pipeline", diverged)
+    gc.collect()
+    assert _gc_left_as_set(enabled, diverging_bench)
+    assert gc.collect() == 0
+
+
+# The benchmark's parameters for one rep of each regime.
+BENCH_REGIMES = {"cpu": (20_000, 0), "io": (4000, 120)}
+
+
+@pytest.mark.parametrize("regime", list(BENCH_REGIMES))
+def test_bench_rep_prints_nothing_and_joins_its_threads(regime, capfd):
+    txs, io_delay_us = BENCH_REGIMES[regime]
+    threads = threading.active_count()
+    report = bench_throughput(txs=txs, read_ratio=0.8, workers=2, reps=1,
+                              io_delay_us=io_delay_us, n_wallets=2000, seed=0)
+    assert threading.active_count() == threads
+    assert capfd.readouterr() == ("", "")
+    assert all(row.state_ok for row in report.rows)
+
+
+@pytest.mark.parametrize("name", ATTACK_SCENARIOS)
+def test_sweep_pair_prints_nothing_and_starts_no_thread(name, capfd):
+    threads = threading.active_count()
+    records = run_trials(TrialPlan(scenario=resolve_scenario(name), trials=1,
+                                   policy="both", sweep=[1000]))
+    assert threading.active_count() == threads
+    assert capfd.readouterr() == ("", "")
+    assert len(records) == 2
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+def test_benchmark_result_is_the_last_stdout_line():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+         "threads", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, timeout=300, cwd=root,
+    )
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    assert done.stdout.endswith(last + "\n")
+    result = json.loads(last, parse_constant=_no_constant)
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"]["ops_per_s"]["value"] > 0
 
 
 def test_bench_rejects_bad_args():

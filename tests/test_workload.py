@@ -1,10 +1,14 @@
 """Conflict generation and scenario file round trips."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conflictsim
 from conflictsim.cli import BUNDLED_DIR, resolve_scenario
 from conflictsim.core import Query, Transfer
 from conflictsim.errors import (
@@ -16,10 +20,13 @@ from conflictsim.workload import (
     ConflictSpec,
     conflict_graph_has_isolated,
     dump_scenario,
+    generate_bench_workload,
     generate_conflicting_set,
     load_scenario,
     parse_scenario,
 )
+
+SRC_PATH = str(Path(conflictsim.__file__).resolve().parent.parent)
 
 CANONICAL = [
     "table2_block_withholding",
@@ -175,6 +182,151 @@ def test_pinned_generator_specs_cover_both_repairs():
     assert any(queries for queries, _ in repaired)
     assert any(transfers for _, transfers in repaired)
     assert any(queries == transfers == 0 for queries, transfers in repaired)
+
+
+# -- bench workload ----------------------------------------------------------------
+
+BENCH_READ_RATIOS = (0.0, 0.5, 0.8, 1.0)
+BENCH_SEEDS = (0, 1, 7)
+
+
+def bench_batches(count, n_wallets, cluster_size):
+    """The bench batches of one shape at every read ratio, in a fixed order:
+    at three seeds, or at one for the bench's own 20 000 transactions."""
+    seeds = BENCH_SEEDS if count < 20_000 else BENCH_SEEDS[:1]
+    for read_ratio in BENCH_READ_RATIOS:
+        for seed in seeds:
+            yield generate_bench_workload(
+                count, read_ratio, n_wallets=n_wallets, seed=seed,
+                cluster_size=cluster_size,
+            )
+
+
+# SHA-256 over the balances and every transaction field of the bench batches
+# of each (count, n_wallets, cluster_size).  Counts up to 1 000 cover every
+# wallet count and cluster size; the bench's own 20 000 covers its shape and
+# an uneven wallet count.
+BENCH_DIGESTS = [
+    (1, 2, 2,
+     "a575b51e1f8eae36afad1976857a0e3b8745e46d5dfdd47ad5a50f036677b8ae"),
+    (1, 2, 25,
+     "a575b51e1f8eae36afad1976857a0e3b8745e46d5dfdd47ad5a50f036677b8ae"),
+    (1, 24, 2,
+     "a64215ceb921510ec24af6d0f77df6dde0dc84c84444449123bc4392b57f30fd"),
+    (1, 24, 25,
+     "7a298e57f7b9e78f3515188797b0bdfaf61eb4c1b61821598410b847629f4bf4"),
+    (1, 400, 2,
+     "9c4fb06086272efaf5c5159b791cd5b560f700b40fa3c5be53efb94252269cb0"),
+    (1, 400, 25,
+     "0024e4306eb4d9800684a92f37d59a332904ae894cc0a8f5f3655f6a5f6486c1"),
+    (1, 2000, 2,
+     "446ca4a741d7c361854c1c02006cf3e44135907bca5b8573e2dd07270e113e9e"),
+    (1, 2000, 25,
+     "8e8fcd1734fa778427e717ebc877460fd34b153d4d5e619ae950b8c075e97f02"),
+    (1, 2001, 2,
+     "f9dd76eef3fa6b23b234bf857ba8c8fd97091c5114cb592d51090cdd47f51c29"),
+    (1, 2001, 25,
+     "0472658cf8dede1526dd64fef059c130840120243b31e8f127ca74c0b5dbf341"),
+    (2, 2, 2,
+     "b58b029a08d9d7f1f5aab6508f8ac4ad816a848fa3964323aee048a5d6531643"),
+    (2, 2, 25,
+     "b58b029a08d9d7f1f5aab6508f8ac4ad816a848fa3964323aee048a5d6531643"),
+    (2, 24, 2,
+     "81214780741c8164863896a9dcd460851c052f15b3848d12dc9b037664ac1d01"),
+    (2, 24, 25,
+     "17870343af3c0733a907e3639598170ac41d8b2167d13ac4f2904741ee680264"),
+    (2, 400, 2,
+     "501497f2dce0a5393be05b33c54dee87ffbc5e126ab2812ae7ebb74b2eadc809"),
+    (2, 400, 25,
+     "3a882609f28455c7434c6d014d467fb0399ac6e3c0b861c36e5081579402e789"),
+    (2, 2000, 2,
+     "e38941cd6e99431a84307a4751559caae356a48efa0b84fee75b3f32d0424eac"),
+    (2, 2000, 25,
+     "d6b2287edd29a51165f9b759b7b0133acbb40e2ae8d7c924214e65ed0a03da92"),
+    (2, 2001, 2,
+     "a1ef57de8550c9159be02e5e85c19565bc201de63c328b6b7ab35d39fd4895ff"),
+    (2, 2001, 25,
+     "a05346092a340c4356455ce72ef0c6fc43598ef2c8c5d43079208d9ec4dd0551"),
+    (1000, 2, 2,
+     "8e7eb874340eea45f9e77460ebcf0af5cb046476f9aaca94705c7f2a73b69127"),
+    (1000, 2, 25,
+     "8e7eb874340eea45f9e77460ebcf0af5cb046476f9aaca94705c7f2a73b69127"),
+    (1000, 24, 2,
+     "8df930c675e920f35c12bf1d8ce8681d182db3f0e18b745324e32e0d40eb0230"),
+    (1000, 24, 25,
+     "58e5c5439d15ae964e6f01a24269d95582f6b22cce4ef5f3525640fd74a9513b"),
+    (1000, 400, 2,
+     "b9896bdf3c121fe95c134cf8204ae4ee8d53019c4fd517953c1d716ea7c92664"),
+    (1000, 400, 25,
+     "345c0b4976164fdc7ae2dadd90c9bb23b253846451712430e60991da9c6d8fab"),
+    (1000, 2000, 2,
+     "5107caf4c22c1ffb9ba2fb344b5223d1865fee8854ad20f8748306e3ca0c4ff3"),
+    (1000, 2000, 25,
+     "37acf31c4fa359f42fab13949d60345d47ee8cdcc56b935fdbee65fa70da2110"),
+    (1000, 2001, 2,
+     "4a7efb2cd8bc19aeb4fedaa7a5d94f1fc67652dd18cc8ac4ce2ac89f1bbb7c8e"),
+    (1000, 2001, 25,
+     "596ab921620df9a7c27537a15388ffdf4d272dabba8f2eb28db06f90815bedc3"),
+    (20000, 2000, 25,
+     "fcdc939b25fbaf96958f902265ed433f2bf042247fe8e5f32ea41de644ebc825"),
+    (20000, 2001, 2,
+     "843a47858d0e9d8f7d1d34edec8d324632d7f29f3440e52105ae059dad72d1dd"),
+]
+
+
+@pytest.mark.parametrize(
+    "count,n_wallets,cluster_size,digest", BENCH_DIGESTS,
+    ids=[f"n{r[0]}-w{r[1]}-c{r[2]}" for r in BENCH_DIGESTS],
+)
+def test_bench_batch_matches_pinned_digest(count, n_wallets, cluster_size, digest):
+    h = hashlib.sha256()
+    for balances, txs in bench_batches(count, n_wallets, cluster_size):
+        h.update(repr(list(balances.items())).encode())
+        h.update(_batch_digest(txs).encode())
+    assert h.hexdigest() == digest
+
+
+EMPTY_RANGE_CALLS = [
+    "generate_bench_workload(50, 0.5, n_wallets=0)",
+    "generate_bench_workload(50, 1.0, n_wallets=0)",
+    "generate_bench_workload(50, 0.5, n_wallets=1)",
+    "generate_bench_workload(50, 0.5, cluster_size=0)",
+    "generate_bench_workload(50, 1.0, cluster_size=0)",
+    "generate_bench_workload(50, 0.5, cluster_size=1)",
+    "generate_bench_workload(50, 0.0, n_wallets=2, cluster_size=1)",
+    "generate_bench_workload(50, float('nan'), n_wallets=1)",
+]
+
+
+@pytest.mark.parametrize("call", EMPTY_RANGE_CALLS)
+def test_bench_generator_rejects_empty_ranges_before_drawing(call):
+    # In a child process with a timeout, so a draw loop that never ends
+    # fails the test instead of hanging the suite.
+    code = (
+        "import random\n"
+        "from conflictsim.workload import generate_bench_workload\n"
+        "def no_draws(*args, **kwargs):\n"
+        "    raise AssertionError('drew before validating')\n"
+        "for name in ('random', 'getrandbits', 'randrange', 'randint'):\n"
+        "    setattr(random.Random, name, no_draws)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ValueError: "), done.stdout
+
+
+def test_bench_generator_all_queries_need_one_wallet():
+    balances, txs = generate_bench_workload(50, 1.0, n_wallets=1, cluster_size=1)
+    assert balances == {"B00000": 1000}
+    assert len(txs) == 50
+    assert all(tx.payload == Query(("B00000",)) for tx in txs)
 
 
 # -- scenario files ---------------------------------------------------------------
