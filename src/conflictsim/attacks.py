@@ -31,7 +31,7 @@ from .ordering import (
     BaselineOrderingService,
     ChannelState,
     PipelineOrderingService,
-    SubmitOutcome,
+    _ACCEPTED,
 )
 from .simnet import ATTACK_PHASE, SUBMIT, TIMEOUT, Engine
 from .workload import ConflictSpec, ScenarioConfig, generate_conflicting_set
@@ -282,7 +282,7 @@ class SimulationRun:
             if hook is not None and hook(tx):
                 continue  # intercepted (e.g. withheld by the adversary)
             outcome = services[channel].admit(tx)
-            if outcome is not SubmitOutcome.ACCEPTED:
+            if outcome is not _ACCEPTED:
                 rejected[tx.id] = outcome.value
                 continue
             if timeout is not None:
@@ -362,15 +362,51 @@ class SimulationRun:
         return outcome
 
 
-def _conflict_batch(
-    config: ScenarioConfig, seed: int, prebuilt: list[Transaction] | None = None
-) -> list[Transaction]:
-    if prebuilt is not None:
-        return prebuilt
+def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
+    """The trial's conflicting batch, shaped for its attack; the runners
+    submit it unchanged.
+
+    A generated batch is drawn on the attack's channel (the file's own for
+    the ordering race).  Double spend's batch starts after its lead
+    transfer, and block withholding redirects every ``profit_stride``-th
+    transfer into the attacker's wallet: the attack's point is a balance
+    increase, not neutral churn.  The redirect follows generation and its
+    isolation repair and draws nothing.  A scripted list is cloned, onto
+    the first channel for block withholding and DDoS.
+    """
+    attack = config.attack
+    kind = attack.kind
     source = config.conflicts
-    if isinstance(source, ConflictSpec):
-        return generate_conflicting_set(replace(source, seed=seed * 4 + 1))
-    return [clone_tx(tx) for tx in source]
+    if not isinstance(source, ConflictSpec):
+        batch = [clone_tx(tx) for tx in source]
+        if kind in ("block_withholding", "ddos"):
+            channel = config.channels[0]
+            for tx in batch:
+                tx.channel = channel
+        return batch
+    channel = source.channel
+    if kind == "balance":
+        channel = attack.p_str("attacked_channel", config.channels[0])
+    elif kind != "ordering_race":
+        channel = config.channels[0]
+    start = source.start
+    if kind == "double_spending":
+        start += _lead_time(attack) + 1
+    batch = generate_conflicting_set(
+        replace(source, seed=seed * 4 + 1, channel=channel, start=start)
+    )
+    stride = attack.p_int("profit_stride", 3)
+    if kind == "block_withholding" and stride > 0:
+        attacker = config.attack_wallets()[0]
+        for tx in batch[::stride]:
+            payload = tx.payload
+            if not isinstance(payload, Transfer) or payload.dst == attacker:
+                continue
+            src = payload.src if payload.src != attacker else payload.dst
+            tx.payload = Transfer(src, attacker, payload.amount)
+            tx.writes = frozenset((src, attacker))
+            tx.reads = {src: 0, attacker: 0}
+    return batch
 
 
 def _require(condition: bool, message: str) -> None:
@@ -382,13 +418,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def run_block_withholding(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     attack = config.attack
-    attacker_wallet = attack.p_str("attacker_wallet", "A1")
-    target_from = attack.p_str("target_from", "V1")
-    target_to = attack.p_str("target_to", "V2")
+    attacker_wallet, target_from, target_to = config.attack_wallets()
     amount = attack.p_int("target_amount", 15)
     variant = attack.p_str("variant", "hold")
     channel = config.channels[0]
@@ -425,27 +458,6 @@ def run_block_withholding(
         return False
 
     run.submit(target, valid=True, on_arrival=intercept)
-
-    batch = _conflict_batch(config, seed, batch)
-    if isinstance(config.conflicts, ConflictSpec):
-        # The attacker crafts its batch for profit: every stride-th transfer
-        # is redirected into the attacker's wallet (the attack's point is a
-        # balance increase, not neutral churn).
-        stride = attack.p_int("profit_stride", 3)
-        if stride > 0:
-            for i, tx in enumerate(batch):
-                payload = tx.payload
-                if i % stride or not isinstance(payload, Transfer):
-                    continue
-                if payload.dst == attacker_wallet:
-                    continue
-                src = payload.src if payload.src != attacker_wallet else payload.dst
-                tx.payload = Transfer(src, attacker_wallet, payload.amount)
-                tx.writes = frozenset((src, attacker_wallet))
-                tx.reads = {src: 0, attacker_wallet: 0}
-
-    for tx in batch:
-        tx.channel = channel
     run.submit_batch(
         batch, via=_client_of(config, adversary=True),
         on_first_arrival=run.phase_marker("P3"),
@@ -489,14 +501,16 @@ def run_block_withholding(
 # -- double spending -------------------------------------------------------------
 
 
+def _lead_time(attack) -> int:
+    """When double spend sends its own transfer; a generated batch follows."""
+    return attack.p_int("batch_start", attack.p_int("valid_submit", 0) + 12)
+
+
 def run_double_spending(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     attack = config.attack
-    source = attack.p_str("source", "A1")
-    victim = attack.p_str("victim", "V1")
-    alt = attack.p_str("alt", "A2")
+    source, victim, alt = config.attack_wallets()
     amount = attack.p_int("amount", 100)
     channel = config.channels[0]
     for wallet in (source, victim, alt):
@@ -528,18 +542,13 @@ def run_double_spending(
     run.submit(valid, valid=True, on_arrival=on_valid_arrival)
 
     ds_id = "dsx"
-    batch = _conflict_batch(config, seed, batch)
-    scripted = not isinstance(config.conflicts, ConflictSpec)
-    if not scripted:
+    if isinstance(config.conflicts, ConflictSpec):
         # Generated mode: the double-spend transfer leads the batch.
-        lead_time = attack.p_int("batch_start", valid.submit_time + 12)
         ds = transfer_tx(
             ds_id, source, alt, amount, channel=channel,
-            submitter=_client_of(config, adversary=True), submit_time=lead_time,
+            submitter=_client_of(config, adversary=True),
+            submit_time=_lead_time(attack),
         )
-        for tx in batch:
-            tx.submit_time += lead_time + 1
-            tx.channel = channel
         batch = [ds] + batch
     else:
         _require(
@@ -581,8 +590,7 @@ def _pool_wallets(config: ScenarioConfig, prefix: str) -> list[str]:
 
 
 def run_balance_attack(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     attack = config.attack
     channels = config.channels
@@ -612,12 +620,14 @@ def run_balance_attack(
         client = _client_of(config, adversary=False)
         for i in range(initial_pending):
             src, dst = pair(i)
-            tx = transfer_tx(
-                f"pre-{channel}-{i:03d}", src, dst, amount, channel=channel,
-                submitter=client, submit_time=0,
+            run.submit(
+                transfer_tx(
+                    f"pre-{channel}-{i:03d}", src, dst, amount, channel=channel,
+                    submitter=client,
+                    submit_time=-run.client_latency(client),  # arrives at t=0
+                ),
+                valid=True,
             )
-            tx.submit_time = -run.client_latency(client)  # arrives at t=0
-            run.submit(tx, valid=True)
         for i in range(head):
             src, dst = pair(initial_pending + i)
             run.submit(
@@ -647,10 +657,6 @@ def run_balance_attack(
     )
     build_valid(reference, attack.p_int("valid_reference", 90), 0, 0)
 
-    batch = _conflict_batch(config, seed, batch)
-    if isinstance(config.conflicts, ConflictSpec):
-        for tx in batch:
-            tx.channel = attacked
     run.submit_batch(
         batch, via=_client_of(config, adversary=True),
         on_first_arrival=run.phase_marker("P1"),
@@ -687,9 +693,10 @@ def run_balance_attack(
     pending_order.sort(key=lambda tx_id: (run.all_txs[tx_id].submit_time, tx_id))
     if pending_order:
         source_tx = run.all_txs[pending_order[0]]
-        ghost = clone_tx(source_tx)
-        ghost.id = f"replay-{source_tx.id}"
-        ghost.channel = reference
+        ghost = replace(
+            source_tx, id=f"replay-{source_tx.id}", channel=reference,
+            reads=dict(source_tx.reads),
+        )
         probe = ref_state.ledger.copy()
         stamp_read_versions(ghost, probe)
         _, st = apply_transaction(probe, ghost)
@@ -711,8 +718,7 @@ def run_balance_attack(
 
 
 def run_ddos(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     attack = config.attack
     n_accounts = attack.p_int("n_accounts", 32)
@@ -749,11 +755,8 @@ def run_ddos(
             )
         run.submit(tx, valid=True, timeout=run.policy.client_timeout)
 
-    batch = _conflict_batch(config, seed, batch)
     burst = isinstance(config.conflicts, ConflictSpec) and config.conflicts.start or 0
     run.phases.enter("P1", max(0, (burst or batch[0].submit_time) - 1))
-    for tx in batch:
-        tx.channel = channel
     run.submit_batch(
         batch, via=_client_of(config, adversary=True),
         on_first_arrival=run.phase_marker("P2"),
@@ -788,11 +791,9 @@ def run_ddos(
 
 
 def run_ordering_race(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     run = SimulationRun(config, mode, seed)
-    batch = _conflict_batch(config, seed, batch)
     first = True
     for tx in batch:
         hook = run.phase_marker("P1") if first else None
@@ -801,8 +802,7 @@ def run_ordering_race(
     run.run_until_deadline()
     run.phases.enter("P2", config.deadline)
     run.phases.enter("P3", config.deadline)
-    violations = sum(s.dependency_violations() for s in run.channels.values())
-    return run.collect("ordering_race", {"violations": violations})
+    return run.collect("ordering_race", {})
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -821,6 +821,11 @@ def run_attack(
     config: ScenarioConfig, mode: str, seed: int,
     batch: list[Transaction] | None = None,
 ) -> AttackOutcome:
+    """Run one trial in one mode.  ``batch`` is the trial's conflicting
+    batch from ``_conflict_batch``, built here when not given; the runner
+    submits it as it is and assigns no attribute of its transactions."""
+    if batch is None:
+        batch = _conflict_batch(config, seed)
     return _RUNNERS[config.attack.kind](config, mode, seed, batch)
 
 

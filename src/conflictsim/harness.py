@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .attacks import AttackOutcome, run_attack
+from .attacks import AttackOutcome, _pool_wallets, run_attack
 from .core import LedgerState, stamp_read_versions
 from .errors import EmptyInputError, StateMismatchError
 from .ordering import (
@@ -122,33 +122,21 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     attack = config.attack
     kind = attack.kind
     window = attack.p_int("sweep_window", 10000)
+    start = 0
     if kind in ("block_withholding", "double_spending"):
-        spec = ConflictSpec(
-            wallets=tuple(config.attack_wallets()), count=count, window=window
-        )
+        wallets = config.attack_wallets()
     elif kind == "balance":
-        pool = sorted(
-            w for w in config.balances
-            if w.startswith(attack.p_str("pool_prefix", "W"))
-        )
-        spec = ConflictSpec(
-            wallets=tuple(pool), count=count, window=window,
-            channel=attack.p_str("attacked_channel", config.channels[0]),
-        )
+        wallets = _pool_wallets(config, attack.p_str("pool_prefix", "W"))
     elif kind == "ddos":
-        accounts = sorted(
-            w for w in config.balances
-            if w.startswith(attack.p_str("accounts_prefix", "ACC"))
-        )
-        spec = ConflictSpec(
-            wallets=tuple(accounts), count=count, window=0,
-            start=attack.p_int("burst", 1000),
-        )
+        wallets = _pool_wallets(config, attack.p_str("accounts_prefix", "ACC"))
+        window, start = 0, attack.p_int("burst", 1000)
     else:
         raise ValueError(f"attack kind {kind} does not support sweeps")
     return replace(
         config,
-        conflicts=spec,
+        conflicts=ConflictSpec(
+            wallets=tuple(wallets), count=count, window=window, start=start
+        ),
         policy=replace(config.policy, jitter=(1, 20)),
         pinned_orderers={},
     )
@@ -193,17 +181,15 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
             )
             for trial in range(plan.trials):
                 seed = plan.seed0 + trial
-                # Paired modes see the identical conflicting batch; build it
-                # once and hand each run its own mutable copy.
-                raw = _conflict_batch(config, seed) if len(modes) > 1 else None
+                # Every mode submits the trial's one batch.  Runs stamp read
+                # versions and assign priorities, so each mode but the last
+                # gets a copy of its own.
+                batch = _conflict_batch(config, seed)
                 for i, mode in enumerate(modes):
-                    if raw is None:
-                        batch = None
-                    elif i + 1 == len(modes):
-                        batch = raw
-                    else:
-                        batch = [clone_tx(tx) for tx in raw]
-                    outcome = run_attack(config, mode, seed, batch)
+                    mine = batch if i + 1 == len(modes) else [
+                        clone_tx(tx) for tx in batch
+                    ]
+                    outcome = run_attack(config, mode, seed, mine)
                     record = MetricsRecord.from_outcome(outcome)
                     if plan.lean:
                         record.outcome = None

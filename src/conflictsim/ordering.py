@@ -58,6 +58,7 @@ class DependencyVerdict(Enum):
 # On CPython 3.11 each read of an enum member through its class runs a
 # descriptor in Python; the per-transaction paths read these aliases.
 _READY, _ABORT = DependencyVerdict.READY, DependencyVerdict.ABORT
+_ACCEPTED = SubmitOutcome.ACCEPTED
 _COMMITTED = TxStatus.COMMITTED
 _READ_HIGH = PriorityClass.READ_HIGH
 _WRITE_NORMAL = PriorityClass.WRITE_NORMAL
@@ -113,7 +114,7 @@ class Mempool:
         self._queue.append(tx)
         if len(self._live) > self.peak_occupancy:
             self.peak_occupancy = len(self._live)
-        return SubmitOutcome.ACCEPTED
+        return _ACCEPTED
 
     def take_next(self) -> Transaction | None:
         queue = self._queue
@@ -231,13 +232,6 @@ class OrdererQueue:
             self._live.discard(tx_id)
             return True
         return False
-
-    def snapshot(self) -> list[Transaction]:
-        """Pending transactions in dequeue order (reads first)."""
-        live = self._live
-        out = [tx for tx in self._read if tx.id in live]
-        out.extend(tx for tx in self._write if tx.id in live)
-        return out
 
 
 class _Group:
@@ -611,7 +605,7 @@ class BaselineOrderingService:
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
         outcome = self.mempool.submit(tx)
-        if outcome is not SubmitOutcome.ACCEPTED:
+        if outcome is not _ACCEPTED:
             return outcome
         # Endorse on acceptance: the transaction commits with these stamps.
         stamp_read_versions(tx, self.state.ledger)
@@ -744,7 +738,7 @@ class PipelineOrderingService:
         if self._total_live > self.peak_pool:
             self.peak_pool = self._total_live
         self._wake(index)
-        return SubmitOutcome.ACCEPTED
+        return _ACCEPTED
 
     def discard(self, tx_id: str) -> bool:
         for queue in self.queues:

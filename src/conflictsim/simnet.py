@@ -17,7 +17,7 @@ from .errors import TimeInPastError, UnknownNodeError
 
 SimTime = int
 
-# Event kinds recorded in traces.
+# Event kinds: every scheduled event carries one.
 SUBMIT = "submit"
 ORDER_TICK = "order-tick"
 COMMIT = "commit"
@@ -90,15 +90,12 @@ class Topology:
 class Engine:
     """Single-threaded event loop. One instance per trial."""
 
-    def __init__(self, seed: int = 0, topology: Topology | None = None,
-                 record_trace: bool = False):
+    def __init__(self, seed: int = 0, topology: Topology | None = None):
         self.now: SimTime = 0
         self.rng = random.Random(seed)
         self.topology = topology or Topology()
         self._heap: list[tuple[SimTime, int, str, str, Any, Callable | None]] = []
         self._seq = 0
-        self.record_trace = record_trace
-        self.trace: list[tuple[SimTime, int, str, str]] = []
         self.last_event_time: SimTime = 0
 
     # -- scheduling -------------------------------------------------------
@@ -125,14 +122,10 @@ class Engine:
         if deadline < self.now:
             raise TimeInPastError(f"deadline {deadline} is before now {self.now}")
         heap = self._heap
-        trace = self.trace
-        recording = self.record_trace
         while heap and heap[0][0] <= deadline:
             fire_at, seq, kind, target, payload, fn = heapq.heappop(heap)
             self.now = fire_at
             self.last_event_time = fire_at
-            if recording:
-                trace.append((fire_at, seq, kind, target))
             if fn is not None:
                 fn(self, payload)
         self.now = deadline

@@ -19,7 +19,6 @@ from .core import (
     Query,
     Transaction,
     Transfer,
-    conflicts_with,
     query_tx,
 )
 from .errors import (
@@ -160,14 +159,6 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
             if anchor is not None and anchor not in tx.reads:
                 tx.reads[anchor] = 0
     return txs
-
-
-def conflict_graph_has_isolated(txs: list[Transaction]) -> bool:
-    """Quadratic reference check used by tests and validation."""
-    for tx in txs:
-        if not any(conflicts_with(tx, other) for other in txs if other.id != tx.id):
-            return True
-    return False
 
 
 # -- scenario configuration ----------------------------------------------------
@@ -503,92 +494,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     return parse_scenario(path.read_text(), name=path.stem)
-
-
-def dump_scenario(config: ScenarioConfig) -> str:
-    """Serialize a config back to scenario text (round-trips by equality)."""
-    out: list[str] = ["[topology]"]
-    out.append(f"default_latency {config.topology.default_latency}")
-    for node in config.topology.nodes:
-        attrs = [f"role={node.role}", f"channels={','.join(sorted(node.channels))}"]
-        if node.is_adversary:
-            attrs.append("adversary")
-        if node.processing_delay:
-            attrs.append(f"processing={node.processing_delay}")
-        if node.latency is not None:
-            attrs.append(f"latency={node.latency}")
-        out.append(f"node {node.id} {' '.join(attrs)}")
-    for (a, b), delay in config.topology.links.items():
-        out.append(f"link {a} {b} {delay}")
-    out.append("")
-    out.append("[balances]")
-    for wallet, amount in config.balances.items():
-        out.append(f"{wallet} {amount}")
-    out.append("")
-    out.append("[attack]")
-    out.append(f"kind {config.attack.kind}")
-    for key, value in config.attack.params.items():
-        out.append(f"param {key} {value}")
-    out.append("")
-    out.append("[policy]")
-    p = config.policy
-    out.append(f"mode {p.mode}")
-    out.append(f"workers {p.workers}")
-    out.append(f"defer_limit {p.defer_limit}")
-    out.append(f"jitter {p.jitter[0]} {p.jitter[1]}")
-    out.append(f"mempool_capacity {p.mempool_capacity}")
-    if p.queue_capacity is not None:
-        out.append(f"queue_capacity {p.queue_capacity}")
-    out.append(
-        "client_timeout none" if p.client_timeout is None
-        else f"client_timeout {p.client_timeout}"
-    )
-    out.append("")
-    out.append("[conflicts]")
-    if isinstance(config.conflicts, ConflictSpec):
-        spec = config.conflicts
-        line = (
-            f"generate wallets={','.join(spec.wallets)} count={spec.count} "
-            f"window={spec.window} mix_query={spec.mix_query}"
-        )
-        if spec.channel != "main":
-            line += f" channel={spec.channel}"
-        if spec.submitter != "adversary":
-            line += f" submitter={spec.submitter}"
-        if spec.start:
-            line += f" start={spec.start}"
-        out.append(line)
-    else:
-        for tx in config.conflicts:
-            out.append(_dump_tx_line(tx, config.pinned_orderers.get(tx.id)))
-    out.append("")
-    out.append("[seed]")
-    out.append(str(config.seed))
-    out.append("")
-    out.append("[deadline]")
-    out.append(str(config.deadline))
-    out.append("")
-    return "\n".join(out)
-
-
-def _dump_tx_line(tx: Transaction, orderer: str | None) -> str:
-    if isinstance(tx.payload, Transfer):
-        p = tx.payload
-        line = f"tx {tx.id} transfer {p.src} {p.dst} {p.amount} at {tx.submit_time}"
-        extra = [w for w in tx.reads if w not in (p.src, p.dst)]
-        if extra:
-            line += f" reads={','.join(extra)}"
-    else:
-        line = f"tx {tx.id} query {','.join(tx.payload.wallets)} at {tx.submit_time}"
-    if tx.channel != "main":
-        line += f" channel={tx.channel}"
-    if tx.submitter != "client":
-        line += f" submitter={tx.submitter}"
-    if tx.declared_deps:
-        line += f" deps={','.join(sorted(tx.declared_deps))}"
-    if orderer is not None:
-        line += f" orderer={orderer}"
-    return line
 
 
 # -- bench workload --------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Attack orchestration: scripted outcomes, negative variants, invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conflictsim.attacks import (
     PRECONDITION_PHASES,
     SimulationRun,
+    _conflict_batch,
     clone_tx,
     conservation_holds,
     recompute_success,
@@ -24,7 +27,11 @@ from conflictsim.core import (
 from conflictsim.errors import ScenarioMismatchError
 from conflictsim.harness import sweep_scenario
 from conflictsim.simnet import SUBMIT
-from conflictsim.workload import parse_scenario
+from conflictsim.workload import (
+    ConflictSpec,
+    generate_conflicting_set,
+    parse_scenario,
+)
 
 
 def test_scripted_block_withholding_matches_final_state():
@@ -531,3 +538,47 @@ def test_id_arriving_again_after_its_status_counts_only_as_rejected(
     }
     assert out.pending == {"main": 0}
     assert out.submitted == 2
+
+
+# -- the batch a runner is handed ----------------------------------------------------
+
+
+def _generated(name):
+    config = resolve_scenario(name)
+    if config.attack.kind == "ordering_race":
+        return replace(config, conflicts=ConflictSpec(
+            wallets=tuple(config.balances), count=300, window=1000,
+        ))
+    return sweep_scenario(config, 300)
+
+
+def _scripted(name):
+    config = resolve_scenario(name)
+    if isinstance(config.conflicts, ConflictSpec):
+        # ddos_default generates its batch; script one like it.
+        spec = replace(config.conflicts, count=300, seed=5)
+        return replace(config, conflicts=generate_conflicting_set(spec))
+    return config
+
+
+def _fields(tx):
+    """Everything a run must leave as it was handed over: all but the
+    read-version values it stamps and the priority it assigns."""
+    return (tx.id, repr(tx.payload), tx.channel, tx.submitter, tx.submit_time,
+            tx.writes, tx.declared_deps, tuple(tx.reads))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "countermeasures"])
+@pytest.mark.parametrize("build", [_generated, _scripted])
+@pytest.mark.parametrize("name", [
+    "table2_block_withholding", "sec3b_double_spend", "table2_balance_attack",
+    "ddos_default", "fig1_race",
+])
+def test_runner_leaves_the_batch_it_is_handed_unchanged(name, build, mode):
+    config = build(name)
+    seed = config.seed
+    batch = _conflict_batch(config, seed)
+    before = [_fields(tx) for tx in batch]
+    out = run_attack(config, mode, seed, batch)
+    assert out.submitted > 0
+    assert [_fields(tx) for tx in batch] == before

@@ -27,6 +27,7 @@ from conflictsim.harness import (
     write_results,
 )
 from conflictsim.ordering import assign_priority, partition
+from test_ordering import queued
 from test_workload import bench_batches
 
 
@@ -320,7 +321,7 @@ def _queues_digest(txs) -> str:
     h = hashlib.sha256()
     for workers in (1, 2, 3, 4):
         h.update(repr([
-            (q.owner, q.capacity, [tx.id for tx in q.snapshot()])
+            (q.owner, q.capacity, [tx.id for tx in queued(q)])
             for q in partition(txs, workers)
         ]).encode())
     return h.hexdigest()

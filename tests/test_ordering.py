@@ -167,6 +167,13 @@ def test_conflicting_in_flight_defers():
 # -- partition (C4) ----------------------------------------------------------------
 
 
+def queued(queue):
+    """The transactions still pending in an ``OrdererQueue``, in dequeue
+    order (reads first), without taking any."""
+    live = queue._live
+    return [tx for tx in (*queue._read, *queue._write) if tx.id in live]
+
+
 def test_disjoint_transactions_spread_one_per_queue():
     txs = [transfer_tx(f"t{i}", f"a{i}", f"b{i}", 1) for i in range(4)]
     queues = partition(txs, 4)
@@ -180,8 +187,8 @@ def test_shared_wallet_groups_stay_together():
         transfer_tx("t3", "X", "Y", 1),
     ]
     queues = partition(txs, 2)
-    assert [tx.id for tx in queues[0].snapshot()] == ["t1", "t2"]
-    assert [tx.id for tx in queues[1].snapshot()] == ["t3"]
+    assert [tx.id for tx in queued(queues[0])] == ["t1", "t2"]
+    assert [tx.id for tx in queued(queues[1])] == ["t3"]
 
 
 def test_single_queue_orders_priority_then_fifo():
@@ -194,7 +201,7 @@ def test_single_queue_orders_priority_then_fifo():
     for tx in txs:
         assign_priority(tx)
     (queue,) = partition(txs, 1)
-    assert [tx.id for tx in queue.snapshot()] == ["r2", "r1", "w1", "w2"]
+    assert [tx.id for tx in queued(queue)] == ["r2", "r1", "w1", "w2"]
 
 
 def _union_find_oracle(txs):
@@ -252,7 +259,7 @@ def test_partition_matches_union_find_oracle():
                                        submit_time=i))
         queues = partition(txs, rng.randint(1, 5))
         got = {
-            frozenset(tx.id for tx in q.snapshot())
+            frozenset(tx.id for tx in queued(q))
             for q in queues if len(q)
         }
         # Queues may hold several groups; every oracle group must sit inside
@@ -260,11 +267,11 @@ def test_partition_matches_union_find_oracle():
         oracle = _union_find_oracle(txs)
         for group in oracle:
             holders = [q for q in queues
-                       if group & {tx.id for tx in q.snapshot()}]
+                       if group & {tx.id for tx in queued(q)}]
             assert len(holders) == 1
-            assert group <= {tx.id for tx in holders[0].snapshot()}
+            assert group <= {tx.id for tx in queued(holders[0])}
         assert got  # partition produced output
-        queue_of = {tx.id: k for k, q in enumerate(queues) for tx in q.snapshot()}
+        queue_of = {tx.id: k for k, q in enumerate(queues) for tx in queued(q)}
         for tx in txs:
             for dep in tx.declared_deps:
                 if dep in queue_of:
@@ -503,11 +510,11 @@ def test_gate_looks_at_each_transaction_once_per_pass():
     assert counts == {"r": 1, "w1": 1}
     # Deferred transactions go back to the tail of their class, so writers
     # keep the order the one-at-a-time re-queue gave them.
-    assert [tx.id for tx in queue.snapshot()] == ["r", "w3", "w1"]
+    assert [tx.id for tx in queued(queue)] == ["r", "w3", "w1"]
     assert next_ready(queue, state, counts, 1000) is behind
     assert next_ready(queue, state, counts, 1000) is STALLED
     assert counts == {"r": 3, "w1": 2}
-    assert [tx.id for tx in queue.snapshot()] == ["r", "w1"]
+    assert [tx.id for tx in queued(queue)] == ["r", "w1"]
 
 
 def test_pipeline_aborts_dependent_of_failed_tx():
@@ -621,7 +628,7 @@ def test_group_merge_relocates_only_bridged_group():
     # g1's pending member moved to queue 0 along with the bridge; g2 stayed.
     assert len(service.queues[1]) == 0
     assert len(service.queues[2]) == 1
-    assert {tx.id for tx in service.queues[0].snapshot()} == {"w0", "w1", "bridge"}
+    assert {tx.id for tx in queued(service.queues[0])} == {"w0", "w1", "bridge"}
     engine.run_until(10_000)
     assert state.status("bridge") is TxStatus.COMMITTED
     assert all(state.status(tx.id) is TxStatus.COMMITTED

@@ -18,8 +18,20 @@ def small_topology():
     )
 
 
+def logged(log, kind, target, fn=None):
+    """An event callback that records (now, kind, target) as it fires, then
+    runs ``fn``."""
+
+    def fire(eng, payload):
+        log.append((eng.now, kind, target))
+        if fn is not None:
+            fn(eng, payload)
+
+    return fire
+
+
 def test_schedule_and_fire_in_time_order():
-    eng = Engine(seed=1, record_trace=True)
+    eng = Engine(seed=1)
     fired = []
     eng.schedule_call(5, "order-tick", "n1", lambda e, p: fired.append(p), "x")
     eng.schedule_call(3, "order-tick", "n1", lambda e, p: fired.append(p), "y")
@@ -80,12 +92,12 @@ def test_broadcast_distinct_latencies():
                NodeConfig("p3")],
         links={("src", "p1"): 3, ("src", "p2"): 8, ("src", "p3"): 11},
     )
-    eng = Engine(seed=1, topology=topo, record_trace=True)
+    eng = Engine(seed=1, topology=topo)
+    log = []
     for peer in ("p1", "p2", "p3"):
-        deliver(eng, "src", peer)
+        deliver(eng, "src", peer, logged(log, COMMIT, peer))
     eng.run_until(20)
-    delivers = [(t, target) for t, _, kind, target in eng.trace if kind == COMMIT]
-    assert delivers == [(3, "p1"), (8, "p2"), (11, "p3")]
+    assert log == [(3, COMMIT, "p1"), (8, COMMIT, "p2"), (11, COMMIT, "p3")]
 
 
 def test_send_unknown_node():
@@ -97,33 +109,36 @@ def test_send_unknown_node():
 
 def test_trace_is_pure_function_of_seed():
     def run(seed):
-        eng = Engine(seed=seed, topology=small_topology(), record_trace=True)
+        eng = Engine(seed=seed, topology=small_topology())
+        trace = []
 
         def ping(e, depth):
             if depth < 30:
                 delay = e.rng.randint(1, 9)
-                e.schedule_call(e.now + delay, "order-tick", "b", ping, depth + 1)
+                e.schedule_call(e.now + delay, "order-tick", "b",
+                                logged(trace, "order-tick", "b", ping), depth + 1)
 
-        eng.schedule_call(0, "order-tick", "a", ping, 0)
+        eng.schedule_call(0, "order-tick", "a",
+                          logged(trace, "order-tick", "a", ping), 0)
         eng.run_until(10_000)
-        return eng.trace
+        return trace
 
     assert run(42) == run(42)
     assert run(42) != run(43)
 
 
 def test_no_lost_events_and_causality():
-    eng = Engine(seed=3, topology=small_topology(), record_trace=True)
-    sent = []
+    eng = Engine(seed=3, topology=small_topology())
+    sent, log = [], []
 
     def chain(e, n):
         if n < 25:
             sent.append(e.now)
-            deliver(e, "a", "b", chain, n + 1)
+            deliver(e, "a", "b", logged(log, COMMIT, "b", chain), n + 1)
 
     eng.schedule_call(0, "order-tick", "a", chain, 0)
     eng.run_until(1000)
-    delivers = [t for t, _, kind, _ in eng.trace if kind == COMMIT]
+    delivers = [t for t, _kind, _target in log]
     assert len(delivers) == len(sent)  # exactly once each
     for send_time, deliver_time in zip(sent, delivers):
         assert deliver_time > send_time  # never before its send
