@@ -4,7 +4,6 @@ pipeline and an experiment harness."""
 
 from .core import (
     LedgerState,
-    PriorityClass,
     Query,
     Transaction,
     Transfer,
@@ -21,7 +20,6 @@ from .ordering import (
     OrdererQueue,
     OrderingPolicy,
     SubmitOutcome,
-    assign_priority,
     check_dependencies,
     partition,
 )

@@ -127,7 +127,6 @@ def clone_tx(tx: Transaction) -> Transaction:
     dup.reads = dict(tx.reads)
     dup.writes = tx.writes
     dup.declared_deps = tx.declared_deps
-    dup.priority = tx.priority
     dup.submit_time = tx.submit_time
     return dup
 
@@ -441,18 +440,18 @@ def run_block_withholding(
     )
     run.phases.enter("P1", target.submit_time)
 
-    withheld: list[Transaction] = []
+    withheld: list[tuple[Transaction, dict[str, int]]] = []
 
     def intercept(tx: Transaction) -> bool:
         # The adversary orderer validates the endorsed transaction, then
         # holds it instead of broadcasting (baseline only; the pipeline's
         # withheld worker models the same behaviour under countermeasures).
-        # A release commits the withheld transaction with these stamps.
+        # A release commits the withheld transaction with this stamp.
         if run.policy.mode == BASELINE:
             run.phases.enter("P2", run.engine.now)
-            stamp_read_versions(tx, state.ledger)
+            stamp = stamp_read_versions(tx, state.ledger)
             state.set_status(tx, TxStatus.WITHHELD)
-            withheld.append(tx)
+            withheld.append((tx, stamp))
             return True
         run.phases.enter("P2", run.engine.now)
         return False
@@ -467,8 +466,8 @@ def run_block_withholding(
     if variant == "release" and release_at:
         def release(engine: Engine, _payload) -> None:
             run.phases.enter("P5", engine.now)
-            for tx in withheld:
-                state.finalize(tx)
+            for tx, stamp in withheld:
+                state.finalize(tx, stamp)
 
         run.engine.schedule_call(release_at, ATTACK_PHASE, "adversary", release)
 
@@ -476,7 +475,7 @@ def run_block_withholding(
 
     if variant != "release":
         run.phases.enter("P4", config.deadline)
-        for tx in withheld:
+        for tx, _stamp in withheld:
             if not state.status(tx.id).terminal:
                 state.set_status(tx, TxStatus.TIMEOUT)
     elif withheld and not run.phases.entered("P5"):
@@ -682,8 +681,8 @@ def run_balance_attack(
     run.phases.enter("P4", config.deadline)
 
     # P5 epilogue: replay the first still-pending attacked-channel transaction
-    # on the reference chain (validated on a copy so recorded metrics stay a
-    # deadline snapshot).
+    # on the reference chain, endorsed there now (validated on a copy so
+    # recorded metrics stay a deadline snapshot).
     replay_committed = False
     replayed: str | None = None
     pending_order = [
@@ -693,13 +692,7 @@ def run_balance_attack(
     pending_order.sort(key=lambda tx_id: (run.all_txs[tx_id].submit_time, tx_id))
     if pending_order:
         source_tx = run.all_txs[pending_order[0]]
-        ghost = replace(
-            source_tx, id=f"replay-{source_tx.id}", channel=reference,
-            reads=dict(source_tx.reads),
-        )
-        probe = ref_state.ledger.copy()
-        stamp_read_versions(ghost, probe)
-        _, st = apply_transaction(probe, ghost)
+        _, st = apply_transaction(ref_state.ledger.copy(), source_tx)
         replay_committed = st is TxStatus.COMMITTED
         replayed = source_tx.id
         run.phases.enter("P5", config.deadline + 1)

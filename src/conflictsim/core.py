@@ -1,17 +1,17 @@
 """Domain types and deterministic ledger semantics.
 
 Wallets hold whole-token balances plus a version counter that is bumped on
-every committed write.  Validation is multi-version: a transaction records
-the wallet versions it read at endorsement time, and commits only if those
-versions are still current.  This is what makes simultaneously endorsed
-transfers over shared wallets "conflicting" - the first one to commit
-invalidates the rest.
+every committed write.  Validation is multi-version: endorsement takes a
+stamp of the versions of the wallets a transaction reads, and commit
+succeeds only if those versions are still current.  This is what makes
+simultaneously endorsed transfers over shared wallets "conflicting" - the
+first one to commit invalidates the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 
 from .errors import TokenOverflowError, UnknownWalletError
 
@@ -51,13 +51,6 @@ _CONFLICT_FAILED = TxStatus.CONFLICT_FAILED
 _INSUFFICIENT_FUNDS = TxStatus.INSUFFICIENT_FUNDS
 
 
-class PriorityClass(IntEnum):
-    # Lower value dequeues first.
-    READ_HIGH = 0
-    WRITE_NORMAL = 1
-    UNASSIGNED = 2
-
-
 @dataclass(eq=True, slots=True)
 class Transfer:
     src: WalletId
@@ -74,11 +67,11 @@ class Query:
 class Transaction:
     """A single wallet operation plus the read/write footprint it declared.
 
-    ``reads`` maps each read wallet to the version observed at endorsement.
-    Transactions are created with version 0 (a fresh, untouched wallet).
-    In a simulation the ordering service stamps them from the live ledger:
-    the baseline when it accepts the transaction, the countermeasure
-    pipeline when a worker orders it.  Commit validates the stamps carried.
+    ``reads`` names the wallets it reads, each with the declared version 0.
+    Nothing writes into a transaction once its batch is built, so one batch
+    serves every run: a run keeps its endorsement stamps (from
+    ``stamp_read_versions``) to itself, and a queue reads the class of the
+    payload (queries dequeue first).
     """
 
     id: TransactionId
@@ -88,7 +81,6 @@ class Transaction:
     reads: dict[WalletId, int] = field(default_factory=dict)
     writes: frozenset[WalletId] = frozenset()
     declared_deps: frozenset[TransactionId] = frozenset()
-    priority: PriorityClass = PriorityClass.UNASSIGNED
     submit_time: int = 0
 
     def __post_init__(self):
@@ -113,10 +105,6 @@ class Transaction:
                 raise ValueError(f"{self.id}: read-only payload cannot write")
             if not self.reads:
                 self.reads = {w: 0 for w in p.wallets}
-
-    @property
-    def is_read_only(self) -> bool:
-        return isinstance(self.payload, Query)
 
     def footprint(self) -> set[WalletId]:
         return set(self.reads) | set(self.writes)
@@ -217,38 +205,44 @@ def conflicts_with(a: Transaction, b: Transaction) -> bool:
     return False
 
 
-def stamp_read_versions(tx: Transaction, state: LedgerState) -> None:
-    """Endorse ``tx`` against ``state``: snapshot current read versions."""
+def stamp_read_versions(tx: Transaction, state: LedgerState) -> dict[WalletId, int]:
+    """Endorse ``tx`` against ``state``: the current versions of its reads."""
     versions = state.versions
-    reads = tx.reads
+    stamp = {}
     try:
-        for wallet in reads:
-            reads[wallet] = versions[wallet]
+        for wallet in tx.reads:  # a loop: a comprehension costs a call more
+            stamp[wallet] = versions[wallet]
     except KeyError as exc:
         raise UnknownWalletError(f"{tx.id}: unknown wallet {exc.args[0]}") from None
+    return stamp
 
 
 def apply_transaction(
-    state: LedgerState, tx: Transaction
+    state: LedgerState, tx: Transaction, stamp: dict[WalletId, int] | None = None
 ) -> tuple[LedgerState, TxStatus]:
     """Validate and apply one transaction in place.
 
-    Any non-committed status leaves balances and versions untouched.  The
-    returned state is the same object, mutated only on commit.
+    A transfer fails on conflict when a wallet's version has moved since
+    ``stamp``.  With no stamp the transaction is endorsed now, so only its
+    read wallets must exist.  Any non-committed status leaves balances and
+    versions untouched.  The returned state is the same object, mutated
+    only on commit.
     """
     versions = state.versions
     payload = tx.payload
-    if type(payload) is Query:
+    if stamp is None or type(payload) is Query:
         for wallet in tx.reads:
             if wallet not in versions:
                 raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
-        return state, _COMMITTED
-    for wallet, expected in tx.reads.items():
-        current = versions.get(wallet)
-        if current is None:
-            raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
-        if current != expected:
-            return state, _CONFLICT_FAILED
+        if type(payload) is Query:
+            return state, _COMMITTED
+    else:
+        for wallet, expected in stamp.items():
+            current = versions.get(wallet)
+            if current is None:
+                raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
+            if current != expected:
+                return state, _CONFLICT_FAILED
     balances = state.balances
     src, dst, amount = payload.src, payload.dst, payload.amount
     src_balance, dst_balance = balances.get(src), balances.get(dst)

@@ -21,10 +21,6 @@ class UnknownNodeError(SimulatorError):
     pass
 
 
-class AlreadyAssignedError(SimulatorError):
-    """Priority was already assigned to this transaction."""
-
-
 class InfeasibleSpecError(SimulatorError):
     """A conflict-generation spec cannot produce a mutually conflicting set."""
 

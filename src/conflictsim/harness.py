@@ -18,8 +18,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .attacks import AttackOutcome, _pool_wallets, run_attack
-from .core import LedgerState, stamp_read_versions
+from .attacks import AttackOutcome, _conflict_batch, _pool_wallets, run_attack
+from .core import LedgerState
 from .errors import EmptyInputError, StateMismatchError
 from .ordering import (
     BASELINE,
@@ -27,7 +27,6 @@ from .ordering import (
     STALLED,
     ChannelState,
     OrderingPolicy,
-    assign_priority,
     next_ready,
     partition,
 )
@@ -164,8 +163,6 @@ def _young_collection():
 def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
     """One MetricsRecord per (sweep point, trial, policy); trial i runs with
     seed base_seed + i, and policy=both pairs the modes on identical seeds."""
-    from .attacks import _conflict_batch, clone_tx
-
     records: list[MetricsRecord] = []
     counts = plan.sweep or [None]
     modes = plan.modes
@@ -181,15 +178,11 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
             )
             for trial in range(plan.trials):
                 seed = plan.seed0 + trial
-                # Every mode submits the trial's one batch.  Runs stamp read
-                # versions and assign priorities, so each mode but the last
-                # gets a copy of its own.
+                # Every mode submits the trial's one batch as it is: a run
+                # keeps its stamps and queue classes to itself.
                 batch = _conflict_batch(config, seed)
-                for i, mode in enumerate(modes):
-                    mine = batch if i + 1 == len(modes) else [
-                        clone_tx(tx) for tx in batch
-                    ]
-                    outcome = run_attack(config, mode, seed, mine)
+                for mode in modes:
+                    outcome = run_attack(config, mode, seed, batch)
                     record = MetricsRecord.from_outcome(outcome)
                     if plan.lean:
                         record.outcome = None
@@ -319,10 +312,10 @@ class BenchReport:
 
 
 def _commit(state: ChannelState, tx, io_delay_s: float) -> None:
-    """Modelled service cost, then the simulator's endorse-and-finalize."""
+    """Modelled service cost, then the simulator's commit, endorsing ``tx``
+    as it finalizes."""
     if io_delay_s > 0:
         time.sleep(io_delay_s)
-    stamp_read_versions(tx, state.ledger)
     state.finalize(tx)
 
 
@@ -388,8 +381,6 @@ def _bench_rep(
     balances, workload = generate_bench_workload(
         txs, read_ratio, n_wallets=n_wallets, seed=seed
     )
-    for tx in workload:
-        assign_priority(tx)
     b_ledger, b_time = _bench_baseline(balances, workload, io_delay_s)
     p_ledger, p_time = _bench_pipeline(
         balances, workload, workers, io_delay_s, parallel=True
@@ -412,9 +403,9 @@ def bench_throughput(
 ) -> BenchReport:
     """Measure wall-clock ordering throughput, baseline vs pipeline.
 
-    Each rep generates its batch and assigns priorities once, then orders it
-    serially (baseline) and through the partitioned pipeline; both runs
-    re-stamp every read before committing.  The bench batch declares no
+    Each rep generates its batch once, then orders it serially (baseline)
+    and through the partitioned pipeline; both runs endorse each
+    transaction as they commit it.  The bench batch declares no
     dependencies, so the pipeline's merged ledger must equal the baseline's:
     queries always commit, each queue keeps its writers in submission order,
     and different queues commute.  A divergence raises StateMismatchError.

@@ -1,17 +1,17 @@
 """Mempool, the race-prone baseline ordering service, and the countermeasure
 pipeline.
 
-The pipeline composes four measures: priority assignment for read-only
-transactions (applied at admission), dependency gating at dequeue time,
-wallet-footprint partitioning into one bounded queue per worker, and the
-workers themselves running as concurrent logical processes on the event
-engine.
+The pipeline composes four measures: read priority (queries dequeue ahead
+of writers), dependency gating at dequeue time, wallet-footprint
+partitioning into one bounded queue per worker, and the workers themselves
+running as concurrent logical processes on the event engine.
 
 Both services offer one surface to a simulation run (``admit``,
-``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement: the
-baseline stamps a transaction's read versions when it accepts it, and the
-pipeline re-endorses at ordering time, so a gated transaction commits with
-fresh read versions once its dependencies have landed.
+``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement,
+keeping it out of the transaction: the baseline takes a stamp of the read
+versions when it accepts a transaction and holds it until commit; the
+pipeline endorses at ordering time, so a gated transaction commits against
+the state its dependencies left.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from typing import Callable, Iterable
 from .core import (
     TERMINAL,
     LedgerState,
-    PriorityClass,
+    Query,
     Transaction,
     TxStatus,
     apply_transaction,
     conflicts_with,
     stamp_read_versions,
 )
-from .errors import AlreadyAssignedError
 from .simnet import COMMIT, ORDER_TICK, Engine, NodeConfig
 
 BASELINE = "baseline"
@@ -60,9 +59,6 @@ class DependencyVerdict(Enum):
 _READY, _ABORT = DependencyVerdict.READY, DependencyVerdict.ABORT
 _ACCEPTED = SubmitOutcome.ACCEPTED
 _COMMITTED = TxStatus.COMMITTED
-_READ_HIGH = PriorityClass.READ_HIGH
-_WRITE_NORMAL = PriorityClass.WRITE_NORMAL
-_UNASSIGNED = PriorityClass.UNASSIGNED
 
 
 @dataclass
@@ -157,14 +153,6 @@ def _commit_at(
 # -- countermeasure primitives ----------------------------------------------
 
 
-def assign_priority(tx: Transaction) -> PriorityClass:
-    """Read-only transactions jump the queue; writers keep normal priority."""
-    if tx.priority is not _UNASSIGNED:
-        raise AlreadyAssignedError(f"{tx.id} already has priority {tx.priority}")
-    tx.priority = _READ_HIGH if tx.is_read_only else _WRITE_NORMAL
-    return tx.priority
-
-
 def check_dependencies(
     tx: Transaction,
     committed: set[str],
@@ -192,7 +180,7 @@ def check_dependencies(
 
 
 class OrdererQueue:
-    """Per-worker bounded queue with read-priority-first dequeue order."""
+    """Per-worker bounded queue: queries dequeue ahead of writers."""
 
     def __init__(self, owner: str, capacity: int):
         self.owner = owner
@@ -210,7 +198,7 @@ class OrdererQueue:
 
     def append(self, tx: Transaction) -> None:
         self._live.add(tx.id)
-        if tx.priority is _READ_HIGH:
+        if type(tx.payload) is Query:
             self._read.append(tx)
         else:
             self._write.append(tx)
@@ -404,7 +392,7 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     id a declared dependency names is registered first, so a dependent
     transaction always shares a queue with its dependency.  The final
     groups are dealt round-robin in order of first appearance; within each
-    queue transactions keep (priority class, submit time) order.
+    queue transactions keep (queries first, submit time) order.
     """
     if n < 1:
         raise ValueError("need at least one queue")
@@ -421,8 +409,10 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
         tx_queue.append(index)
 
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
-    order = sorted([(tx.priority, tx.submit_time, i) for i, tx in enumerate(txs)])
-    for _priority, _time, i in order:
+    order = sorted([
+        (type(tx.payload) is not Query, tx.submit_time, i) for i, tx in enumerate(txs)
+    ])
+    for _writer, _time, i in order:
         queues[tx_queue[i]].append(txs[i])
     return queues
 
@@ -469,9 +459,10 @@ class ChannelState:
         for listener in self.terminal_listeners:
             listener(tx, status)
 
-    def finalize(self, tx: Transaction) -> TxStatus:
-        """Validate an ordered transaction's carried read stamps against the
-        ledger and commit it.
+    def finalize(self, tx: Transaction, stamp: dict | None = None) -> TxStatus:
+        """Validate an ordered transaction against the ledger, with the read
+        stamp of its endorsement or endorsed now when none is given, and
+        commit it.
 
         Committed writers extend the chain by one single-transaction block;
         failed transactions never occupy block space.
@@ -481,7 +472,7 @@ class ChannelState:
             return current
         ledger = self.ledger
         # Every status apply_transaction returns is terminal.
-        _, status = apply_transaction(ledger, tx)
+        _, status = apply_transaction(ledger, tx, stamp)
         self.order_stream.append(tx.id)
         if status is _COMMITTED:
             ledger.committed_tx_count += 1
@@ -521,7 +512,7 @@ def next_ready(
 
     A transaction already terminal is skipped, one whose declared
     dependency failed aborts, and a deferred one goes back to the tail of
-    its priority class, timing out once deferred more than ``defer_limit``
+    its class, timing out once deferred more than ``defer_limit``
     times.  A pass looks at each queued transaction at most once: deferred
     ones are held aside and re-queued when the pass ends, so a deferred read
     cannot hide a ready writer behind it.  Returns the ready transaction,
@@ -554,7 +545,7 @@ def next_ready(
             continue
         deferred.append(tx)
     for tx in deferred:
-        queue.append(tx)  # tail of its priority class
+        queue.append(tx)  # tail of its class
     if ready is None and deferred:
         return STALLED
     return ready
@@ -574,7 +565,8 @@ class BaselineOrderingService:
 
     ``pinned`` maps a transaction id to the orderer a scripted scenario
     routes it to; the service reads it on admission, so entries added after
-    construction still apply.
+    construction still apply.  An accepted transaction's read stamp is held
+    by id until it commits or leaves the pool.
     """
 
     def __init__(
@@ -595,6 +587,7 @@ class BaselineOrderingService:
         self.pinned = {} if pinned is None else pinned
         self.mempool = Mempool(policy.mempool_capacity)
         self._idle = deque(orderers)
+        self._stamps: dict[str, dict[str, int]] = {}
 
     @property
     def peak_pool(self) -> int:
@@ -607,8 +600,8 @@ class BaselineOrderingService:
         outcome = self.mempool.submit(tx)
         if outcome is not _ACCEPTED:
             return outcome
-        # Endorse on acceptance: the transaction commits with these stamps.
-        stamp_read_versions(tx, self.state.ledger)
+        # Endorse on acceptance: the transaction commits with this stamp.
+        self._stamps[tx.id] = stamp_read_versions(tx, self.state.ledger)
         self.state.note_declared_deps(tx)
         pinned_orderer = self.pinned.get(tx.id)
         if pinned_orderer is not None:
@@ -626,7 +619,10 @@ class BaselineOrderingService:
         return outcome
 
     def discard(self, tx_id: str) -> bool:
-        return self.mempool.discard(tx_id)
+        if self.mempool.discard(tx_id):
+            del self._stamps[tx_id]
+            return True
+        return False
 
     def _start_cycle(self, orderer: NodeConfig) -> None:
         tx = self.mempool.take_next()
@@ -641,7 +637,7 @@ class BaselineOrderingService:
 
     def _on_commit(self, engine: Engine, payload) -> None:
         orderer, tx = payload
-        self.state.finalize(tx)
+        self.state.finalize(tx, self._stamps.pop(tx.id))
         self._start_cycle(orderer)
 
 
@@ -652,8 +648,8 @@ class PipelineOrderingService:
     """C2 priority + C1 dependency gating + C4 per-worker queues + C3
     concurrent workers, composed as admission -> partition -> gated drain.
 
-    Admission leaves a transaction's read stamps as carried; a worker
-    endorses it when it orders it.
+    A transaction is endorsed when its worker orders it, so it commits
+    with no stamp.
     """
 
     def __init__(
@@ -729,8 +725,6 @@ class PipelineOrderingService:
             return SubmitOutcome.MEMPOOL_FULL
         group = touched[0] if settled else groups.join(keys)
         self._seen.add(tx.id)
-        if tx.priority is _UNASSIGNED:
-            assign_priority(tx)
         self.state.note_declared_deps(tx)
         queue.append(tx)
         group.members.append(tx)
@@ -794,9 +788,8 @@ class PipelineOrderingService:
         index, tx = payload
         self._in_flight.pop(tx.id, None)
         self._busy[index] = False
-        # Endorse at ordering time: dependencies were gated, so the
+        # Endorsed at ordering time: dependencies were gated, so the
         # transaction executes against the state it was waiting for.
-        stamp_read_versions(tx, self.state.ledger)
         self.state.finalize(tx)
         self._wake(index)
         # A commit can unblock deferred transactions in other queues.

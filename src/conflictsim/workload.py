@@ -14,13 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import (
-    PriorityClass,
-    Query,
-    Transaction,
-    Transfer,
-    query_tx,
-)
+from .core import Query, Transaction, Transfer, query_tx
 from .errors import (
     InfeasibleSpecError,
     ScenarioParseError,
@@ -92,7 +86,6 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
     queried = [0] * n
     txs: list[Transaction] = []
     new = Transaction.__new__
-    unassigned = PriorityClass.UNASSIGNED
     empty = frozenset()
     start = spec.start
     channel = spec.channel
@@ -106,7 +99,6 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
         tx.channel = channel
         tx.submitter = submitter
         tx.declared_deps = empty
-        tx.priority = unassigned
         tx.submit_time = start + t
         # The first element is always a transfer so the batch has a writer
         # for the conflict-density repair below to anchor on.
@@ -531,7 +523,6 @@ def generate_bench_workload(
     k_amount = (20).bit_length()
     txs: list[Transaction] = []
     new = Transaction.__new__
-    unassigned = PriorityClass.UNASSIGNED
     empty = frozenset()
     # Construction bypasses dataclass validation, as in
     # generate_conflicting_set: every payload drawn here is well formed.
@@ -541,7 +532,6 @@ def generate_bench_workload(
         tx.channel = "main"
         tx.submitter = "client"
         tx.declared_deps = empty
-        tx.priority = unassigned
         tx.submit_time = i
         if rand() < read_ratio:
             r = bits(k_wallet)

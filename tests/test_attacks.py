@@ -17,7 +17,6 @@ from conflictsim.attacks import (
 )
 from conflictsim.cli import resolve_scenario
 from conflictsim.core import (
-    PriorityClass,
     Query,
     Transaction,
     TxStatus,
@@ -25,7 +24,7 @@ from conflictsim.core import (
     transfer_tx,
 )
 from conflictsim.errors import ScenarioMismatchError
-from conflictsim.harness import sweep_scenario
+from conflictsim.harness import MetricsRecord, sweep_scenario
 from conflictsim.simnet import SUBMIT
 from conflictsim.workload import (
     ConflictSpec,
@@ -342,28 +341,24 @@ def transactions(draw):
         tx = Transaction(id=tx_id, payload=Query(wallets),
                          reads=dict.fromkeys(wallets + extra, 0),
                          declared_deps=deps, **common)
-    tx.priority = draw(st.sampled_from(PriorityClass))
     for wallet in tx.reads:
-        tx.reads[wallet] = draw(st.integers(0, 50))  # endorsement stamps
+        tx.reads[wallet] = draw(st.integers(0, 50))  # any read versions
     return tx
 
 
 @given(transactions())
 def test_clone_tx_equals_source_and_copies_are_independent(tx):
     assert not hasattr(tx, "__dict__")
-    before = (dict(tx.reads), tx.priority, tx.channel, tx.submitter,
-              tx.submit_time)
+    before = (dict(tx.reads), tx.channel, tx.submitter, tx.submit_time)
     dup = clone_tx(tx)
     assert dup == tx and dup is not tx
     for wallet in dup.reads:
         dup.reads[wallet] += 1
     dup.reads["ZZ"] = 0
-    dup.priority = PriorityClass((dup.priority + 1) % len(PriorityClass))
     dup.channel += "-copy"
     dup.submitter += "-copy"
     dup.submit_time += 1
-    assert (tx.reads, tx.priority, tx.channel, tx.submitter,
-            tx.submit_time) == before
+    assert (tx.reads, tx.channel, tx.submitter, tx.submit_time) == before
 
 
 def test_submission_arriving_after_deadline_is_never_planned():
@@ -562,23 +557,36 @@ def _scripted(name):
 
 
 def _fields(tx):
-    """Everything a run must leave as it was handed over: all but the
-    read-version values it stamps and the priority it assigns."""
+    """Everything a run must leave as it was handed over."""
     return (tx.id, repr(tx.payload), tx.channel, tx.submitter, tx.submit_time,
-            tx.writes, tx.declared_deps, tuple(tx.reads))
+            tx.writes, tx.declared_deps, list(tx.reads.items()))
 
 
-@pytest.mark.parametrize("mode", ["baseline", "countermeasures"])
+def _observed(out):
+    """A run's record plus the outcome fields the record leaves out."""
+    return (MetricsRecord.from_outcome(out), out.phase_log, out.facts,
+            out.ledgers, out.status_counts, out.peak_queue, out.dep_violations)
+
+
+@pytest.mark.parametrize("modes", [
+    ("baseline",), ("countermeasures",), ("baseline", "countermeasures"),
+], ids=["baseline", "countermeasures", "both"])
 @pytest.mark.parametrize("build", [_generated, _scripted])
 @pytest.mark.parametrize("name", [
     "table2_block_withholding", "sec3b_double_spend", "table2_balance_attack",
     "ddos_default", "fig1_race",
 ])
-def test_runner_leaves_the_batch_it_is_handed_unchanged(name, build, mode):
+def test_runner_leaves_the_batch_it_is_handed_unchanged(name, build, modes):
+    # Runs in turn on the same list object give what each gives on a batch
+    # of its own, and leave the batch as it was built.
     config = build(name)
     seed = config.seed
     batch = _conflict_batch(config, seed)
     before = [_fields(tx) for tx in batch]
-    out = run_attack(config, mode, seed, batch)
-    assert out.submitted > 0
+    outs = [run_attack(config, mode, seed, batch) for mode in modes]
+    assert all(out.submitted > 0 for out in outs)
     assert [_fields(tx) for tx in batch] == before
+    assert [_observed(out) for out in outs] == [
+        _observed(run_attack(config, mode, seed, _conflict_batch(config, seed)))
+        for mode in modes
+    ]

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conflictsim.core import (
     MAX_TOKENS,
@@ -19,7 +21,11 @@ from conflictsim.core import (
     total_supply,
     transfer_tx,
 )
-from conflictsim.errors import TokenOverflowError, UnknownWalletError
+from conflictsim.errors import (
+    SimulatorError,
+    TokenOverflowError,
+    UnknownWalletError,
+)
 from conflictsim.ordering import ChannelState
 
 
@@ -27,10 +33,10 @@ def fresh_state(**balances):
     return LedgerState.from_balances(balances or {"A1": 1000, "V1": 1000, "V2": 1000})
 
 
-def finalize_all(channel: ChannelState, txs) -> list[TxStatus]:
-    """Commit ``txs`` in order through the channel's commit path, with the
-    read stamps they carry."""
-    return [channel.finalize(tx) for tx in txs]
+def finalize_all(channel: ChannelState, txs, stamps) -> list[TxStatus]:
+    """Commit ``txs`` in order through the channel's commit path, each with
+    its read stamp in ``stamps`` (by id)."""
+    return [channel.finalize(tx, stamps[tx.id]) for tx in txs]
 
 
 # -- conflicts_with -----------------------------------------------------------
@@ -75,9 +81,9 @@ def test_simple_transfer_commits():
 
 def test_stale_read_version_fails_without_side_effects():
     state = fresh_state(V1=1000, V2=1000)
-    stale = transfer_tx("t", "V1", "V2", 15, reads={"V1": 3, "V2": 0})
+    stale = transfer_tx("t", "V1", "V2", 15)
     before = state.copy()
-    _, status = apply_transaction(state, stale)
+    _, status = apply_transaction(state, stale, {"V1": 3, "V2": 0})
     assert status is TxStatus.CONFLICT_FAILED
     assert state == before
 
@@ -93,8 +99,8 @@ def test_insufficient_funds_fails_without_side_effects():
 def test_read_only_query_always_commits():
     state = fresh_state(V1=1000, V2=1000)
     q = query_tx("q", ("V1",))
-    q.reads["V1"] = 99  # stale snapshot must not matter for pure reads
-    _, status = apply_transaction(state, q)
+    # A stale stamp must not matter for pure reads.
+    _, status = apply_transaction(state, q, {"V1": 99})
     assert status is TxStatus.COMMITTED
     assert state == fresh_state(V1=1000, V2=1000)
 
@@ -109,6 +115,67 @@ def test_overflow_is_an_error_not_a_wrap():
     state = LedgerState.from_balances({"A": 10, "B": MAX_TOKENS - 3})
     with pytest.raises(TokenOverflowError):
         apply_transaction(state, transfer_tx("t", "A", "B", 5))
+
+
+POOL = ("w0", "w1", "w2", "w3")
+
+
+@st.composite
+def ledgers(draw):
+    """A ledger over some of ``POOL`` (possibly none), with balances at the
+    bottom of the amount domain or at its top, and arbitrary versions."""
+    wallets = draw(st.lists(st.sampled_from(POOL), unique=True))
+    amounts = st.one_of(st.integers(0, 30), st.integers(MAX_TOKENS - 30, MAX_TOKENS))
+    state = LedgerState.from_balances({w: draw(amounts) for w in wallets})
+    for wallet in wallets:
+        state.versions[wallet] = draw(st.integers(0, 3))
+    return state
+
+
+@st.composite
+def pool_txs(draw):
+    """A query or a transfer over ``POOL``; a transfer may leave its
+    destination unread and read extra wallets."""
+    extra = tuple(draw(st.lists(st.sampled_from(POOL), max_size=2)))
+    if draw(st.booleans()):
+        wallets = tuple(draw(st.lists(st.sampled_from(POOL), min_size=1,
+                                      max_size=2, unique=True)))
+        return query_tx("q", wallets)
+    src, dst = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=2,
+                             unique=True))
+    reads = dict.fromkeys((src, dst) if draw(st.booleans()) else (src,), 0)
+    for wallet in extra:
+        reads.setdefault(wallet, 0)
+    return transfer_tx("t", src, dst, draw(st.integers(1, 40)), reads=reads)
+
+
+def _outcome(state, tx, stamped):
+    try:
+        stamp = stamp_read_versions(tx, state) if stamped else None
+        return apply_transaction(state, tx, stamp)[1]
+    except SimulatorError as exc:
+        return type(exc)
+
+
+@given(ledgers(), pool_txs())
+@example(LedgerState.from_balances({"w0": 5}), transfer_tx("t", "w0", "w1", 1))
+@example(  # unknown transfer wallet: the destination is not read
+    LedgerState.from_balances({"w0": 5}),
+    transfer_tx("t", "w0", "w1", 1, reads={"w0": 0}),
+)
+@example(LedgerState.from_balances({"w0": 5, "w1": 0}),
+         transfer_tx("t", "w0", "w1", 6))
+@example(LedgerState.from_balances({"w0": 5, "w1": MAX_TOKENS}),
+         transfer_tx("t", "w0", "w1", 1))
+def test_no_stamp_is_a_stamp_taken_now(state, tx):
+    # Applying with no stamp endorses the transaction at that moment, so it
+    # must act exactly as applying with a stamp just taken from the ledger:
+    # the same status or error type, the same ledger after.
+    reads = list(tx.reads.items())
+    unstamped, stamped = state.copy(), state.copy()
+    assert _outcome(unstamped, tx, False) == _outcome(stamped, tx, True)
+    assert unstamped == stamped
+    assert list(tx.reads.items()) == reads
 
 
 def test_transfer_invariants_enforced_at_construction():
@@ -128,9 +195,7 @@ def test_transfer_invariants_enforced_at_construction():
 def test_single_valid_block():
     state = fresh_state(V1=1000, V2=1000)
     channel = ChannelState("main", state)
-    assert finalize_all(channel, [transfer_tx("t", "V1", "V2", 5)]) == [
-        TxStatus.COMMITTED
-    ]
+    assert channel.finalize(transfer_tx("t", "V1", "V2", 5)) is TxStatus.COMMITTED
     assert state.height == 1
     assert state.committed_tx_count == 1
 
@@ -147,19 +212,18 @@ def test_two_spends_of_last_tokens_first_wins():
         }
         statuses = []
         for name in (first, second):
-            stamp_read_versions(txs[name], state)
-            _, status = apply_transaction(state, txs[name])
+            stamp = stamp_read_versions(txs[name], state)
+            _, status = apply_transaction(state, txs[name], stamp)
             statuses.append(status)
         assert statuses == [TxStatus.COMMITTED, TxStatus.INSUFFICIENT_FUNDS]
         assert state.balances["W"] == 0
 
-    # Without re-endorsement the loser trips the version check instead.
-    channel = ChannelState(
-        "main", LedgerState.from_balances({"W": 10, "X": 0, "Y": 0})
-    )
-    statuses = finalize_all(
-        channel, [transfer_tx("a", "W", "X", 10), transfer_tx("b", "W", "Y", 10)]
-    )
+    # Endorsed at the same snapshot, the loser trips the version check
+    # instead.
+    state = LedgerState.from_balances({"W": 10, "X": 0, "Y": 0})
+    txs = [transfer_tx("a", "W", "X", 10), transfer_tx("b", "W", "Y", 10)]
+    stamps = {tx.id: stamp_read_versions(tx, state) for tx in txs}
+    statuses = finalize_all(ChannelState("main", state), txs, stamps)
     assert statuses == [TxStatus.COMMITTED, TxStatus.CONFLICT_FAILED]
 
 
@@ -176,8 +240,8 @@ def test_scripted_conflict_batch_inflates_height_to_105():
     ]
     for i, (src, dst, amount) in enumerate(moves):
         tx = transfer_tx(f"w{i}", src, dst, amount)
-        stamp_read_versions(tx, state)
-        assert channel.finalize(tx) is TxStatus.COMMITTED
+        stamp = stamp_read_versions(tx, state)
+        assert channel.finalize(tx, stamp) is TxStatus.COMMITTED
     assert state.height == 105
     assert state.committed_tx_count == 205
     assert state.balances == {"A1": 1010, "V1": 985, "V2": 1005}
@@ -211,7 +275,7 @@ def _random_tx(rng, wallets, i):
     return tx
 
 
-def _serial_oracle(balances, txs):
+def _serial_oracle(balances, txs, stamps):
     """Independent interpreter: dict arithmetic, no LedgerState involved."""
     bal = dict(balances)
     ver = {w: 0 for w in balances}
@@ -221,7 +285,7 @@ def _serial_oracle(balances, txs):
             statuses.append(TxStatus.COMMITTED)
             continue
         p = tx.payload
-        if any(ver[w] != v for w, v in tx.reads.items()):
+        if any(ver[w] != v for w, v in stamps[tx.id].items()):
             statuses.append(TxStatus.CONFLICT_FAILED)
             continue
         if bal[p.src] < p.amount:
@@ -242,15 +306,16 @@ def test_serial_oracle_equivalence_exhaustive_orders():
     balances = {w: 40 for w in wallets}
     rng = random.Random(7)
     base = [_random_tx(rng, wallets, i) for i in range(5)]
+    stamps = {tx.id: dict(tx.reads) for tx in base}
     for tx in base:
-        if not tx.is_read_only and rng.random() < 0.5:
-            tx.reads[tx.payload.src] = rng.randint(0, 1)  # some stale stamps
+        if isinstance(tx.payload, Transfer) and rng.random() < 0.5:
+            stamps[tx.id][tx.payload.src] = rng.randint(0, 1)  # some stale
     for perm in itertools.permutations(base):
         state = LedgerState.from_balances(balances)
-        snapshot = [dict(t.reads) for t in perm]
-        statuses = finalize_all(ChannelState("main", state), perm)
-        assert [t.reads for t in perm] == snapshot  # stamps left as carried
-        obal, over, ostatus = _serial_oracle(balances, perm)
+        snapshot = [list(t.reads.items()) for t in perm]
+        statuses = finalize_all(ChannelState("main", state), perm, stamps)
+        assert [list(t.reads.items()) for t in perm] == snapshot  # untouched
+        obal, over, ostatus = _serial_oracle(balances, perm, stamps)
         assert statuses == ostatus
         assert state.balances == obal
         assert state.versions == over
@@ -268,10 +333,13 @@ def test_conservation_and_version_monotonicity_random_blocks():
         for b in range(6):
             txs = [_random_tx(rng, wallets, f"{trial}-{b}-{i}")
                    for i in range(rng.randint(1, 10))]
-            for tx in txs:
-                if rng.random() < 0.6:
-                    stamp_read_versions(tx, state)
-            statuses = finalize_all(channel, txs)
+            # Some stamps are taken now, the rest declare version 0.
+            stamps = {
+                tx.id: stamp_read_versions(tx, state) if rng.random() < 0.6
+                else dict(tx.reads)
+                for tx in txs
+            }
+            statuses = finalize_all(channel, txs, stamps)
             assert total_supply(state) == supply
             committed_writes = {}
             for tx, status in zip(txs, statuses):
@@ -291,11 +359,12 @@ def test_failure_atomicity_random():
     state = LedgerState.from_balances({w: 20 for w in wallets})
     for i in range(200):
         tx = _random_tx(rng, wallets, i)
-        if not tx.is_read_only:
-            tx.reads[tx.payload.src] = rng.randint(0, 3)
+        stamp = dict(tx.reads)
+        if isinstance(tx.payload, Transfer):
+            stamp[tx.payload.src] = rng.randint(0, 3)
             if rng.random() < 0.4:
                 tx.payload.amount = rng.randint(15, 60)
         before = state.copy()
-        _, status = apply_transaction(state, tx)
+        _, status = apply_transaction(state, tx, stamp)
         if status is not TxStatus.COMMITTED:
             assert state == before

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conflictsim.cli import main, resolve_scenario
-from conflictsim.core import PriorityClass, query_tx, transfer_tx
+from conflictsim.core import query_tx, transfer_tx
 from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
     CSV_COLUMNS,
@@ -26,7 +26,7 @@ from conflictsim.harness import (
     summarize,
     write_results,
 )
-from conflictsim.ordering import assign_priority, partition
+from conflictsim.ordering import partition
 from test_ordering import queued
 from test_workload import bench_batches
 
@@ -314,10 +314,7 @@ def test_bench_threaded_drain_matches_serial_drain():
 
 def _queues_digest(txs) -> str:
     """SHA-256 of the partition queues' owners, capacities and contents in
-    dequeue order, at 1 to 4 workers, after the bench's priority pass."""
-    for tx in txs:
-        if tx.priority is PriorityClass.UNASSIGNED:
-            assign_priority(tx)
+    dequeue order, at 1 to 4 workers."""
     h = hashlib.sha256()
     for workers in (1, 2, 3, 4):
         h.update(repr([
@@ -521,6 +518,20 @@ def test_benchmark_result_is_the_last_stdout_line():
     result = json.loads(last, parse_constant=_no_constant)
     assert result["correct"] and result["failed"] == 0
     assert result["metrics"]["ops_per_s"]["value"] > 0
+
+
+def test_library_writes_nothing_to_stdout(capfd):
+    # The benchmark's result is the last line of its stdout, so the library
+    # must print nothing: not in a sweep pair of any attack, nor in a rep.
+    for name in ("table2_block_withholding", "sec3b_double_spend",
+                 "table2_balance_attack", "ddos_default"):
+        plan = TrialPlan(scenario=resolve_scenario(name), trials=1,
+                         sweep=[1000], lean=True)
+        assert len(run_trials(plan)) == 2
+    bench_throughput(txs=300, read_ratio=0.5, workers=2, reps=1,
+                     io_delay_us=0, n_wallets=200)
+    out, _err = capfd.readouterr()
+    assert out == ""
 
 
 def test_bench_rejects_bad_args():

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from conflictsim.core import (
     LedgerState,
-    PriorityClass,
+    Query,
     TxStatus,
     apply_transaction,
     conflicts_with,
     query_tx,
-    stamp_read_versions,
     transfer_tx,
 )
-from conflictsim.errors import AlreadyAssignedError
 from conflictsim.ordering import (
     BASELINE,
     COUNTERMEASURES,
@@ -30,7 +28,6 @@ from conflictsim.ordering import (
     OrderingPolicy,
     PipelineOrderingService,
     SubmitOutcome,
-    assign_priority,
     check_dependencies,
     next_ready,
     partition,
@@ -84,18 +81,18 @@ def test_mempool_bound_and_peak_shadow_counter():
 # -- priority (C2) ------------------------------------------------------------
 
 
-def test_assign_priority_read_vs_write():
-    q = query_tx("q", ("V1",))
-    assert assign_priority(q) is PriorityClass.READ_HIGH
-    t = transfer_tx("t", "A1", "V1", 100)
-    assert assign_priority(t) is PriorityClass.WRITE_NORMAL
-
-
-def test_assign_priority_only_once():
-    q = query_tx("q", ("V1",))
-    assign_priority(q)
-    with pytest.raises(AlreadyAssignedError):
-        assign_priority(q)
+def test_queue_class_comes_from_the_payload():
+    # A query is read-class whatever else it declares; a transfer is a
+    # writer even when it reads more wallets than it writes.
+    queue = OrdererQueue("q0", capacity=10)
+    writer = transfer_tx("t", "A1", "V1", 100, extra_reads=("V2",))
+    query = query_tx("q", ("V1", "V2"))
+    query.declared_deps = frozenset({"t"})
+    for tx in (writer, query):
+        queue.append(tx)
+    assert [tx.id for tx in queued(queue)] == ["q", "t"]
+    assert queue.take_next() is query
+    assert queue.take_next() is writer
 
 
 def test_within_class_fifo_by_submit_time():
@@ -103,7 +100,6 @@ def test_within_class_fifo_by_submit_time():
     late = query_tx("late", ("V1",), submit_time=7)
     early = query_tx("early", ("V1",), submit_time=3)
     for tx in (early, late):
-        assign_priority(tx)
         queue.append(tx)
     assert queue.take_next().id == "early"
     assert queue.take_next().id == "late"
@@ -115,7 +111,6 @@ def test_read_high_dequeues_before_writes():
            query_tx("r1", ("a",)), transfer_tx("w3", "c", "a", 1),
            query_tx("r2", ("b",))]
     for tx in txs:
-        assign_priority(tx)
         queue.append(tx)
     order = [queue.take_next().id for _ in range(5)]
     assert order == ["r1", "r2", "w1", "w2", "w3"]
@@ -132,11 +127,10 @@ def test_first_dequeue_is_read_whenever_reads_pending():
                 pending_reads += 1
             else:
                 tx = transfer_tx(f"w{i}", "a", "b", 1)
-            assign_priority(tx)
             queue.append(tx)
         first = queue.take_next()
         if pending_reads:
-            assert first.priority is PriorityClass.READ_HIGH
+            assert isinstance(first.payload, Query)
 
 
 # -- dependency gate (C1) -------------------------------------------------------
@@ -198,8 +192,6 @@ def test_single_queue_orders_priority_then_fifo():
         transfer_tx("w2", "b", "c", 1, submit_time=2),
         query_tx("r2", ("c",), submit_time=3),
     ]
-    for tx in txs:
-        assign_priority(tx)
     (queue,) = partition(txs, 1)
     assert [tx.id for tx in queued(queue)] == ["r2", "r1", "w1", "w2"]
 
@@ -351,42 +343,46 @@ def test_baseline_same_seed_identical_stream():
 
 
 def test_each_service_endorses_when_its_contract_says():
-    # Baseline: an accepted transaction carries the ledger versions of its
-    # acceptance instant; a rejected one keeps the reads it arrived with.
+    # Baseline: an accepted transaction is validated at commit against the
+    # stamp taken when it was accepted, even after the ledger moves; a
+    # rejected one leaves no stamp behind.
     orderer = NodeConfig("o1", role="orderer")
     topo = Topology(nodes=[orderer, NodeConfig("peer1", role="peer")],
                     default_latency=5)
     state = ChannelState("main", LedgerState.from_balances({"a": 100, "b": 100}))
     policy = OrderingPolicy(mode=BASELINE, workers=1, mempool_capacity=1)
-    service = BaselineOrderingService(Engine(seed=0, topology=topo), state,
-                                      [orderer], policy, "peer1")
+    engine = Engine(seed=0, topology=topo)
+    service = BaselineOrderingService(engine, state, [orderer], policy, "peer1")
     versions = state.ledger.versions
     versions.update(a=3, b=5)
     first = transfer_tx("t1", "a", "b", 1)
     assert service.admit(first) is SubmitOutcome.ACCEPTED  # dispatched
-    assert first.reads == {"a": 3, "b": 5}
     versions.update(a=4, b=7)
     second = transfer_tx("t2", "b", "a", 1)
     assert service.admit(second) is SubmitOutcome.ACCEPTED  # waits in the pool
-    assert second.reads == {"b": 7, "a": 4}
-    versions.update(a=9, b=9)
     duplicate = transfer_tx("t1", "a", "b", 2)
     full = transfer_tx("t3", "a", "b", 1)
     assert service.admit(duplicate) is SubmitOutcome.DUPLICATE
     assert service.admit(full) is SubmitOutcome.MEMPOOL_FULL
-    assert duplicate.reads == full.reads == {"a": 0, "b": 0}
-    assert first.reads == {"a": 3, "b": 5}
+    assert sorted(service._stamps) == ["t1", "t2"]
+    engine.run_until(10_000)
+    # t1 was stamped at (3, 5), so it fails; t2 was stamped at (4, 7), which
+    # t1's failure left current, so it commits.
+    assert state.status("t1") is TxStatus.CONFLICT_FAILED
+    assert state.status("t2") is TxStatus.COMMITTED
+    assert service._stamps == {}
+    for tx in (first, second, duplicate, full):
+        assert tx.reads == {"a": 0, "b": 0}
 
-    # Pipeline: admission leaves the reads as carried; the worker endorses
-    # the transaction when it orders it, so it still commits.
+    # Pipeline: the worker endorses the transaction when it orders it, so it
+    # commits though the ledger moved before it arrived.
     engine, state, service, admit = _pipeline(1, None, "ab")
     state.ledger.versions.update(a=3, b=5)
     tx = transfer_tx("p1", "a", "b", 1)
     assert admit(tx) is SubmitOutcome.ACCEPTED
-    assert tx.reads == {"a": 0, "b": 0}
     engine.run_until(10_000)
     assert state.status("p1") is TxStatus.COMMITTED
-    assert tx.reads == {"a": 3, "b": 5}
+    assert tx.reads == {"a": 0, "b": 0}
 
 
 # -- pipeline ordering -----------------------------------------------------------------
@@ -443,10 +439,7 @@ def test_pipeline_final_state_matches_some_serial_execution():
             ledger = LedgerState.from_balances(balances)
             ok = True
             for tx in perm:
-                probe = transfer_tx(tx.id, tx.payload.src, tx.payload.dst,
-                                    tx.payload.amount)
-                stamp_read_versions(probe, ledger)
-                _, status = apply_transaction(ledger, probe)
+                _, status = apply_transaction(ledger, tx)
                 if status is not TxStatus.COMMITTED:
                     ok = False
                     break
@@ -503,7 +496,6 @@ def test_gate_looks_at_each_transaction_once_per_pass():
     behind = transfer_tx("w3", "P", "Q", 1)
     queue = OrdererQueue("q0", capacity=10)
     for tx in (blocked, waiting, ready, behind):
-        assign_priority(tx)
         queue.append(tx)
     counts = {}
     assert next_ready(queue, state, counts, 1000) is ready
@@ -554,7 +546,7 @@ def test_pipeline_logical_makespan_beats_baseline_at_scale():
 
         for tx in txs:
             engine.schedule_call(0, SUBMIT, "client",
-                                 lambda e, tx: service.admit(tx), _fresh(tx))
+                                 lambda e, tx: service.admit(tx), tx)
         engine.run_until(10_000_000)
         terminal = len(state.committed) + len(state.failed)
         assert terminal == len(txs)  # fully drained
@@ -563,15 +555,6 @@ def test_pipeline_logical_makespan_beats_baseline_at_scale():
     baseline_span = run(BASELINE, 1)
     pipeline_span = run(COUNTERMEASURES, 4)
     assert pipeline_span <= baseline_span / 2
-
-
-def _fresh(tx):
-    from conflictsim.attacks import clone_tx
-
-    dup = clone_tx(tx)
-    dup.priority = PriorityClass.UNASSIGNED
-    dup.reads = {w: 0 for w in dup.reads}
-    return dup
 
 
 def test_terminal_status_never_overwritten():
