@@ -21,7 +21,6 @@ from .core import (
     TxStatus,
     apply_transaction,
     stamp_read_versions,
-    total_supply,
     transfer_tx,
     query_tx,
 )
@@ -33,7 +32,7 @@ from .ordering import (
     PipelineOrderingService,
     _ACCEPTED,
 )
-from .simnet import ATTACK_PHASE, SUBMIT, TIMEOUT, Engine
+from .simnet import Engine
 from .workload import ConflictSpec, ScenarioConfig, generate_conflicting_set
 
 # Pre-condition phases that every outcome of a kind must contain.
@@ -253,7 +252,7 @@ class SimulationRun:
                     tx_id = tx.id
                     all_txs[tx_id] = tx
                     ids.add(tx_id)
-                    plan.append((t + latency, tx, timeout, hook, via))
+                    plan.append((t + latency, tx, timeout, hook))
                 hook = None  # a dropped first transaction takes its hook along
         self._requests = []
         # Consecutive same-instant arrivals share one event: their relative
@@ -266,16 +265,14 @@ class SimulationRun:
             at = plan[i][0]
             while j < n and plan[j][0] == at:
                 j += 1
-            self.engine.schedule_call(
-                at, SUBMIT, plan[i][4], self._on_arrivals, plan[i:j]
-            )
+            self.engine.schedule_call(at, self._on_arrivals, plan[i:j])
             i = j
 
     def _on_arrivals(self, engine: Engine, group) -> None:
         arrived = self.arrived
         services = self.services
         rejected = self.rejected
-        for _, tx, timeout, hook, _submitter in group:
+        for _, tx, timeout, hook in group:
             channel = tx.channel
             arrived[channel].add(tx.id)
             if hook is not None and hook(tx):
@@ -285,10 +282,7 @@ class SimulationRun:
                 rejected[tx.id] = outcome.value
                 continue
             if timeout is not None:
-                engine.schedule_call(
-                    engine.now + timeout, TIMEOUT, tx.submitter,
-                    self._on_timeout, tx,
-                )
+                engine.schedule_call(engine.now + timeout, self._on_timeout, tx)
 
     def _on_timeout(self, engine: Engine, tx: Transaction) -> None:
         state = self.channels[tx.channel]
@@ -314,12 +308,18 @@ class SimulationRun:
 
     def collect(self, kind: str, facts: dict) -> AttackOutcome:
         """Gather the run's outcome; success comes from its recorded facts
-        through ``recompute_success``, the one predicate per attack.
+        through ``recompute_success``, the one predicate per attack.  Every
+        runner calls it last: the run ends here.
 
         Counts come from each channel's status registry and its arrived
         ids.  An id counts as rejected if any arrival of it was rejected;
         otherwise it counts on the channel it arrived on, by its terminal
         status there or as pending."""
+        # The events left past the deadline and the runners' listeners point
+        # back into the run; dropping them lets reference counting free it.
+        self.engine.drop_pending()
+        for state in self.channels.values():
+            state.terminal_listeners.clear()
         rejected = self.rejected
         statuses = {st.value: 0 for st in _TERMINAL}
         statuses["rejected"] = len(rejected)
@@ -469,7 +469,7 @@ def run_block_withholding(
             for tx, stamp in withheld:
                 state.finalize(tx, stamp)
 
-        run.engine.schedule_call(release_at, ATTACK_PHASE, "adversary", release)
+        run.engine.schedule_call(release_at, release)
 
     run.run_until_deadline()
 
@@ -682,19 +682,20 @@ def run_balance_attack(
 
     # P5 epilogue: replay the first still-pending attacked-channel transaction
     # on the reference chain, endorsed there now (validated on a copy so
-    # recorded metrics stay a deadline snapshot).
+    # recorded metrics stay a deadline snapshot).  An id's status is
+    # terminal exactly when it is in committed or failed.
+    rejected, committed, failed = run.rejected, att_state.committed, att_state.failed
+    all_txs = run.all_txs
     replay_committed = False
-    replayed: str | None = None
-    pending_order = [
-        tx_id for tx_id in run.arrived[attacked]
-        if tx_id not in run.rejected and not att_state.status(tx_id).terminal
-    ]
-    pending_order.sort(key=lambda tx_id: (run.all_txs[tx_id].submit_time, tx_id))
-    if pending_order:
-        source_tx = run.all_txs[pending_order[0]]
-        _, st = apply_transaction(ref_state.ledger.copy(), source_tx)
+    replayed = min(
+        (tx_id for tx_id in run.arrived[attacked]
+         if tx_id not in rejected and tx_id not in committed
+         and tx_id not in failed),
+        key=lambda tx_id: (all_txs[tx_id].submit_time, tx_id), default=None,
+    )
+    if replayed is not None:
+        _, st = apply_transaction(ref_state.ledger.copy(), all_txs[replayed])
         replay_committed = st is TxStatus.COMMITTED
-        replayed = source_tx.id
         run.phases.enter("P5", config.deadline + 1)
 
     facts = {
@@ -831,9 +832,3 @@ def _client_of(config: ScenarioConfig, adversary: bool) -> str:
             return node.id
     return config.topology.nodes[0].id
 
-
-def conservation_holds(config: ScenarioConfig, outcome: AttackOutcome) -> bool:
-    initial = sum(config.balances.values())
-    return all(
-        total_supply(ledger) == initial for ledger in outcome.ledgers.values()
-    )

@@ -145,6 +145,7 @@ def query_tx(
     *,
     channel: ChannelId = "main",
     submitter: str = "client",
+    deps: tuple[TransactionId, ...] = (),
     submit_time: int = 0,
 ) -> Transaction:
     return Transaction(
@@ -152,6 +153,7 @@ def query_tx(
         payload=Query(tuple(wallets)),
         channel=channel,
         submitter=submitter,
+        declared_deps=frozenset(deps),
         submit_time=submit_time,
     )
 

@@ -146,9 +146,11 @@ def _young_collection():
     """Run the body with automatic garbage collection off, then restore the
     caller's setting and collect generation 0 once, also when it raises.
 
-    With automatic collection off, nothing the body allocates is promoted,
-    so the cycles it leaves behind are all young and the young collection
-    frees them without walking the old heap, as a full collection would.
+    A finished trial or rep leaves no reference cycles: reference counting
+    frees it.  Collection stays off because automatic collections would
+    rescan the objects a trial keeps alive while it runs.  The one young
+    collection at the end is the backstop for a body that raised before its
+    run ended; with nothing promoted, it walks only young objects.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -162,15 +164,13 @@ def _young_collection():
 
 def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
     """One MetricsRecord per (sweep point, trial, policy); trial i runs with
-    seed base_seed + i, and policy=both pairs the modes on identical seeds."""
+    seed base_seed + i, and policy=both pairs the modes on identical seeds.
+
+    Each run frees itself when it ends, so the sweep runs with automatic
+    collection off and collects once, on the way out."""
     records: list[MetricsRecord] = []
     counts = plan.sweep or [None]
     modes = plan.modes
-    # Engines and services form reference cycles per trial; generational GC
-    # scanning dominates large sweeps, so collect on our own schedule:
-    # generation 0 only, every eighth trial and once on the way out.  A
-    # trial's cycles are unreachable by the time the next one runs.
-    sinced_collect = 0
     with _young_collection():
         for count in counts:
             config = plan.scenario if count is None else sweep_scenario(
@@ -187,10 +187,6 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
                     if plan.lean:
                         record.outcome = None
                     records.append(record)
-                sinced_collect += 1
-                if sinced_collect >= 8:
-                    sinced_collect = 0
-                    gc.collect(0)
     return records
 
 
@@ -421,8 +417,6 @@ def bench_throughput(
     base_elapsed: list[float] = []
     pipe_elapsed: list[float] = []
     for rep in range(reps):
-        # A rep's batch, queues and shards die when _bench_rep returns, so
-        # the one young collection after it finds only the rep's cycles.
         with _young_collection():
             b_time, p_time = _bench_rep(
                 rep, txs, read_ratio, workers, io_delay_s, n_wallets, seed + rep

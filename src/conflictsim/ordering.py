@@ -31,7 +31,7 @@ from .core import (
     conflicts_with,
     stamp_read_versions,
 )
-from .simnet import COMMIT, ORDER_TICK, Engine, NodeConfig
+from .simnet import Engine, NodeConfig
 
 BASELINE = "baseline"
 COUNTERMEASURES = "countermeasures"
@@ -241,16 +241,13 @@ class FootprintGroups:
     the per-process string hash seed.  A ``t:<id>`` key carries declared
     dependency edges; it exists only once some transaction references the
     id.  New groups are dealt round-robin when created.  When a join
-    bridges two groups the older one (and its queue) survives, and
-    ``on_merge(younger, older)`` is called to move the younger group's
-    pending members.
+    bridges two groups the older one (and its queue) survives; ``join``
+    returns each such ``(younger, older)`` pair, so the caller can move the
+    younger group's pending members.
     """
 
-    def __init__(
-        self, n: int, on_merge: Callable[[_Group, _Group], None] | None = None
-    ):
+    def __init__(self, n: int):
         self.n = n
-        self.on_merge = on_merge
         self.next_queue = 0
         self._parent: dict[str, str] = {}
         self._groups: dict[str, _Group] = {}
@@ -345,34 +342,36 @@ class FootprintGroups:
             settled = False
         return found, settled and bool(found)
 
-    def join(self, keys: list[str]) -> _Group:
-        """Union ``keys`` into one group, dealing a new group if none."""
+    def join(self, keys: list[str]) -> tuple[_Group, list[tuple[_Group, _Group]]]:
+        """Union ``keys`` into one group, dealing a new group if none.
+        Returns the group and the ``(younger, older)`` group pairs merged,
+        in merge order."""
         parent, find = self._parent, self.find
         for key in keys:
             if key not in parent:
                 parent[key] = key
         root = find(keys[0])
+        merged: list[tuple[_Group, _Group]] = []
         for key in keys[1:]:
             other = find(key)
             if other != root:
-                self._merge(root, other)
+                self._merge(root, other, merged)
         group = self._groups.get(root)
         if group is None:
             group = _Group(self.next_queue % self.n, self._group_seq)
             self._group_seq += 1
             self.next_queue += 1
             self._groups[root] = group
-        return group
+        return group, merged
 
-    def _merge(self, ra: str, rb: str) -> None:
+    def _merge(self, ra: str, rb: str, merged: list[tuple[_Group, _Group]]) -> None:
         # Root rb joins root ra; ra stays the root.
         groups = self._groups
         ga, gb = groups.get(ra), groups.get(rb)
         if ga is not None and gb is not None:
             if ga is not gb:
                 keep, drop = (ga, gb) if ga.seq <= gb.seq else (gb, ga)
-                if self.on_merge is not None:
-                    self.on_merge(drop, keep)
+                merged.append((drop, keep))
                 survivor = keep
             else:
                 survivor = ga
@@ -633,7 +632,7 @@ class BaselineOrderingService:
 
     def _dispatch(self, orderer: NodeConfig, tx: Transaction) -> None:
         at = _commit_at(self.engine, self.policy.jitter, orderer, self.peer_id)
-        self.engine.schedule_call(at, COMMIT, orderer.id, self._on_commit, (orderer, tx))
+        self.engine.schedule_call(at, self._on_commit, (orderer, tx))
 
     def _on_commit(self, engine: Engine, payload) -> None:
         orderer, tx = payload
@@ -670,7 +669,7 @@ class PipelineOrderingService:
         cap = policy.per_queue_capacity
         self.queues = [OrdererQueue(owner=f"worker{i}", capacity=cap) for i in range(n)]
         self.worker_nodes = worker_nodes or []
-        self.groups = FootprintGroups(n, on_merge=self._relocate)
+        self.groups = FootprintGroups(n)
         self._busy = [False] * n
         self._seen: set[str] = set()
         self.peak_pool = 0  # most transactions pending across all queues
@@ -723,7 +722,12 @@ class PipelineOrderingService:
         queue = self.queues[index]
         if len(queue) + incoming > queue.capacity:
             return SubmitOutcome.MEMPOOL_FULL
-        group = touched[0] if settled else groups.join(keys)
+        if settled:
+            group = touched[0]
+        else:
+            group, merged = groups.join(keys)
+            for younger, older in merged:
+                self._relocate(younger, older)
         self._seen.add(tx.id)
         self.state.note_declared_deps(tx)
         queue.append(tx)
@@ -765,10 +769,7 @@ class PipelineOrderingService:
         if self._in_flight or self._retry_scheduled[index]:
             return
         self._retry_scheduled[index] = True
-        self.engine.schedule_call(
-            self.engine.now + RETRY_TICK, ORDER_TICK, f"worker{index}",
-            self._on_retry, index,
-        )
+        self.engine.schedule_call(self.engine.now + RETRY_TICK, self._on_retry, index)
 
     def _on_retry(self, engine: Engine, index: int) -> None:
         self._retry_scheduled[index] = False
@@ -780,9 +781,7 @@ class PipelineOrderingService:
         self._in_flight[tx.id] = tx
         node = self.worker_nodes[index] if index < len(self.worker_nodes) else None
         at = _commit_at(self.engine, self.policy.jitter, node, self.peer_id)
-        self.engine.schedule_call(
-            at, COMMIT, f"worker{index}", self._on_commit, (index, tx)
-        )
+        self.engine.schedule_call(at, self._on_commit, (index, tx))
 
     def _on_commit(self, engine: Engine, payload) -> None:
         index, tx = payload

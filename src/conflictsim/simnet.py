@@ -4,6 +4,11 @@ Events fire in (fire_at, seq) order, where seq is the insertion counter, so
 equal-time events resolve in schedule order and a whole run is a pure
 function of (scenario, seed).  "Races" between orderers come from seeded
 jitter delays, not from wall-clock nondeterminism.
+
+An event carries only what fires it: a callback and its payload.  The
+callbacks are bound to the run and its services, which hold the engine, so
+a run that ends calls ``drop_pending`` to let go of the events left past
+its deadline and leaves no reference cycle through the engine.
 """
 
 from __future__ import annotations
@@ -16,13 +21,6 @@ from typing import Any, Callable
 from .errors import TimeInPastError, UnknownNodeError
 
 SimTime = int
-
-# Event kinds: every scheduled event carries one.
-SUBMIT = "submit"
-ORDER_TICK = "order-tick"
-COMMIT = "commit"
-TIMEOUT = "timeout"
-ATTACK_PHASE = "attack-phase"
 
 
 @dataclass
@@ -94,27 +92,20 @@ class Engine:
         self.now: SimTime = 0
         self.rng = random.Random(seed)
         self.topology = topology or Topology()
-        self._heap: list[tuple[SimTime, int, str, str, Any, Callable | None]] = []
+        self._heap: list[tuple[SimTime, int, Callable, Any]] = []
         self._seq = 0
         self.last_event_time: SimTime = 0
 
     # -- scheduling -------------------------------------------------------
 
     def schedule_call(
-        self,
-        fire_at: SimTime,
-        kind: str,
-        target: str,
-        fn: Callable[["Engine", Any], None] | None = None,
+        self, fire_at: SimTime, fn: Callable[["Engine", Any], None],
         payload: Any = None,
-    ) -> int:
+    ) -> None:
         if fire_at < self.now:
-            raise TimeInPastError(
-                f"cannot schedule {kind} at {fire_at}, now is {self.now}"
-            )
+            raise TimeInPastError(f"cannot schedule at {fire_at}, now is {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, self._seq, kind, target, payload, fn))
-        return self._seq
+        heapq.heappush(self._heap, (fire_at, self._seq, fn, payload))
 
     # -- execution --------------------------------------------------------
 
@@ -123,13 +114,16 @@ class Engine:
             raise TimeInPastError(f"deadline {deadline} is before now {self.now}")
         heap = self._heap
         while heap and heap[0][0] <= deadline:
-            fire_at, seq, kind, target, payload, fn = heapq.heappop(heap)
+            fire_at, _seq, fn, payload = heapq.heappop(heap)
             self.now = fire_at
             self.last_event_time = fire_at
-            if fn is not None:
-                fn(self, payload)
+            fn(self, payload)
         self.now = deadline
         return self.now
 
     def pending_events(self) -> int:
         return len(self._heap)
+
+    def drop_pending(self) -> None:
+        """Forget every event not yet fired."""
+        self._heap.clear()

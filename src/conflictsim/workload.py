@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import Query, Transaction, Transfer, query_tx
+from .core import Query, Transaction, Transfer, query_tx, transfer_tx
 from .errors import (
     InfeasibleSpecError,
     ScenarioParseError,
@@ -319,24 +319,15 @@ def _parse_tx_line(parts: list[str], lineno: int) -> tuple[Transaction, str | No
     try:
         if op == "transfer":
             extra = tuple(attrs["reads"].split(",")) if "reads" in attrs else ()
-            reads = {src: 0, dst: 0}
-            for w in extra:
-                reads.setdefault(w, 0)
-            tx = Transaction(
-                id=tx_id,
-                payload=Transfer(src, dst, amount),
-                channel=channel,
-                submitter=submitter,
-                reads=reads,
-                declared_deps=frozenset(deps),
-                submit_time=at,
+            tx = transfer_tx(
+                tx_id, src, dst, amount, channel=channel, submitter=submitter,
+                extra_reads=extra, deps=deps, submit_time=at,
             )
         else:
             tx = query_tx(
-                tx_id, wallets, channel=channel, submitter=submitter, submit_time=at
+                tx_id, wallets, channel=channel, submitter=submitter, deps=deps,
+                submit_time=at,
             )
-            if deps:
-                tx.declared_deps = frozenset(deps)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), lineno) from None
     return tx, attrs.get("orderer")

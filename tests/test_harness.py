@@ -134,7 +134,8 @@ ATTACK_SCENARIOS = (
 
 
 def test_run_trials_leaves_no_cyclic_garbage():
-    # Nine paired trials per call, so the mid-sweep collection runs too.
+    # Nine paired trials per call: no trial of a sweep, not only its last,
+    # may leave anything behind.
     plans = [
         TrialPlan(scenario=resolve_scenario(name), trials=9, base_seed=0,
                   sweep=[50], lean=True)

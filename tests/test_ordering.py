@@ -32,7 +32,7 @@ from conflictsim.ordering import (
     next_ready,
     partition,
 )
-from conflictsim.simnet import SUBMIT, Engine, NodeConfig, Topology
+from conflictsim.simnet import Engine, NodeConfig, Topology
 
 
 # -- mempool ---------------------------------------------------------------
@@ -295,8 +295,7 @@ def _drive(txs, mode, seed, *, workers=3, jitter=(1, 20), balances=None,
                                           worker_nodes=orderers)
 
     for tx in txs:
-        engine.schedule_call(tx.submit_time + 5, SUBMIT, "client",
-                             lambda e, tx: service.admit(tx), tx)
+        engine.schedule_call(tx.submit_time + 5, lambda e, tx: service.admit(tx), tx)
     engine.run_until(deadline)
     return state, service
 
@@ -545,8 +544,7 @@ def test_pipeline_logical_makespan_beats_baseline_at_scale():
                                               worker_nodes=orderers)
 
         for tx in txs:
-            engine.schedule_call(0, SUBMIT, "client",
-                                 lambda e, tx: service.admit(tx), tx)
+            engine.schedule_call(0, lambda e, tx: service.admit(tx), tx)
         engine.run_until(10_000_000)
         terminal = len(state.committed) + len(state.failed)
         assert terminal == len(txs)  # fully drained
@@ -616,6 +614,26 @@ def test_group_merge_relocates_only_bridged_group():
     assert state.status("bridge") is TxStatus.COMMITTED
     assert all(state.status(tx.id) is TxStatus.COMMITTED
                for tx in seeds + waiting)
+
+
+def test_bridge_of_three_groups_moves_them_in_merge_order():
+    # g0 = {a,b}, g1 = {c,d} and g2 = {e,f} sit on queues 0, 1 and 2, each
+    # with a transfer in flight and a transfer and a query waiting.  The
+    # bridge reads b, e, c in that order, so g2 merges into g0 before g1
+    # does, and both move to queue 0 ahead of the bridge.
+    engine, state, service, admit = _pipeline(3, None, "abcdef")
+    for x, y in ("ab", "cd", "ef"):
+        assert admit(transfer_tx(f"s{x}", x, y, 1)) is SubmitOutcome.ACCEPTED
+    for x, y in ("ab", "cd", "ef"):
+        assert admit(transfer_tx(f"w{x}", y, x, 1)) is SubmitOutcome.ACCEPTED
+        assert admit(query_tx(f"q{x}", (y,))) is SubmitOutcome.ACCEPTED
+    bridge = transfer_tx("bridge", "b", "e", 2, extra_reads=("c",))
+    assert admit(bridge) is SubmitOutcome.ACCEPTED
+    assert [[tx.id for tx in queued(q)] for q in service.queues] == [
+        ["qa", "qe", "qc", "wa", "we", "wc", "bridge"], [], [],
+    ]
+    engine.run_until(10_000)
+    assert len(state.committed) == 10
 
 
 @pytest.mark.parametrize("capacity, ab, cd", [(2, 3, 3), (3, 2, 4)])

@@ -3,7 +3,7 @@
 import pytest
 
 from conflictsim.errors import TimeInPastError, UnknownNodeError
-from conflictsim.simnet import COMMIT, Engine, NodeConfig, Topology
+from conflictsim.simnet import Engine, NodeConfig, Topology
 
 
 def small_topology():
@@ -33,8 +33,8 @@ def logged(log, kind, target, fn=None):
 def test_schedule_and_fire_in_time_order():
     eng = Engine(seed=1)
     fired = []
-    eng.schedule_call(5, "order-tick", "n1", lambda e, p: fired.append(p), "x")
-    eng.schedule_call(3, "order-tick", "n1", lambda e, p: fired.append(p), "y")
+    eng.schedule_call(5, lambda e, p: fired.append(p), "x")
+    eng.schedule_call(3, lambda e, p: fired.append(p), "y")
     eng.run_until(10)
     assert fired == ["y", "x"]
     assert eng.now == 10
@@ -42,17 +42,17 @@ def test_schedule_and_fire_in_time_order():
 
 def test_schedule_in_past_rejected():
     eng = Engine(seed=1)
-    eng.schedule_call(3, "order-tick", "n1")
+    eng.schedule_call(3, lambda e, p: None)
     eng.run_until(3)
     with pytest.raises(TimeInPastError):
-        eng.schedule_call(2, "order-tick", "n1")
+        eng.schedule_call(2, lambda e, p: None)
 
 
 def test_equal_time_events_fire_in_schedule_order():
     eng = Engine(seed=1)
     fired = []
     for tag in ("first", "second", "third"):
-        eng.schedule_call(5, "order-tick", "n1", lambda e, p: fired.append(p), tag)
+        eng.schedule_call(5, lambda e, p: fired.append(p), tag)
     eng.run_until(5)
     assert fired == ["first", "second", "third"]
 
@@ -62,14 +62,14 @@ def test_empty_queue_returns_deadline():
     assert eng.run_until(100) == 100
 
 
-def deliver(eng, src, dst, fn=None, payload=None):
+def deliver(eng, src, dst, fn, payload=None):
     """Schedule ``fn`` at ``dst`` after the src->dst latency, the way the
     ordering services schedule their commits."""
     topo = eng.topology
     topo.node(src)
     topo.node(dst)
     at = eng.now + topo.latency(src, dst)
-    eng.schedule_call(at, COMMIT, dst, fn, payload)
+    eng.schedule_call(at, fn, payload)
     return at
 
 
@@ -79,9 +79,8 @@ def test_send_uses_link_latency():
     assert topo.latency("a", "c") == 5  # no link: default latency
     eng = Engine(seed=1, topology=topo)
     fired = []
-    eng.schedule_call(10, "order-tick", "a",
-                      lambda e, p: deliver(e, "a", "b",
-                                           lambda e2, p2: fired.append(e2.now)))
+    eng.schedule_call(10, lambda e, p: deliver(e, "a", "b",
+                                               lambda e2, p2: fired.append(e2.now)))
     eng.run_until(50)
     assert fired == [17]
 
@@ -95,9 +94,9 @@ def test_broadcast_distinct_latencies():
     eng = Engine(seed=1, topology=topo)
     log = []
     for peer in ("p1", "p2", "p3"):
-        deliver(eng, "src", peer, logged(log, COMMIT, peer))
+        deliver(eng, "src", peer, logged(log, "commit", peer))
     eng.run_until(20)
-    assert log == [(3, COMMIT, "p1"), (8, COMMIT, "p2"), (11, COMMIT, "p3")]
+    assert log == [(3, "commit", "p1"), (8, "commit", "p2"), (11, "commit", "p3")]
 
 
 def test_send_unknown_node():
@@ -115,11 +114,10 @@ def test_trace_is_pure_function_of_seed():
         def ping(e, depth):
             if depth < 30:
                 delay = e.rng.randint(1, 9)
-                e.schedule_call(e.now + delay, "order-tick", "b",
+                e.schedule_call(e.now + delay,
                                 logged(trace, "order-tick", "b", ping), depth + 1)
 
-        eng.schedule_call(0, "order-tick", "a",
-                          logged(trace, "order-tick", "a", ping), 0)
+        eng.schedule_call(0, logged(trace, "order-tick", "a", ping), 0)
         eng.run_until(10_000)
         return trace
 
@@ -134,9 +132,9 @@ def test_no_lost_events_and_causality():
     def chain(e, n):
         if n < 25:
             sent.append(e.now)
-            deliver(e, "a", "b", logged(log, COMMIT, "b", chain), n + 1)
+            deliver(e, "a", "b", logged(log, "commit", "b", chain), n + 1)
 
-    eng.schedule_call(0, "order-tick", "a", chain, 0)
+    eng.schedule_call(0, chain, 0)
     eng.run_until(1000)
     delivers = [t for t, _kind, _target in log]
     assert len(delivers) == len(sent)  # exactly once each

@@ -10,7 +10,7 @@ import pytest
 
 import conflictsim
 from conflictsim.cli import BUNDLED_DIR, resolve_scenario
-from conflictsim.core import Query, Transfer, conflicts_with
+from conflictsim.core import Query, Transfer, conflicts_with, query_tx, transfer_tx
 from conflictsim.errors import (
     InfeasibleSpecError,
     ScenarioParseError,
@@ -407,6 +407,38 @@ tx t1 transfer A1 NOPE 5 at 0
 """
     with pytest.raises(ScenarioValidationError):
         parse_scenario(text)
+
+
+def test_scripted_tx_lines_build_what_the_constructors_build():
+    text = """
+[topology]
+node client1 role=client channels=main
+node orderer1 role=orderer channels=main
+[balances]
+A1 100
+B1 100
+C1 100
+[attack]
+kind ordering_race
+[policy]
+mode baseline
+[conflicts]
+tx t1 transfer A1 B1 5 at 0 reads=C1,A1 deps=q1,t0 submitter=client1
+tx q1 query A1,C1 at 3 deps=t1 channel=main orderer=orderer1
+[seed]
+1
+[deadline]
+100
+"""
+    config = parse_scenario(text)
+    assert config.conflicts == [
+        transfer_tx("t1", "A1", "B1", 5, submitter="client1",
+                    extra_reads=("C1", "A1"), deps=("q1", "t0")),
+        query_tx("q1", ("A1", "C1"), deps=("t1",), submit_time=3),
+    ]
+    assert list(config.conflicts[0].reads) == ["A1", "B1", "C1"]
+    assert config.conflicts[1].declared_deps == {"t1"}
+    assert config.pinned_orderers == {"q1": "orderer1"}
 
 
 def test_two_conflict_sources_rejected():
