@@ -30,6 +30,7 @@ from .ordering import (
     BaselineOrderingService,
     ChannelState,
     PipelineOrderingService,
+    SubmitOutcome,
     _ACCEPTED,
 )
 from .simnet import Engine
@@ -146,7 +147,7 @@ class SimulationRun:
         ] = {}
         self.valid_ids: set[str] = set()
         self.adversary_ids: set[str] = set()
-        self.rejected: dict[str, str] = {}
+        self.rejected: dict[str, SubmitOutcome] = {}
         # Ids that arrived, per channel.
         self.arrived: dict[str, set[str]] = {ch: set() for ch in config.channels}
         self.all_txs: dict[str, Transaction] = {}
@@ -279,7 +280,7 @@ class SimulationRun:
                 continue  # intercepted (e.g. withheld by the adversary)
             outcome = services[channel].admit(tx)
             if outcome is not _ACCEPTED:
-                rejected[tx.id] = outcome.value
+                rejected[tx.id] = outcome
                 continue
             if timeout is not None:
                 engine.schedule_call(engine.now + timeout, self._on_timeout, tx)

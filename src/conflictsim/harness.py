@@ -2,9 +2,9 @@
 
 Simulation trials measure attack outcomes in logical time and are fully
 deterministic in (plan, seeds).  The bench instead drains each partition
-queue on a real thread, through the simulator's gate and commit path, against
-a ledger shard of its own, and reports wall-clock throughput; its
-per-transaction cost models a latency-bound ordering service
+queue on a real thread, through a gate of its own and the simulator's
+commit path, against a ledger shard of its own, and reports wall-clock
+throughput; its per-transaction cost models a latency-bound ordering service
 (endorsement/consensus round trips), which is what parallel ordering overlaps.
 """
 
@@ -27,7 +27,7 @@ from .ordering import (
     STALLED,
     ChannelState,
     OrderingPolicy,
-    next_ready,
+    gate,
     partition,
 )
 from .workload import ConflictSpec, ScenarioConfig, generate_bench_workload
@@ -328,7 +328,9 @@ def _drain_queue(queue, state, io_delay_s) -> None:
     # the defer limit resolves it, as the simulator's retry tick does.
     defer_counts: dict[str, int] = {}
     limit = OrderingPolicy.defer_limit
-    while (tx := next_ready(queue, state, defer_counts, limit)) is not None:
+    for tx in gate(queue, state, defer_counts, limit):
+        if tx is None:
+            break
         if tx is not STALLED:
             _commit(state, tx, io_delay_s)
 

@@ -4,7 +4,9 @@ pipeline.
 The pipeline composes four measures: read priority (queries dequeue ahead
 of writers), dependency gating at dequeue time, wallet-footprint
 partitioning into one bounded queue per worker, and the workers themselves
-running as concurrent logical processes on the event engine.
+running as concurrent logical processes on the event engine.  Each queue
+has one ``gate``, a generator that the pipeline's workers and the thread
+bench's drain both draw from.
 
 Both services offer one surface to a simulation run (``admit``,
 ``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement,
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     TERMINAL,
@@ -55,9 +57,11 @@ class DependencyVerdict(Enum):
 
 
 # On CPython 3.11 each read of an enum member through its class runs a
-# descriptor in Python; the per-transaction paths read these aliases.
+# descriptor in Python; the per-transaction paths, rejections included, read
+# these aliases.
 _READY, _ABORT = DependencyVerdict.READY, DependencyVerdict.ABORT
 _ACCEPTED = SubmitOutcome.ACCEPTED
+_MEMPOOL_FULL, _DUPLICATE = SubmitOutcome.MEMPOOL_FULL, SubmitOutcome.DUPLICATE
 _COMMITTED = TxStatus.COMMITTED
 
 
@@ -102,9 +106,9 @@ class Mempool:
 
     def submit(self, tx: Transaction) -> SubmitOutcome:
         if tx.id in self._seen:
-            return SubmitOutcome.DUPLICATE
+            return _DUPLICATE
         if len(self._live) >= self.capacity:
-            return SubmitOutcome.MEMPOOL_FULL
+            return _MEMPOOL_FULL
         self._seen.add(tx.id)
         self._live.add(tx.id)
         self._queue.append(tx)
@@ -180,7 +184,10 @@ def check_dependencies(
 
 
 class OrdererQueue:
-    """Per-worker bounded queue: queries dequeue ahead of writers."""
+    """Per-worker bounded queue: queries dequeue ahead of writers.
+
+    ``gate`` pops the class deques and updates the live set itself, so
+    nothing may rebind ``_read``, ``_write`` or ``_live``."""
 
     def __init__(self, owner: str, capacity: int):
         self.owner = owner
@@ -204,16 +211,6 @@ class OrdererQueue:
             self._write.append(tx)
         if len(self._live) > self.peak_occupancy:
             self.peak_occupancy = len(self._live)
-
-    def take_next(self) -> Transaction | None:
-        live = self._live
-        for queue in (self._read, self._write):
-            while queue:
-                tx = queue.popleft()
-                if tx.id in live:
-                    live.discard(tx.id)
-                    return tx
-        return None
 
     def discard(self, tx_id: str) -> bool:
         if tx_id in self._live:
@@ -302,9 +299,17 @@ class FootprintGroups:
         Roots only name components: which key of a component is its root
         depends on union order, the components themselves do not.
         """
-        parent, find = self._parent, self.find
+        parent, find, wkeys = self._parent, self.find, self._wkeys
         firsts = []
         for tx in txs:
+            reads = tx.reads
+            if len(reads) == 1 and not (tx.writes or tx.declared_deps or self._tkeys):
+                [w] = reads  # a one-wallet query: its one key joins nothing
+                first = wkeys.get(w) or wkeys.setdefault(w, "w:" + w)
+                if first not in parent:
+                    parent[first] = first
+                firsts.append(first)
+                continue
             keys = self.keys(tx)
             first = keys[0]
             if first not in parent:
@@ -319,7 +324,8 @@ class FootprintGroups:
                         if other != root:
                             parent[other] = root
             firsts.append(first)
-        return [find(key) for key in firsts]
+        root_of = {key: find(key) for key in dict.fromkeys(firsts)}
+        return [root_of[key] for key in firsts]
 
     def touched(self, keys: list[str]) -> tuple[list[_Group], bool]:
         """Existing groups ``keys`` reach, oldest first, and whether every
@@ -391,7 +397,9 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     id a declared dependency names is registered first, so a dependent
     transaction always shares a queue with its dependency.  The final
     groups are dealt round-robin in order of first appearance; within each
-    queue transactions keep (queries first, submit time) order.
+    queue transactions keep (queries first, submit time, batch index) order.
+    The queues are built in bulk, so each one's live set and peak are set
+    once.
     """
     if n < 1:
         raise ValueError("need at least one queue")
@@ -399,20 +407,16 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     for tx in txs:
         for dep in tx.declared_deps:
             groups.reference(dep)
-    queue_of: dict[str, int] = {}
-    tx_queue = []
-    for root in groups.roots(txs):
-        index = queue_of.get(root)
-        if index is None:
-            index = queue_of[root] = len(queue_of) % n
-        tx_queue.append(index)
-
+    roots = groups.roots(txs)
+    queue_of = {root: i % n for i, root in enumerate(dict.fromkeys(roots))}
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
-    order = sorted([
-        (type(tx.payload) is not Query, tx.submit_time, i) for i, tx in enumerate(txs)
-    ])
-    for _writer, _time, i in order:
-        queues[tx_queue[i]].append(txs[i])
+    reads, writes = [q._read for q in queues], [q._write for q in queues]
+    # A stable sort on submit time keeps batch order among ties.
+    for tx, root in sorted(zip(txs, roots), key=lambda pair: pair[0].submit_time):
+        (reads if type(tx.payload) is Query else writes)[queue_of[root]].append(tx)
+    for q in queues:
+        q._live.update(tx.id for pending in (q._read, q._write) for tx in pending)
+        q.peak_occupancy = len(q._live)
     return queues
 
 
@@ -499,55 +503,68 @@ class ChannelState:
 STALLED = object()  # every transaction left in the queue was deferred
 
 
-def next_ready(
+def gate(
     queue: OrdererQueue,
     state: ChannelState,
     defer_counts: dict[str, int],
     defer_limit: int,
     in_flight: Iterable[Transaction] = (),
-):
-    """The gated drain (C1): take ``queue``'s next transaction that is ready
-    to order against ``state``.
+) -> Iterator:
+    """The gated drain (C1): each ``next()`` takes ``queue``'s next
+    transaction that is ready to order against ``state``.
 
     A transaction already terminal is skipped, one whose declared
     dependency failed aborts, and a deferred one goes back to the tail of
     its class, timing out once deferred more than ``defer_limit``
     times.  A pass looks at each queued transaction at most once: deferred
-    ones are held aside and re-queued when the pass ends, so a deferred read
-    cannot hide a ready writer behind it.  Returns the ready transaction,
-    ``None`` when the queue is empty, or ``STALLED`` when every transaction
-    left was deferred.
+    ones are held aside and re-queued before the pass yields, so a deferred
+    read cannot hide a ready writer behind it.  Yields the ready
+    transaction, ``None`` when the queue is empty, or ``STALLED`` when every
+    transaction left was deferred.  ``in_flight`` is read on every pass, so
+    a live view stays current.
+
+    The gate reads the queue's deques directly.  A terminal listener that
+    the gate's aborts and timeouts reach must not draw from the same gate:
+    a running generator raises.
     """
     committed, failed = state.committed, state.failed
-    take = queue.take_next
+    reads, writes, live = queue._read, queue._write, queue._live
+    discard = live.discard
     deferred: list[Transaction] = []
-    ready = None
-    while (tx := take()) is not None:
-        tx_id = tx.id
-        if tx_id in committed or tx_id in failed:  # already terminal
-            continue
-        if not tx.declared_deps and not in_flight:
-            ready = tx
-            break
-        verdict = check_dependencies(tx, committed, failed, in_flight)
-        if verdict is _READY:
-            ready = tx
-            break
-        if verdict is _ABORT:
-            state.order_stream.append(tx_id)
-            state.set_status(tx, TxStatus.CONFLICT_FAILED)
-            continue
-        count = defer_counts.get(tx_id, 0) + 1
-        defer_counts[tx_id] = count
-        if count > defer_limit:
-            state.set_status(tx, TxStatus.TIMEOUT)
-            continue
-        deferred.append(tx)
-    for tx in deferred:
-        queue.append(tx)  # tail of its class
-    if ready is None and deferred:
-        return STALLED
-    return ready
+    while True:
+        ready = None
+        while reads or writes:
+            tx = (reads or writes).popleft()
+            tx_id = tx.id
+            if tx_id not in live:  # discarded while queued
+                continue
+            discard(tx_id)
+            if tx_id in committed or tx_id in failed:  # already terminal
+                continue
+            if not tx.declared_deps and not in_flight:
+                ready = tx
+                break
+            verdict = check_dependencies(tx, committed, failed, in_flight)
+            if verdict is _READY:
+                ready = tx
+                break
+            if verdict is _ABORT:
+                state.order_stream.append(tx_id)
+                state.set_status(tx, TxStatus.CONFLICT_FAILED)
+                continue
+            count = defer_counts.get(tx_id, 0) + 1
+            defer_counts[tx_id] = count
+            if count > defer_limit:
+                state.set_status(tx, TxStatus.TIMEOUT)
+                continue
+            deferred.append(tx)
+        if deferred:
+            for tx in deferred:
+                queue.append(tx)  # tail of its class
+            deferred.clear()
+            if ready is None:
+                ready = STALLED
+        yield ready
 
 
 # -- baseline service ---------------------------------------------------------
@@ -677,6 +694,11 @@ class PipelineOrderingService:
         self._in_flight: dict[str, Transaction] = {}
         self._defer_counts: dict[str, int] = {}
         self._retry_scheduled = [False] * n
+        in_flight = self._in_flight.values()  # a live view
+        self._gates = [
+            gate(q, channel_state, self._defer_counts, policy.defer_limit, in_flight)
+            for q in self.queues
+        ]
 
     @property
     def peak_queue(self) -> int:
@@ -702,7 +724,7 @@ class PipelineOrderingService:
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
         if tx.id in self._seen:
-            return SubmitOutcome.DUPLICATE
+            return _DUPLICATE
         groups = self.groups
         keys = groups.keys(tx)
         # Check the landing queue before joining, so a rejection leaves no
@@ -721,7 +743,7 @@ class PipelineOrderingService:
             index = groups.next_queue % groups.n
         queue = self.queues[index]
         if len(queue) + incoming > queue.capacity:
-            return SubmitOutcome.MEMPOOL_FULL
+            return _MEMPOOL_FULL
         if settled:
             group = touched[0]
         else:
@@ -752,10 +774,7 @@ class PipelineOrderingService:
             return
         queue = self.queues[index]
         pending = len(queue)
-        tx = next_ready(
-            queue, self.state, self._defer_counts, self.policy.defer_limit,
-            self._in_flight.values(),
-        )
+        tx = next(self._gates[index])
         self._total_live -= pending - len(queue)
         if tx is STALLED:
             self._ensure_retry(index)

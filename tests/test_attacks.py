@@ -298,9 +298,6 @@ def conservation_holds(config, outcome):
 def test_conservation_across_attacks(outcome_zoo):
     for config, out in outcome_zoo:
         assert conservation_holds(config, out)
-        initial = sum(config.balances.values())
-        for ledger in out.ledgers.values():
-            assert total_supply(ledger) == initial
 
 
 def test_countermeasure_dominance_small_sample():

@@ -298,19 +298,27 @@ def _dep_batch(rng, trial):
 
 
 def test_bench_threaded_drain_matches_serial_drain():
-    # Each queue drains against its own shard, so running the queues on
-    # threads or one after another must give the same merged ledger.  A
-    # small service cost makes the worker threads interleave.
+    # Each queue drains against its own shard, through a gate of its own, so
+    # running the queues on threads or one after another must give the same
+    # merged ledger.  A small service cost makes the worker threads
+    # interleave; with none, a tiny switch interval does.
     from conflictsim.harness import _bench_pipeline
 
     rng = random.Random(23)
-    for trial in range(20):
-        balances, txs = _dep_batch(rng, trial)
-        for workers in (1, 2, 3, 4):
-            threaded, _ = _bench_pipeline(balances, txs, workers, 1e-5, True)
-            serial, _ = _bench_pipeline(balances, txs, workers, 1e-5, False)
-            assert threaded == serial, (trial, workers)
-            assert sum(threaded.balances.values()) == sum(balances.values())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            balances, txs = _dep_batch(rng, trial)
+            for workers in (1, 2, 3, 4):
+                for io_delay_s in (1e-5, 0):
+                    args = (balances, txs, workers, io_delay_s)
+                    threaded, _ = _bench_pipeline(*args, True)
+                    serial, _ = _bench_pipeline(*args, False)
+                    assert threaded == serial, (trial, workers, io_delay_s)
+                    assert sum(threaded.balances.values()) == sum(balances.values())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _queues_digest(txs) -> str:
@@ -403,7 +411,21 @@ def test_bench_partition_queues_match_pinned_digest(count, n_wallets,
     h = hashlib.sha256()
     for _balances, txs in bench_batches(count, n_wallets, cluster_size):
         h.update(_queues_digest(txs).encode())
+        _check_queue_counts(txs)
     assert h.hexdigest() == digest
+
+
+def _check_queue_counts(txs) -> None:
+    """The digests pin each queue's order; this checks that its length, peak
+    and membership agree with what it holds, at 1 to 4 workers."""
+    ids = [tx.id for tx in txs]
+    for workers in (1, 2, 3, 4):
+        queues = partition(txs, workers)
+        held = [[tx.id for tx in (*q._read, *q._write)] for q in queues]
+        assert sum(map(len, held)) == len(ids)
+        for q, members in zip(queues, held):
+            assert len(q) == q.peak_occupancy == len(members)
+            assert {tx_id for tx_id in ids if tx_id in q} == set(members)
 
 
 # The same for 40 batches with forward, backward, cyclic and out-of-batch
@@ -417,6 +439,7 @@ def test_dependency_batch_partition_queues_match_pinned_digest():
     for trial in range(40):
         _balances, txs = _dep_batch(rng, trial)
         h.update(_queues_digest(txs).encode())
+        _check_queue_counts(txs)
     assert h.hexdigest() == DEP_QUEUES_DIGEST
 
 

@@ -29,7 +29,7 @@ from conflictsim.ordering import (
     PipelineOrderingService,
     SubmitOutcome,
     check_dependencies,
-    next_ready,
+    gate,
     partition,
 )
 from conflictsim.simnet import Engine, NodeConfig, Topology
@@ -91,8 +91,17 @@ def test_queue_class_comes_from_the_payload():
     for tx in (writer, query):
         queue.append(tx)
     assert [tx.id for tx in queued(queue)] == ["q", "t"]
-    assert queue.take_next() is query
-    assert queue.take_next() is writer
+
+
+def _gate(queue):
+    """A gate over ``queue`` with nothing committed or in flight."""
+    state = ChannelState("main", LedgerState.from_balances({}))
+    return gate(queue, state, {}, 1000)
+
+
+def _gated_ids(queue):
+    """Ids in the order a gate takes them, until the queue is empty."""
+    return [tx.id for tx in iter(_gate(queue).__next__, None)]
 
 
 def test_within_class_fifo_by_submit_time():
@@ -101,8 +110,7 @@ def test_within_class_fifo_by_submit_time():
     early = query_tx("early", ("V1",), submit_time=3)
     for tx in (early, late):
         queue.append(tx)
-    assert queue.take_next().id == "early"
-    assert queue.take_next().id == "late"
+    assert _gated_ids(queue) == ["early", "late"]
 
 
 def test_read_high_dequeues_before_writes():
@@ -112,8 +120,7 @@ def test_read_high_dequeues_before_writes():
            query_tx("r2", ("b",))]
     for tx in txs:
         queue.append(tx)
-    order = [queue.take_next().id for _ in range(5)]
-    assert order == ["r1", "r2", "w1", "w2", "w3"]
+    assert _gated_ids(queue) == ["r1", "r2", "w1", "w2", "w3"]
 
 
 def test_first_dequeue_is_read_whenever_reads_pending():
@@ -128,7 +135,7 @@ def test_first_dequeue_is_read_whenever_reads_pending():
             else:
                 tx = transfer_tx(f"w{i}", "a", "b", 1)
             queue.append(tx)
-        first = queue.take_next()
+        first = next(_gate(queue))
         if pending_reads:
             assert isinstance(first.payload, Query)
 
@@ -497,15 +504,42 @@ def test_gate_looks_at_each_transaction_once_per_pass():
     for tx in (blocked, waiting, ready, behind):
         queue.append(tx)
     counts = {}
-    assert next_ready(queue, state, counts, 1000) is ready
+    passes = gate(queue, state, counts, 1000)
+    assert next(passes) is ready
     assert counts == {"r": 1, "w1": 1}
     # Deferred transactions go back to the tail of their class, so writers
     # keep the order the one-at-a-time re-queue gave them.
     assert [tx.id for tx in queued(queue)] == ["r", "w3", "w1"]
-    assert next_ready(queue, state, counts, 1000) is behind
-    assert next_ready(queue, state, counts, 1000) is STALLED
+    assert next(passes) is behind
+    assert next(passes) is STALLED
     assert counts == {"r": 3, "w1": 2}
     assert [tx.id for tx in queued(queue)] == ["r", "w1"]
+
+
+def test_one_gate_follows_commits_and_the_live_in_flight_view():
+    state = ChannelState("main", LedgerState.from_balances({"P": 9, "Q": 9, "R": 9}))
+    dependency = transfer_tx("d", "R", "Q", 1)
+    dependent = transfer_tx("c", "P", "Q", 1, deps=("d",))
+    queue = OrdererQueue("q0", capacity=10)
+    queue.append(dependent)
+    in_flight, counts = {}, {}
+    passes = gate(queue, state, counts, 1000, in_flight.values())
+    assert next(passes) is STALLED
+    assert next(passes) is STALLED
+    assert counts == {"c": 2}
+    state.finalize(dependency)
+    assert next(passes) is dependent
+    assert next(passes) is None
+    # A conflicting transaction goes in flight after the gate was made.
+    other = transfer_tx("o", "Q", "R", 1)
+    in_flight[other.id] = other
+    later = transfer_tx("l", "P", "Q", 1)
+    queue.append(later)
+    assert next(passes) is STALLED
+    assert counts == {"c": 2, "l": 1}
+    del in_flight[other.id]
+    assert next(passes) is later
+    assert next(passes) is None
 
 
 def test_pipeline_aborts_dependent_of_failed_tx():
