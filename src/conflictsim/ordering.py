@@ -6,7 +6,11 @@ of writers), dependency gating at dequeue time, wallet-footprint
 partitioning into one bounded queue per worker, and the workers themselves
 running as concurrent logical processes on the event engine.  Each queue
 has one ``gate``, a generator that the pipeline's workers and the thread
-bench's drain both draw from.
+bench's drain both draw from.  Admission first looks a transaction up in
+``FootprintGroups``' wallet -> group map (filled on acceptance, cleared
+when groups merge): a transaction whose wallets all map to one group is
+accepted or rejected against that group's queue, with no footprint keys
+and no union-find.
 
 Both services offer one surface to a simulation run (``admit``,
 ``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement,
@@ -241,6 +245,14 @@ class FootprintGroups:
     bridges two groups the older one (and its queue) survives; ``join``
     returns each such ``(younger, older)`` pair, so the caller can move the
     younger group's pending members.
+
+    A wallet -> group map remembers where admitted wallets sit: ``remember``
+    fills it after an accepted admission of a transaction with no declared
+    dependencies, and ``join`` clears it whenever it merges two groups, so
+    every entry names the group its wallet's key finds.  ``settled`` looks a
+    transaction up there: when every wallet it touches maps to one group
+    and no ``t:`` key applies, that group is the one a join would return,
+    found with no keys and no union-find.
     """
 
     def __init__(self, n: int):
@@ -251,6 +263,7 @@ class FootprintGroups:
         self._wkeys: dict[str, str] = {}
         self._group_seq = 0
         self._tkeys = False  # whether any ``t:`` key may exist yet
+        self._group_of: dict[str, _Group] = {}  # wallet -> its group
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -327,26 +340,48 @@ class FootprintGroups:
         root_of = {key: find(key) for key in dict.fromkeys(firsts)}
         return [root_of[key] for key in firsts]
 
-    def touched(self, keys: list[str]) -> tuple[list[_Group], bool]:
-        """Existing groups ``keys`` reach, oldest first, and whether every
-        key already sits in the one group (a join would change nothing).
-        Changes nothing but path compression."""
+    def settled(self, tx: Transaction) -> _Group | None:
+        """The one group every wallet of ``tx`` already sits in, if the map
+        knows it and no ``t:`` key applies to ``tx``; else None."""
+        if tx.declared_deps or (self._tkeys and f"t:{tx.id}" in self._parent):
+            return None
+        group_of = self._group_of
+        reads = iter(tx.reads)
+        group = group_of.get(next(reads, None))  # None if it reads nothing
+        if group is None:
+            return None
+        for w in reads:
+            if group_of.get(w) is not group:
+                return None
+        for w in tx.writes:
+            if group_of.get(w) is not group:
+                return None
+        return group
+
+    def remember(self, tx: Transaction, group: _Group) -> None:
+        """Map the wallets of ``tx``, just admitted into ``group``."""
+        if not tx.declared_deps:
+            group_of = self._group_of
+            for w in tx.reads:
+                group_of[w] = group
+            for w in tx.writes:
+                group_of[w] = group
+
+    def touched(self, keys: list[str]) -> list[_Group]:
+        """Existing groups ``keys`` reach, oldest first.  Changes nothing
+        but path compression."""
         parent, groups, find = self._parent, self._groups, self.find
         found: list[_Group] = []
-        settled = True
         for key in keys:
             root = parent.get(key)
             if root is not None and parent[root] != root:
                 root = find(key)
             group = groups.get(root)
-            if group is None:
-                settled = False
-            elif group not in found:
+            if group is not None and group not in found:
                 found.append(group)
         if len(found) > 1:
             found.sort(key=lambda g: g.seq)
-            settled = False
-        return found, settled and bool(found)
+        return found
 
     def join(self, keys: list[str]) -> tuple[_Group, list[tuple[_Group, _Group]]]:
         """Union ``keys`` into one group, dealing a new group if none.
@@ -362,6 +397,8 @@ class FootprintGroups:
             other = find(key)
             if other != root:
                 self._merge(root, other, merged)
+        if merged:  # the younger groups' wallets now sit in older ones
+            self._group_of.clear()
         group = self._groups.get(root)
         if group is None:
             group = _Group(self.next_queue % self.n, self._group_seq)
@@ -726,30 +763,35 @@ class PipelineOrderingService:
         if tx.id in self._seen:
             return _DUPLICATE
         groups = self.groups
-        keys = groups.keys(tx)
-        # Check the landing queue before joining, so a rejection leaves no
-        # trace: it must hold the transaction plus every pending member a
-        # bridge would pull in from other queues.
-        touched, settled = groups.touched(keys)
-        incoming = 1
-        if touched:
-            index = touched[0].queue_index
-            if not settled:
+        group = groups.settled(tx)
+        if group is not None:
+            # Its footprint sits in one group already: nothing to join.
+            index = group.queue_index
+            queue = self.queues[index]
+            if len(queue) >= queue.capacity:
+                return _MEMPOOL_FULL
+        else:
+            keys = groups.keys(tx)
+            # Check the landing queue before joining, so a rejection leaves
+            # no trace: it must hold the transaction plus every pending
+            # member a bridge would pull in from other queues.
+            touched = groups.touched(keys)
+            incoming = 1
+            if touched:
+                index = touched[0].queue_index
                 for other in touched[1:]:
                     if other.queue_index != index:
                         pending = self.queues[other.queue_index]
                         incoming += sum(1 for m in other.members if m.id in pending)
-        else:
-            index = groups.next_queue % groups.n
-        queue = self.queues[index]
-        if len(queue) + incoming > queue.capacity:
-            return _MEMPOOL_FULL
-        if settled:
-            group = touched[0]
-        else:
+            else:
+                index = groups.next_queue % groups.n
+            queue = self.queues[index]
+            if len(queue) + incoming > queue.capacity:
+                return _MEMPOOL_FULL
             group, merged = groups.join(keys)
             for younger, older in merged:
                 self._relocate(younger, older)
+            groups.remember(tx, group)
         self._seen.add(tx.id)
         self.state.note_declared_deps(tx)
         queue.append(tx)

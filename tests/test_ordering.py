@@ -670,6 +670,78 @@ def test_bridge_of_three_groups_moves_them_in_merge_order():
     assert len(state.committed) == 10
 
 
+def _traced_pipeline(workers, queue_capacity, wallets):
+    """``_pipeline``, also recording which worker each transaction went to
+    when admission dispatched it at once."""
+    engine, state, service, admit = _pipeline(workers, queue_capacity, wallets)
+    dispatch, service.dispatched = service._dispatch, {}
+
+    def record(index, tx):
+        service.dispatched[tx.id] = index
+        dispatch(index, tx)
+
+    service._dispatch = record
+    return engine, state, service, admit
+
+
+def _landing(service, tx_id):
+    """The queue index ``tx_id`` waits in, or the worker that took it."""
+    for i, q in enumerate(service.queues):
+        if tx_id in q:
+            return i
+    return service.dispatched.get(tx_id)
+
+
+@pytest.mark.parametrize("workers, capacity", [(2, None), (3, None), (2, 3), (3, 2)])
+def test_settled_admission_matches_the_key_path_across_bridges(workers, capacity):
+    # The reference service has the wallet map switched off, so every
+    # admission takes keys, touched and join.  Four pairs' groups fill up,
+    # a bridge merges two of them, settled traffic follows on every wallet
+    # of the merged group, a second bridge merges three groups, and settled
+    # traffic follows again; both services must agree on every outcome,
+    # landing queue and queue content.
+    engine, state, service, admit = _traced_pipeline(workers, capacity, "abcdefgh")
+    ref_engine, _, ref, ref_admit = _traced_pipeline(workers, capacity, "abcdefgh")
+    ref.groups.settled = lambda tx: None
+    settled_hits = 0
+
+    def both(tx):
+        nonlocal settled_hits
+        settled_hits += service.groups.settled(tx) is not None
+        outcome = admit(tx)
+        assert outcome is ref_admit(tx)
+        assert _landing(service, tx.id) == _landing(ref, tx.id)
+        assert [queued(q) for q in service.queues] == [queued(q) for q in ref.queues]
+
+    def traffic(tag, pairs):
+        # Per pair xy: a query on y, a transfer from y to x, a query on x.
+        for n, (x, y) in enumerate(pairs):
+            both(query_tx(f"{tag}q{n}", (y,)))
+            both(transfer_tx(f"{tag}t{n}", y, x, 1))
+            both(query_tx(f"{tag}p{n}", (x,)))
+
+    def run(ms):
+        engine.run_until(engine.now + ms)
+        ref_engine.run_until(ref_engine.now + ms)
+
+    for x, y in ("ab", "cd", "ef", "gh"):
+        both(transfer_tx(f"s{x}", x, y, 1))
+    traffic("w", ("ab", "cd", "ef", "gh"))
+    # Each bridge's traffic first reads a wallet only the younger groups
+    # held, whose map entry must have gone with the merge.
+    both(transfer_tx("bridge2", "b", "c", 1))
+    traffic("m", ("cd", "ba", "ad"))
+    run(15)
+    both(transfer_tx("bridge3", "f", "h", 1, extra_reads=("a",)))
+    traffic("n", ("fe", "hg", "ge", "dh"))
+    run(15)
+    traffic("r", ("ab", "cd", "ef", "gh"))
+    assert settled_hits >= 30  # of 51 admissions: the map did the work
+    engine.run_until(10_000)
+    ref_engine.run_until(10_000)
+    assert state.committed == ref.state.committed
+
+
 @pytest.mark.parametrize("capacity, ab, cd", [(2, 3, 3), (3, 2, 4)])
 def test_rejected_bridge_leaves_queues_untouched(capacity, ab, cd):
     # Each pair's first transfer is in flight and the rest wait in its
@@ -715,12 +787,19 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
     admitted = []
 
     def shape():
-        return [len(q) for q in service.queues], len(groups), groups.next_queue
+        return ([len(q) for q in service.queues], len(groups), groups.next_queue,
+                dict(groups._group_of))
+
+    def map_matches_keys():
+        # Every wallet the map knows sits in the group its key finds.
+        for w, group in groups._group_of.items():
+            assert group is groups._groups[groups.find("w:" + w)]
 
     for n, (op, x, y) in enumerate(ops):
         tx_id = f"op{n}"
         if op == "run":
             engine.run_until(engine.now + x)
+            map_matches_keys()
             continue
         if op == "discard":
             if admitted:
@@ -728,6 +807,7 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
                 if not state.status(tx.id).terminal:  # as a client timeout
                     service.discard(tx.id)
                     state.set_status(tx, TxStatus.TIMEOUT)
+            map_matches_keys()
             continue
         if op == "bridge":
             tx = transfer_tx(tx_id, _PAIRS[x][0], _PAIRS[y][1], 1)
@@ -744,3 +824,4 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
             assert shape() == before
         for q in service.queues:
             assert len(q) <= q.peak_occupancy <= capacity
+        map_matches_keys()
