@@ -153,7 +153,6 @@ class SimulationRun:
         self.all_txs: dict[str, Transaction] = {}
         self.pinned = dict(config.pinned_orderers)
         self._requests: list = []
-        self._latency_cache: dict[str, int] = {}
         self.conflict_count = config.conflict_count
 
         attack = config.attack
@@ -199,17 +198,7 @@ class SimulationRun:
     # -- submission plumbing ------------------------------------------------
 
     def client_latency(self, submitter: str) -> int:
-        cached = self._latency_cache.get(submitter)
-        if cached is not None:
-            return cached
-        topo = self.config.topology
-        latency = topo.default_latency
-        if topo.has_node(submitter):
-            node = topo.node(submitter)
-            if node.latency is not None:
-                latency = node.latency
-        self._latency_cache[submitter] = latency
-        return latency
+        return self.config.topology.client_latency(submitter)
 
     def submit(
         self,
@@ -373,6 +362,10 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     increase, not neutral churn.  The redirect follows generation and its
     isolation repair and draws nothing.  A scripted list is cloned, onto
     the first channel for block withholding and DDoS.
+
+    A generated batch stops at its horizon: the deadline less the latency of
+    the client that sends it, the bound ``_flush_submissions`` tests, so no
+    transaction is built that could not arrive (the first always is).
     """
     attack = config.attack
     kind = attack.kind
@@ -392,8 +385,13 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     start = source.start
     if kind == "double_spending":
         start += _lead_time(attack) + 1
+    # The ordering race submits each transaction through its own submitter.
+    via = source.submitter
+    if kind != "ordering_race":
+        via = _client_of(config, adversary=True)
     batch = generate_conflicting_set(
-        replace(source, seed=seed * 4 + 1, channel=channel, start=start)
+        replace(source, seed=seed * 4 + 1, channel=channel, start=start),
+        horizon=config.deadline - config.topology.client_latency(via),
     )
     stride = attack.p_int("profit_stride", 3)
     if kind == "block_withholding" and stride > 0:

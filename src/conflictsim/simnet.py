@@ -65,6 +65,14 @@ class Topology:
             return src_node.latency
         return self.default_latency
 
+    def client_latency(self, node_id: str) -> SimTime:
+        """Submission latency from a client: the node's own override, else
+        the default (also for a name the topology does not list)."""
+        node = self._by_id.get(node_id)
+        if node is not None and node.latency is not None:
+            return node.latency
+        return self.default_latency
+
     def orderers(self, channel: str) -> list[NodeConfig]:
         return [
             n for n in self.nodes if n.role == "orderer" and channel in n.channels

@@ -11,6 +11,7 @@ submit times and orderer assignments.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,12 +59,38 @@ class ConflictSpec:
             raise InfeasibleSpecError("query mix must be within [0, 1]")
 
 
-def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
+# Transaction ids by (prefix, digits), shared by every batch: a batch of n
+# transactions reads the first n, and a table grows to the largest count
+# asked for, so a sweep formats each id once instead of once per trial.
+# An entry depends only on its key and index, so sharing changes no result.
+_ID_TABLES: dict[tuple[str, int], tuple[str, ...]] = {}
+
+
+def transaction_ids(prefix: str, count: int, digits: int) -> tuple[str, ...]:
+    """At least ``count`` ids: ``prefix`` followed by 0, 1, ... zero-padded
+    to ``digits`` (longer numbers keep every digit)."""
+    key = (prefix, digits)
+    table = _ID_TABLES.get(key, ())
+    if len(table) < count:
+        table += tuple(f"{prefix}{i:0{digits}d}" for i in range(len(table), count))
+        _ID_TABLES[key] = table
+    return table
+
+
+def generate_conflicting_set(
+    spec: ConflictSpec, horizon: int | None = None
+) -> list[Transaction]:
     """Produce ``spec.count`` transactions over a shared wallet set such that
     every one conflicts with at least one other.
 
     Transfers draw amounts from [1, 20]; submit times spread uniformly over
     the window.  Deterministic in ``spec.seed``.
+
+    With a ``horizon``, return only the prefix of that batch submitted at
+    or before it, and always its first transaction.  The isolation repair
+    still sees the whole batch: the transactions past the horizon are
+    drawn and counted while the counts can still change a repair, but
+    never built.
     """
     transfer_mix = 1.0 - spec.mix_query
     if spec.count == 1:
@@ -75,8 +102,14 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
 
     rng = random.Random(spec.seed)
     rand = rng.random
+    mix = spec.mix_query
+    count = spec.count
     span = spec.window + 1
-    times = sorted(int(rand() * span) for _ in range(spec.count))
+    times = sorted([int(rand() * span) for _ in range(count)])
+    start = spec.start
+    built = count
+    if horizon is not None:
+        built = max(1, bisect_right(times, horizon - start))
     wallets = list(spec.wallets)
     pair_writes = {}
     n = len(wallets)
@@ -87,22 +120,21 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
     txs: list[Transaction] = []
     new = Transaction.__new__
     empty = frozenset()
-    start = spec.start
     channel = spec.channel
     submitter = spec.submitter
-    prefix = spec.id_prefix
-    for i, t in enumerate(times):
+    ids = transaction_ids(spec.id_prefix, built, 5)
+    for i in range(built):
         # Construction bypasses dataclass validation: the generator only
         # emits well-formed payloads, and this path is white-hot in sweeps.
         tx = new(Transaction)
-        tx.id = f"{prefix}{i:05d}"
+        tx.id = ids[i]
         tx.channel = channel
         tx.submitter = submitter
         tx.declared_deps = empty
-        tx.submit_time = start + t
+        tx.submit_time = start + times[i]
         # The first element is always a transfer so the batch has a writer
         # for the conflict-density repair below to anchor on.
-        if i > 0 and rand() < spec.mix_query:
+        if i > 0 and rand() < mix:
             k = int(rand() * n)
             queried[k] += 1
             wallet = wallets[k]
@@ -126,11 +158,31 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
                 pair_writes[key] = writes
             tx.writes = writes
         txs.append(tx)
+    # The rest of the batch, past the horizon: the same draws and counts,
+    # plus the first transfer's source, which can anchor the first
+    # transaction's repair.  The repair only asks whether a wallet was
+    # written never, once or more often; once every wallet is written
+    # twice, no later draw can change its answer, so none is made.
+    late_src = None
+    for _ in range(built, count) if min(written) < 2 else ():
+        if rand() < mix:
+            queried[int(rand() * n)] += 1
+        else:
+            a = int(rand() * n)
+            b = int(rand() * (n - 1))
+            if b >= a:
+                b += 1
+            written[a] += 1
+            written[b] += 1
+            rand()  # the amount
+            if late_src is None:
+                late_src = wallets[a]
     # Repair conflict-graph isolation.  A transfer is isolated when nothing
     # else touches either of its wallets, a query when nothing writes its
     # wallet; the batch is scanned only when some wallet allows either.
-    # Every isolated transaction is found before any is repaired, then gains
-    # a read of the first other transfer's source wallet.
+    # Every isolated transaction gains a read of the first other transfer's
+    # source wallet in the whole batch: the first transaction's source for
+    # all but the first, whose anchor may lie past the horizon.
     once = {wallets[k] for k in range(n) if written[k] == 1 and not queried[k]}
     unwritten = {wallets[k] for k in range(n) if queried[k] and not written[k]}
     if once or unwritten:
@@ -141,13 +193,16 @@ def generate_conflicting_set(spec: ConflictSpec) -> list[Transaction]:
                 return p.src in once and p.dst in once
             return p.wallets[0] in unwritten
 
-        lonely = [tx for tx in txs if isolated(tx)]
-        for tx in lonely:
-            anchor = next(
-                (other.payload.src for other in txs
-                 if other is not tx and isinstance(other.payload, Transfer)),
-                None,
-            )
+        first = txs[0]
+        for tx in filter(isolated, txs):
+            if tx is not first:
+                anchor = first.payload.src
+            else:
+                anchor = next(
+                    (other.payload.src for other in txs[1:]
+                     if isinstance(other.payload, Transfer)),
+                    late_src,
+                )
             if anchor is not None and anchor not in tx.reads:
                 tx.reads[anchor] = 0
     return txs
@@ -517,9 +572,10 @@ def generate_bench_workload(
     empty = frozenset()
     # Construction bypasses dataclass validation, as in
     # generate_conflicting_set: every payload drawn here is well formed.
+    ids = transaction_ids("bench", count, 6)
     for i in range(count):
         tx = new(Transaction)
-        tx.id = f"bench{i:06d}"
+        tx.id = ids[i]
         tx.channel = "main"
         tx.submitter = "client"
         tx.declared_deps = empty

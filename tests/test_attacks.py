@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conflictsim import attacks
 from conflictsim.attacks import (
     PRECONDITION_PHASES,
     SimulationRun,
@@ -598,6 +599,72 @@ _BUNDLED = (
     "table2_block_withholding", "sec3b_double_spend", "table2_balance_attack",
     "ddos_default", "fig1_race",
 )
+
+
+# -- a batch cut at its horizon --------------------------------------------------
+
+
+def _uncut(config, seed, monkeypatch):
+    """The trial's batch as ``_conflict_batch`` shapes it, with no horizon."""
+    generate = attacks.generate_conflicting_set
+    with monkeypatch.context() as m:
+        m.setattr(attacks, "generate_conflicting_set",
+                  lambda spec, horizon=None: generate(spec))
+        return _conflict_batch(config, seed)
+
+
+def _batch_latency(config):
+    submitter = config.conflicts.submitter
+    if config.attack.kind != "ordering_race":
+        submitter = next(n.id for n in config.topology.nodes
+                         if n.role == "client" and n.is_adversary)
+    return config.topology.client_latency(submitter)
+
+
+@pytest.mark.parametrize("count", [1000, 10_000])
+@pytest.mark.parametrize("name", _BUNDLED[:4])
+def test_cut_batch_is_the_prefix_of_the_full_batch(name, count, monkeypatch):
+    # Built up to the last submit time that still arrives (the first always),
+    # and field by field the full batch's prefix.
+    config = sweep_scenario(resolve_scenario(name), count)
+    last = config.deadline - _batch_latency(config)
+    for seed in range(5):
+        cut = _conflict_batch(config, seed)
+        full = _uncut(config, seed, monkeypatch)
+        assert len(full) == count
+        assert len(cut) == max(1, sum(tx.submit_time <= last for tx in full))
+        assert [_fields(tx) for tx in cut] == [_fields(tx) for tx in full[:len(cut)]]
+
+
+def _ddos_from_zero():
+    # A DDoS batch with no burst time enters P1 by its first transaction.
+    config = _generated("ddos_default")
+    return replace(config, conflicts=replace(config.conflicts, start=0, window=1000))
+
+
+@pytest.mark.parametrize("name", [*_BUNDLED, "ddos_from_zero"])
+def test_cut_batch_gives_the_outcomes_of_the_full_batch(name, monkeypatch):
+    # Deadlines before the first arrival (0 and one step before it), mid
+    # batch, and after the last arrival.  The first deadlines cut all but
+    # the first transaction.
+    config = _ddos_from_zero() if name == "ddos_from_zero" else _generated(name)
+    seed = config.seed
+    full = _uncut(config, seed, monkeypatch)
+    latency = _batch_latency(config)
+    first = full[0].submit_time + latency
+    last = max(tx.submit_time for tx in full) + latency
+    cut_lengths = []
+    for deadline in (0, first - 1, (first + last) // 2, last + 1):
+        trial = replace(config, deadline=max(0, deadline))
+        cut_lengths.append(len(_conflict_batch(trial, seed)))
+        for mode in ("baseline", "countermeasures"):
+            assert _observed(run_attack(trial, mode, seed)) == _observed(
+                run_attack(trial, mode, seed, full)
+            ), (deadline, mode)
+    assert cut_lengths[0] == cut_lengths[1] == 1
+    assert cut_lengths[-1] == len(full)
+    if first < last:  # a burst arrives all at once
+        assert 1 < cut_lengths[2] < len(full)
 
 
 @pytest.mark.parametrize("name", _BUNDLED)

@@ -160,3 +160,13 @@ def test_topology_validation():
     topo = Topology(nodes=[NodeConfig("a")], links={("a", "a"): 0})
     with pytest.raises(ValueError):
         topo.validate()
+
+
+def test_client_latency_is_the_node_override_or_the_default():
+    topo = Topology(
+        nodes=[NodeConfig("slow", role="client", latency=9), NodeConfig("c")],
+        links={("c", "slow"): 2}, default_latency=4,
+    )
+    assert topo.client_latency("slow") == 9
+    assert topo.client_latency("c") == 4
+    assert topo.client_latency("absent") == 4

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from conflictsim.workload import (
     generate_bench_workload,
     generate_conflicting_set,
     parse_scenario,
+    transaction_ids,
 )
 
 SRC_PATH = str(Path(conflictsim.__file__).resolve().parent.parent)
@@ -168,11 +170,15 @@ def _repaired(txs) -> tuple[int, int]:
     return queries, transfers
 
 
-def _pinned_batch(wallets, count, window, mix, seed):
-    return generate_conflicting_set(ConflictSpec(
+def _pinned_spec(wallets, count, window, mix, seed):
+    return ConflictSpec(
         wallets=tuple(f"W{i:02d}" for i in range(wallets)), count=count,
         window=window, mix_query=mix, seed=seed,
-    ))
+    )
+
+
+def _pinned_batch(*row):
+    return generate_conflicting_set(_pinned_spec(*row))
 
 
 @pytest.mark.parametrize(
@@ -189,6 +195,75 @@ def test_pinned_generator_specs_cover_both_repairs():
     assert any(queries for queries, _ in repaired)
     assert any(transfers for _, transfers in repaired)
     assert any(queries == transfers == 0 for queries, transfers in repaired)
+
+
+def _fields(tx):
+    return (tx.id, repr(tx.payload), tx.channel, tx.submitter, tx.submit_time,
+            tx.writes, tx.declared_deps, list(tx.reads.items()))
+
+
+@pytest.mark.parametrize(
+    "wallets,count,window,mix,seed", [row[:5] for row in GENERATOR_DIGESTS],
+    ids=[f"w{r[0]}-n{r[1]}-win{r[2]}-q{r[3]}-s{r[4]}" for r in GENERATOR_DIGESTS],
+)
+def test_cut_batch_is_the_prefix_submitted_by_the_horizon(wallets, count,
+                                                          window, mix, seed):
+    # A horizon keeps the transactions submitted at or before it, and always
+    # the first; each is built as the full batch builds it.
+    spec = _pinned_spec(wallets, count, window, mix, seed)
+    full = generate_conflicting_set(spec)
+    times = sorted({tx.submit_time for tx in full})
+    cuts = times[:: max(1, len(times) // 6)]
+    for horizon in (-1, *cuts, times[len(times) // 2] - 1, times[-1]):
+        cut = generate_conflicting_set(spec, horizon=horizon)
+        kept = max(1, sum(tx.submit_time <= horizon for tx in full))
+        assert [_fields(tx) for tx in cut] == [_fields(tx) for tx in full[:kept]]
+
+
+def test_cut_batch_anchors_the_first_transfer_past_the_horizon():
+    # The first transfer is isolated, and its repair anchors on the next
+    # transfer's source, submitted after the query between them (isolated
+    # too, and anchored on the first transfer).  A cut between them must
+    # still repair the first transfer from the full batch.
+    spec = ConflictSpec(wallets=tuple(f"W{i:02d}" for i in range(6)), count=3,
+                        window=1000, seed=12, mix_query=0.5)
+    full = generate_conflicting_set(spec)
+    first, query, later = full
+    assert list(first.reads) == [first.payload.src, first.payload.dst,
+                                 later.payload.src]
+    assert isinstance(query.payload, Query)
+    assert list(query.reads) == [*query.payload.wallets, first.payload.src]
+    assert first.submit_time < query.submit_time < later.submit_time
+    for horizon in (first.submit_time, query.submit_time, later.submit_time - 1):
+        cut = generate_conflicting_set(spec, horizon=horizon)
+        assert len(cut) == 1 + (horizon >= query.submit_time)
+        assert [_fields(tx) for tx in cut] == [_fields(tx) for tx in full[:len(cut)]]
+
+
+def test_transaction_ids_are_shared_and_grow_to_the_largest_count():
+    spec = ConflictSpec(wallets=("A1", "V1"), count=40, window=10,
+                        id_prefix="idtable")
+    first, second = generate_conflicting_set(spec), generate_conflicting_set(spec)
+    assert [tx.id for tx in first] == [f"idtable{i:05d}" for i in range(40)]
+    assert all(a.id is b.id for a, b in zip(first, second))
+    # A later, larger batch extends the table and keeps the earlier ids.
+    longer = generate_conflicting_set(replace(spec, count=75))
+    assert [tx.id for tx in longer] == [f"idtable{i:05d}" for i in range(75)]
+    assert all(a.id is b.id for a, b in zip(first, longer))
+    # Prefixes and widths each keep a table of their own.
+    other = generate_conflicting_set(replace(spec, id_prefix="idother"))
+    assert [tx.id for tx in other] == [f"idother{i:05d}" for i in range(40)]
+    assert transaction_ids("idtable", 3, 6)[:3] == (
+        "idtable000000", "idtable000001", "idtable000002")
+    assert transaction_ids("idtable", 3, 5)[:3] == (
+        "idtable00000", "idtable00001", "idtable00002")
+
+
+def test_transaction_ids_past_five_digits_match_the_format():
+    ids = transaction_ids("idwide", 100_002, 5)
+    assert ids[99_998:100_002] == ("idwide99998", "idwide99999",
+                                   "idwide100000", "idwide100001")
+    assert list(ids[:100_002]) == [f"idwide{i:05d}" for i in range(100_002)]
 
 
 # -- bench workload ----------------------------------------------------------------
