@@ -116,15 +116,15 @@ def recompute_success(outcome: AttackOutcome) -> bool:
 
 
 def clone_tx(tx: Transaction) -> Transaction:
-    # Field-by-field copy with a private reads dict; payload/writes/deps are
-    # never mutated in place, so sharing them is safe.  Skips __init__ (and
-    # its validation, which the source already passed).
+    # Field-by-field copy; every field is immutable or only ever rebound, so
+    # sharing them is safe.  Skips __init__ (and its validation, which the
+    # source already passed).
     dup = Transaction.__new__(Transaction)
     dup.id = tx.id
     dup.payload = tx.payload
     dup.channel = tx.channel
     dup.submitter = tx.submitter
-    dup.reads = dict(tx.reads)
+    dup.reads = tx.reads
     dup.writes = tx.writes
     dup.declared_deps = tx.declared_deps
     dup.submit_time = tx.submit_time
@@ -197,9 +197,6 @@ class SimulationRun:
 
     # -- submission plumbing ------------------------------------------------
 
-    def client_latency(self, submitter: str) -> int:
-        return self.config.topology.client_latency(submitter)
-
     def submit(
         self,
         tx: Transaction,
@@ -233,7 +230,7 @@ class SimulationRun:
         all_txs = self.all_txs
         plan = []
         for txs, valid, via, timeout, hook in self._requests:
-            latency = self.client_latency(via)
+            latency = self.config.topology.client_latency(via)
             last = deadline - latency  # the latest submit time that arrives
             ids = self.valid_ids if valid else self.adversary_ids
             for tx in txs:
@@ -403,7 +400,7 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
             src = payload.src if payload.src != attacker else payload.dst
             tx.payload = Transfer(src, attacker, payload.amount)
             tx.writes = frozenset((src, attacker))
-            tx.reads = {src: 0, attacker: 0}
+            tx.reads = (src, attacker)
     return batch
 
 
@@ -616,13 +613,14 @@ def run_balance_attack(
 
     def build_valid(channel: str, head: int, tail: int, tail_start: int) -> None:
         client = _client_of(config, adversary=False)
+        latency = config.topology.client_latency(client)
         for i in range(initial_pending):
             src, dst = pair(i)
             run.submit(
                 transfer_tx(
                     f"pre-{channel}-{i:03d}", src, dst, amount, channel=channel,
                     submitter=client,
-                    submit_time=-run.client_latency(client),  # arrives at t=0
+                    submit_time=-latency,  # arrives at t=0
                 ),
                 valid=True,
             )
@@ -632,7 +630,7 @@ def run_balance_attack(
                 transfer_tx(
                     f"val-{channel}-{i:03d}", src, dst, amount, channel=channel,
                     submitter=client,
-                    submit_time=spacing * (i + 1) - run.client_latency(client),
+                    submit_time=spacing * (i + 1) - latency,
                 ),
                 valid=True,
             )
@@ -642,7 +640,7 @@ def run_balance_attack(
                 transfer_tx(
                     f"val-{channel}-{head + i:03d}", src, dst, amount,
                     channel=channel, submitter=client,
-                    submit_time=tail_start + spacing * i - run.client_latency(client),
+                    submit_time=tail_start + spacing * i - latency,
                 ),
                 valid=True,
             )

@@ -67,18 +67,19 @@ class Query:
 class Transaction:
     """A single wallet operation plus the read/write footprint it declared.
 
-    ``reads`` names the wallets it reads, each with the declared version 0.
-    Nothing writes into a transaction once its batch is built, so one batch
-    serves every run: a run keeps its endorsement stamps (from
-    ``stamp_read_versions``) to itself, and a queue reads the class of the
-    payload (queries dequeue first).
+    ``reads`` names the wallets it reads, in order and each once; their
+    versions belong to the stamp an endorsement takes.  Nothing writes into
+    a transaction once its batch is built, so one batch serves every run: a
+    run keeps its endorsement stamps (from ``stamp_read_versions``) to
+    itself, and a queue reads the class of the payload (queries dequeue
+    first).
     """
 
     id: TransactionId
     payload: Transfer | Query
     channel: ChannelId = "main"
     submitter: str = "client"
-    reads: dict[WalletId, int] = field(default_factory=dict)
+    reads: tuple[WalletId, ...] = ()
     writes: frozenset[WalletId] = frozenset()
     declared_deps: frozenset[TransactionId] = frozenset()
     submit_time: int = 0
@@ -94,8 +95,7 @@ class Transaction:
                 raise ValueError(f"{self.id}: transfer amount must be positive")
             if not self.writes:
                 self.writes = frozenset((p.src, p.dst))
-            if not self.reads:
-                self.reads = {p.src: 0, p.dst: 0}
+            self.reads = tuple(dict.fromkeys(self.reads)) or (p.src, p.dst)
             if p.src not in self.writes or p.dst not in self.writes:
                 raise ValueError(f"{self.id}: transfer wallets must be written")
             if p.src not in self.reads:
@@ -103,8 +103,7 @@ class Transaction:
         else:
             if self.writes:
                 raise ValueError(f"{self.id}: read-only payload cannot write")
-            if not self.reads:
-                self.reads = {w: 0 for w in p.wallets}
+            self.reads = tuple(dict.fromkeys(self.reads or p.wallets))
 
     def footprint(self) -> set[WalletId]:
         return set(self.reads) | set(self.writes)
@@ -118,22 +117,17 @@ def transfer_tx(
     *,
     channel: ChannelId = "main",
     submitter: str = "client",
-    reads: dict[WalletId, int] | None = None,
     extra_reads: tuple[WalletId, ...] = (),
     deps: tuple[TransactionId, ...] = (),
     submit_time: int = 0,
 ) -> Transaction:
-    """Build a transfer reading {src, dst} (plus extras) at version 0."""
-    if reads is None:
-        reads = {src: 0, dst: 0}
-        for w in extra_reads:
-            reads.setdefault(w, 0)
+    """Build a transfer reading src, dst, then any new extras."""
     return Transaction(
         id=tx_id,
         payload=Transfer(src, dst, amount),
         channel=channel,
         submitter=submitter,
-        reads=reads,
+        reads=(src, dst, *extra_reads),
         declared_deps=frozenset(deps),
         submit_time=submit_time,
     )

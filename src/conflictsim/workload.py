@@ -125,7 +125,8 @@ def generate_conflicting_set(
     ids = transaction_ids(spec.id_prefix, built, 5)
     for i in range(built):
         # Construction bypasses dataclass validation: the generator only
-        # emits well-formed payloads, and this path is white-hot in sweeps.
+        # emits well-formed payloads, with reads as __post_init__ builds
+        # them, and this path is white-hot in sweeps.
         tx = new(Transaction)
         tx.id = ids[i]
         tx.channel = channel
@@ -139,7 +140,7 @@ def generate_conflicting_set(
             queried[k] += 1
             wallet = wallets[k]
             tx.payload = Query((wallet,))
-            tx.reads = {wallet: 0}
+            tx.reads = (wallet,)
             tx.writes = empty
         else:
             a = int(rand() * n)
@@ -150,7 +151,7 @@ def generate_conflicting_set(
             written[b] += 1
             src, dst = wallets[a], wallets[b]
             tx.payload = Transfer(src, dst, 1 + int(rand() * 20))
-            tx.reads = {src: 0, dst: 0}
+            tx.reads = (src, dst)
             key = (a, b)
             writes = pair_writes.get(key)
             if writes is None:
@@ -181,8 +182,9 @@ def generate_conflicting_set(
     # else touches either of its wallets, a query when nothing writes its
     # wallet; the batch is scanned only when some wallet allows either.
     # Every isolated transaction gains a read of the first other transfer's
-    # source wallet in the whole batch: the first transaction's source for
-    # all but the first, whose anchor may lie past the horizon.
+    # source wallet in the whole batch, appended to its reads: the first
+    # transaction's source for all but the first, whose anchor may lie past
+    # the horizon.
     once = {wallets[k] for k in range(n) if written[k] == 1 and not queried[k]}
     unwritten = {wallets[k] for k in range(n) if queried[k] and not written[k]}
     if once or unwritten:
@@ -203,8 +205,8 @@ def generate_conflicting_set(
                      if isinstance(other.payload, Transfer)),
                     late_src,
                 )
-            if anchor is not None and anchor not in tx.reads:
-                tx.reads[anchor] = 0
+            if anchor is not None:  # another transfer writes it: not read yet
+                tx.reads += (anchor,)
     return txs
 
 
@@ -586,7 +588,7 @@ def generate_bench_workload(
                 r = bits(k_wallet)
             wallet = wallets[r]
             tx.payload = Query((wallet,))
-            tx.reads = {wallet: 0}
+            tx.reads = (wallet,)
             tx.writes = empty
         else:
             c = bits(k_cluster)
@@ -606,7 +608,7 @@ def generate_bench_workload(
             base = c * cluster_size
             src, dst = wallets[base + a], wallets[base + b]
             tx.payload = Transfer(src, dst, 1 + amount)
-            tx.reads = {src: 0, dst: 0}
+            tx.reads = (src, dst)
             tx.writes = frozenset((src, dst))
         txs.append(tx)
     return balances, txs

@@ -343,22 +343,17 @@ def transactions(draw):
         wallets = tuple(draw(st.lists(
             st.sampled_from(WALLETS), min_size=1, max_size=3, unique=True)))
         tx = Transaction(id=tx_id, payload=Query(wallets),
-                         reads=dict.fromkeys(wallets + extra, 0),
-                         declared_deps=deps, **common)
-    for wallet in tx.reads:
-        tx.reads[wallet] = draw(st.integers(0, 50))  # any read versions
+                         reads=wallets + extra, declared_deps=deps, **common)
     return tx
 
 
 @given(transactions())
 def test_clone_tx_equals_source_and_copies_are_independent(tx):
     assert not hasattr(tx, "__dict__")
-    before = (dict(tx.reads), tx.channel, tx.submitter, tx.submit_time)
+    before = (tx.reads, tx.channel, tx.submitter, tx.submit_time)
     dup = clone_tx(tx)
     assert dup == tx and dup is not tx
-    for wallet in dup.reads:
-        dup.reads[wallet] += 1
-    dup.reads["ZZ"] = 0
+    dup.reads += ("ZZ",)
     dup.channel += "-copy"
     dup.submitter += "-copy"
     dup.submit_time += 1
@@ -368,7 +363,7 @@ def test_clone_tx_equals_source_and_copies_are_independent(tx):
 def test_submission_arriving_after_deadline_is_never_planned():
     config = resolve_scenario("fig1_race")
     run = SimulationRun(config, "baseline", config.seed)
-    latency = run.client_latency("client1")
+    latency = config.topology.client_latency("client1")
     for tx_id, arrive_at in (("late", config.deadline + 1),
                              ("on_time", config.deadline)):
         run.submit(
@@ -562,7 +557,7 @@ def _scripted(name):
 def _fields(tx):
     """Everything a run must leave as it was handed over."""
     return (tx.id, repr(tx.payload), tx.channel, tx.submitter, tx.submit_time,
-            tx.writes, tx.declared_deps, list(tx.reads.items()))
+            tx.writes, tx.declared_deps, tx.reads)
 
 
 def _observed(out):

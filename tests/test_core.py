@@ -143,10 +143,9 @@ def pool_txs(draw):
         return query_tx("q", wallets)
     src, dst = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=2,
                              unique=True))
-    reads = dict.fromkeys((src, dst) if draw(st.booleans()) else (src,), 0)
-    for wallet in extra:
-        reads.setdefault(wallet, 0)
-    return transfer_tx("t", src, dst, draw(st.integers(1, 40)), reads=reads)
+    reads = ((src, dst) if draw(st.booleans()) else (src,)) + extra
+    return Transaction("t", Transfer(src, dst, draw(st.integers(1, 40))),
+                       reads=reads)
 
 
 def _outcome(state, tx, stamped):
@@ -161,7 +160,7 @@ def _outcome(state, tx, stamped):
 @example(LedgerState.from_balances({"w0": 5}), transfer_tx("t", "w0", "w1", 1))
 @example(  # unknown transfer wallet: the destination is not read
     LedgerState.from_balances({"w0": 5}),
-    transfer_tx("t", "w0", "w1", 1, reads={"w0": 0}),
+    Transaction("t", Transfer("w0", "w1", 1), reads=("w0",)),
 )
 @example(LedgerState.from_balances({"w0": 5, "w1": 0}),
          transfer_tx("t", "w0", "w1", 6))
@@ -171,11 +170,11 @@ def test_no_stamp_is_a_stamp_taken_now(state, tx):
     # Applying with no stamp endorses the transaction at that moment, so it
     # must act exactly as applying with a stamp just taken from the ledger:
     # the same status or error type, the same ledger after.
-    reads = list(tx.reads.items())
+    reads = tx.reads
     unstamped, stamped = state.copy(), state.copy()
     assert _outcome(unstamped, tx, False) == _outcome(stamped, tx, True)
     assert unstamped == stamped
-    assert list(tx.reads.items()) == reads
+    assert tx.reads == reads
 
 
 def test_transfer_invariants_enforced_at_construction():
@@ -187,6 +186,15 @@ def test_transfer_invariants_enforced_at_construction():
         Transaction(id="t", payload=Query(("V1",)), writes=frozenset({"V1"}))
     with pytest.raises(ValueError):
         Transaction(id="", payload=Transfer("a", "b", 1))
+
+
+def test_reads_are_distinct_wallet_ids_in_declared_order():
+    assert query_tx("q", ("A1", "A1")).reads == ("A1",)
+    assert query_tx("q", ("B1", "A1", "B1")).reads == ("B1", "A1")
+    assert transfer_tx("t", "A1", "B1", 1, extra_reads=("A1", "C1")).reads == (
+        "A1", "B1", "C1")
+    tx = Transaction("t", Transfer("A1", "B1", 1), reads=("A1", "C1", "A1"))
+    assert tx.reads == ("A1", "C1")
 
 
 # -- channel commit ----------------------------------------------------------------
@@ -306,15 +314,15 @@ def test_serial_oracle_equivalence_exhaustive_orders():
     balances = {w: 40 for w in wallets}
     rng = random.Random(7)
     base = [_random_tx(rng, wallets, i) for i in range(5)]
-    stamps = {tx.id: dict(tx.reads) for tx in base}
+    stamps = {tx.id: dict.fromkeys(tx.reads, 0) for tx in base}
     for tx in base:
         if isinstance(tx.payload, Transfer) and rng.random() < 0.5:
             stamps[tx.id][tx.payload.src] = rng.randint(0, 1)  # some stale
     for perm in itertools.permutations(base):
         state = LedgerState.from_balances(balances)
-        snapshot = [list(t.reads.items()) for t in perm]
+        snapshot = [t.reads for t in perm]
         statuses = finalize_all(ChannelState("main", state), perm, stamps)
-        assert [list(t.reads.items()) for t in perm] == snapshot  # untouched
+        assert [t.reads for t in perm] == snapshot  # untouched
         obal, over, ostatus = _serial_oracle(balances, perm, stamps)
         assert statuses == ostatus
         assert state.balances == obal
@@ -336,7 +344,7 @@ def test_conservation_and_version_monotonicity_random_blocks():
             # Some stamps are taken now, the rest declare version 0.
             stamps = {
                 tx.id: stamp_read_versions(tx, state) if rng.random() < 0.6
-                else dict(tx.reads)
+                else dict.fromkeys(tx.reads, 0)
                 for tx in txs
             }
             statuses = finalize_all(channel, txs, stamps)
@@ -359,7 +367,7 @@ def test_failure_atomicity_random():
     state = LedgerState.from_balances({w: 20 for w in wallets})
     for i in range(200):
         tx = _random_tx(rng, wallets, i)
-        stamp = dict(tx.reads)
+        stamp = dict.fromkeys(tx.reads, 0)
         if isinstance(tx.payload, Transfer):
             stamp[tx.payload.src] = rng.randint(0, 3)
             if rng.random() < 0.4:

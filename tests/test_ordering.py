@@ -377,8 +377,8 @@ def test_each_service_endorses_when_its_contract_says():
     assert state.status("t1") is TxStatus.CONFLICT_FAILED
     assert state.status("t2") is TxStatus.COMMITTED
     assert service._stamps == {}
-    for tx in (first, second, duplicate, full):
-        assert tx.reads == {"a": 0, "b": 0}
+    assert [tx.reads for tx in (first, second, duplicate, full)] == [
+        ("a", "b"), ("b", "a"), ("a", "b"), ("a", "b")]
 
     # Pipeline: the worker endorses the transaction when it orders it, so it
     # commits though the ledger moved before it arrived.
@@ -388,7 +388,7 @@ def test_each_service_endorses_when_its_contract_says():
     assert admit(tx) is SubmitOutcome.ACCEPTED
     engine.run_until(10_000)
     assert state.status("p1") is TxStatus.COMMITTED
-    assert tx.reads == {"a": 0, "b": 0}
+    assert tx.reads == ("a", "b")
 
 
 # -- pipeline ordering -----------------------------------------------------------------

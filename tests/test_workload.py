@@ -146,11 +146,14 @@ GENERATOR_DIGESTS = [
 def _batch_digest(txs) -> str:
     # The constant 2 stands where each transaction's priority class was
     # hashed when transactions carried one: every generated transaction
-    # carried the unassigned class, 2, so the pinned digests still hold.
+    # carried the unassigned class, 2.  Likewise each read is hashed with
+    # the version 0 it declared when reads carried versions.  So the pinned
+    # digests still hold.
     h = hashlib.sha256()
     for tx in txs:
+        reads = [(w, 0) for w in tx.reads]
         h.update(repr((
-            tx.id, tx.payload, tx.channel, tx.submitter, list(tx.reads.items()),
+            tx.id, tx.payload, tx.channel, tx.submitter, reads,
             sorted(tx.writes), sorted(tx.declared_deps), 2, tx.submit_time,
         )).encode())
     return h.hexdigest()
@@ -197,9 +200,22 @@ def test_pinned_generator_specs_cover_both_repairs():
     assert any(queries == transfers == 0 for queries, transfers in repaired)
 
 
+def test_generators_build_reads_as_distinct_ids_from_the_payload():
+    # Both generators skip __post_init__, so each build site must make the
+    # tuple itself: the payload's wallets first, each id once.
+    batches = [_pinned_batch(*row[:5]) for row in GENERATOR_DIGESTS]
+    batches.append(generate_bench_workload(2000, 0.5, seed=3)[1])
+    for tx in (tx for batch in batches for tx in batch):
+        p = tx.payload
+        own = (p.src, p.dst) if isinstance(p, Transfer) else p.wallets
+        assert type(tx.reads) is tuple
+        assert len(set(tx.reads)) == len(tx.reads)
+        assert tx.reads[:len(own)] == own
+
+
 def _fields(tx):
     return (tx.id, repr(tx.payload), tx.channel, tx.submitter, tx.submit_time,
-            tx.writes, tx.declared_deps, list(tx.reads.items()))
+            tx.writes, tx.declared_deps, tx.reads)
 
 
 @pytest.mark.parametrize(
@@ -500,6 +516,7 @@ mode baseline
 [conflicts]
 tx t1 transfer A1 B1 5 at 0 reads=C1,A1 deps=q1,t0 submitter=client1
 tx q1 query A1,C1 at 3 deps=t1 channel=main orderer=orderer1
+tx q2 query A1,A1 at 4
 [seed]
 1
 [deadline]
@@ -510,8 +527,10 @@ tx q1 query A1,C1 at 3 deps=t1 channel=main orderer=orderer1
         transfer_tx("t1", "A1", "B1", 5, submitter="client1",
                     extra_reads=("C1", "A1"), deps=("q1", "t0")),
         query_tx("q1", ("A1", "C1"), deps=("t1",), submit_time=3),
+        query_tx("q2", ("A1", "A1"), submit_time=4),
     ]
-    assert list(config.conflicts[0].reads) == ["A1", "B1", "C1"]
+    assert config.conflicts[0].reads == ("A1", "B1", "C1")
+    assert config.conflicts[2].reads == ("A1",)
     assert config.conflicts[1].declared_deps == {"t1"}
     assert config.pinned_orderers == {"q1": "orderer1"}
 
