@@ -242,34 +242,20 @@ class SimulationRun:
                     plan.append((t + latency, tx, timeout, hook))
                 hook = None  # a dropped first transaction takes its hook along
         self._requests = []
-        # Consecutive same-instant arrivals share one event: their relative
-        # order already equals schedule order, so commit events (scheduled
-        # later, higher seq) still interleave correctly between instants.
         plan.sort(key=itemgetter(0))
-        i, n = 0, len(plan)
-        while i < n:
-            j = i + 1
-            at = plan[i][0]
-            while j < n and plan[j][0] == at:
-                j += 1
-            self.engine.schedule_call(at, self._on_arrivals, plan[i:j])
-            i = j
+        self.engine.schedule_sorted(self._on_arrivals, plan)
 
-    def _on_arrivals(self, engine: Engine, group) -> None:
-        arrived = self.arrived
-        services = self.services
-        rejected = self.rejected
-        for _, tx, timeout, hook in group:
-            channel = tx.channel
-            arrived[channel].add(tx.id)
-            if hook is not None and hook(tx):
-                continue  # intercepted (e.g. withheld by the adversary)
-            outcome = services[channel].admit(tx)
-            if outcome is not _ACCEPTED:
-                rejected[tx.id] = outcome
-                continue
-            if timeout is not None:
-                engine.schedule_call(engine.now + timeout, self._on_timeout, tx)
+    def _on_arrivals(self, engine: Engine, arrival) -> None:
+        _, tx, timeout, hook = arrival
+        channel = tx.channel
+        self.arrived[channel].add(tx.id)
+        if hook is not None and hook(tx):
+            return  # intercepted (e.g. withheld by the adversary)
+        outcome = self.services[channel].admit(tx)
+        if outcome is not _ACCEPTED:
+            self.rejected[tx.id] = outcome
+        elif timeout is not None:
+            engine.schedule_call(engine.now + timeout, self._on_timeout, tx)
 
     def _on_timeout(self, engine: Engine, tx: Transaction) -> None:
         state = self.channels[tx.channel]

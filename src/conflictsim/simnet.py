@@ -5,6 +5,14 @@ equal-time events resolve in schedule order and a whole run is a pure
 function of (scenario, seed).  "Races" between orderers come from seeded
 jitter delays, not from wall-clock nondeterminism.
 
+Most events are scheduled one at a time onto a heap.  Events all known at
+once, such as a trial's arrivals, can instead be handed over as one list
+sorted by fire time (``schedule_sorted``): the list stays outside the heap,
+takes the block of seqs the same back-to-back ``schedule_call``s would have
+taken, and ``run_until`` merges its head with the heap's, so the
+(fire_at, seq) order covers both and is exactly the order those calls
+would give.
+
 An event carries only what fires it: a callback and its payload.  The
 callbacks are bound to the run and its services, which hold the engine, so
 a run that ends calls ``drop_pending`` to let go of the events left past
@@ -94,7 +102,12 @@ class Topology:
 
 
 class Engine:
-    """Single-threaded event loop. One instance per trial."""
+    """Single-threaded event loop. One instance per trial.
+
+    Events fire in (fire_at, seq) order, whether they sit on the heap or in
+    the sorted run (see the module docstring).  At most one sorted run is
+    pending at a time.
+    """
 
     def __init__(self, seed: int = 0, topology: Topology | None = None):
         self.now: SimTime = 0
@@ -102,6 +115,12 @@ class Engine:
         self.topology = topology or Topology()
         self._heap: list[tuple[SimTime, int, Callable, Any]] = []
         self._seq = 0
+        # The sorted run: its events, the next one to fire, the seq before
+        # its first and the callback that fires each.
+        self._run: list = []
+        self._run_pos = 0
+        self._run_seq = 0
+        self._run_fn: Callable | None = None
         self.last_event_time: SimTime = 0
 
     # -- scheduling -------------------------------------------------------
@@ -115,14 +134,67 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (fire_at, self._seq, fn, payload))
 
+    def schedule_sorted(
+        self, fn: Callable[["Engine", Any], None], events: list,
+    ) -> None:
+        """Schedule ``fn(engine, event)`` for each event, at ``event[0]``.
+
+        ``events`` must be sorted by fire time; the engine keeps the list
+        and the caller must not change it.  The events fire exactly as
+        ``schedule_call(event[0], fn, event)`` for each of them in order
+        would fire them.  Raises ``TimeInPastError`` if the first fires
+        before now and ``RuntimeError`` while an earlier run is pending.
+        """
+        if not events:
+            return
+        if self._run:  # a spent run is cleared as it ends
+            raise RuntimeError("a sorted run is still pending")
+        if events[0][0] < self.now:
+            raise TimeInPastError(
+                f"cannot schedule at {events[0][0]}, now is {self.now}"
+            )
+        self._run = events
+        self._run_pos = 0
+        self._run_seq = self._seq
+        self._run_fn = fn
+        self._seq += len(events)
+
     # -- execution --------------------------------------------------------
 
     def run_until(self, deadline: SimTime) -> SimTime:
         if deadline < self.now:
             raise TimeInPastError(f"deadline {deadline} is before now {self.now}")
         heap = self._heap
+        heappop = heapq.heappop
+        run = self._run
+        pos = self._run_pos
+        if run:
+            fn_run = self._run_fn
+            seq = self._run_seq  # seq of run[pos] is seq + pos + 1
+            n = len(run)
+            while pos < n:
+                event = run[pos]
+                at = event[0]
+                if at > deadline:
+                    break
+                # Heap events ahead of run[pos] by (fire_at, seq) fire first.
+                while heap:
+                    fire_at = heap[0][0]
+                    if fire_at > at or (fire_at == at and heap[0][1] > seq + pos):
+                        break
+                    fire_at, _seq, fn, payload = heappop(heap)
+                    self.now = fire_at
+                    self.last_event_time = fire_at
+                    fn(self, payload)
+                pos += 1
+                self._run_pos = pos
+                self.now = at
+                self.last_event_time = at
+                fn_run(self, event)
+            if pos == n:
+                self._clear_run()
         while heap and heap[0][0] <= deadline:
-            fire_at, _seq, fn, payload = heapq.heappop(heap)
+            fire_at, _seq, fn, payload = heappop(heap)
             self.now = fire_at
             self.last_event_time = fire_at
             fn(self, payload)
@@ -130,8 +202,16 @@ class Engine:
         return self.now
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        """Events not yet fired, on the heap and in the sorted run."""
+        return len(self._heap) + len(self._run) - self._run_pos
 
     def drop_pending(self) -> None:
-        """Forget every event not yet fired."""
+        """Forget every event not yet fired, the sorted run's included.
+        Call it between ``run_until`` calls, not from a callback."""
         self._heap.clear()
+        self._clear_run()
+
+    def _clear_run(self) -> None:
+        self._run = []
+        self._run_pos = 0
+        self._run_fn = None

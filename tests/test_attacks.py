@@ -26,6 +26,7 @@ from conflictsim.core import (
 )
 from conflictsim.errors import ScenarioMismatchError
 from conflictsim.harness import MetricsRecord, sweep_scenario
+from conflictsim.simnet import Engine
 from conflictsim.workload import (
     ConflictSpec,
     generate_conflicting_set,
@@ -360,7 +361,22 @@ def test_clone_tx_equals_source_and_copies_are_independent(tx):
     assert (tx.reads, tx.channel, tx.submitter, tx.submit_time) == before
 
 
-def test_submission_arriving_after_deadline_is_never_planned():
+def _record_planned_arrivals(monkeypatch):
+    """Record every sorted run an engine is handed, as (callback name,
+    events), and schedule it as usual."""
+    planned = []
+    schedule_sorted = Engine.schedule_sorted
+
+    def record(engine, fn, events):
+        planned.append((fn.__name__, list(events)))
+        schedule_sorted(engine, fn, events)
+
+    monkeypatch.setattr(Engine, "schedule_sorted", record)
+    return planned
+
+
+def test_submission_arriving_after_deadline_is_never_planned(monkeypatch):
+    planned = _record_planned_arrivals(monkeypatch)
     config = resolve_scenario("fig1_race")
     run = SimulationRun(config, "baseline", config.seed)
     latency = config.topology.client_latency("client1")
@@ -373,10 +389,13 @@ def test_submission_arriving_after_deadline_is_never_planned():
         )
     run.run_until_deadline()
     assert run.arrived == {"main": {"on_time"}}
-    assert all(event[2] != run._on_arrivals for event in run.engine._heap)
+    assert [(name, [e[1].id for e in events]) for name, events in planned] == [
+        ("_on_arrivals", ["on_time"])
+    ]
 
 
-def test_submit_batch_plans_as_per_transaction_submits():
+def test_submit_batch_plans_as_per_transaction_submits(monkeypatch):
+    planned_runs = _record_planned_arrivals(monkeypatch)
     config = resolve_scenario("fig1_race")
     latency = 5  # client1's
     late = config.deadline - latency + 1
@@ -399,16 +418,17 @@ def test_submit_batch_plans_as_per_transaction_submits():
                            on_arrival=hook if i == 0 else None)
         run.submit(after, valid=True)
         run._flush_submissions()
-        events = sorted(
-            (seq, at, fn.__name__, [(e[0], e[1].id, e[2], e[3]) for e in group])
-            for at, seq, fn, group in run.engine._heap
-        )
-        return events, run.all_txs, run.valid_ids, run.adversary_ids
+        (name, events), = planned_runs
+        planned_runs.clear()
+        # In firing order, as the engine fires a sorted run.
+        arrivals = [(e[0], e[1].id, e[2], e[3]) for e in events]
+        return name, arrivals, run.all_txs, run.valid_ids, run.adversary_ids
 
-    events, all_txs, valid, adversary = planned(one_call=True)
-    assert (events, all_txs, valid, adversary) == planned(one_call=False)
+    name, arrivals, all_txs, valid, adversary = planned(one_call=True)
+    assert (name, arrivals, all_txs, valid, adversary) == planned(one_call=False)
+    assert name == "_on_arrivals"
     # The first transaction arrives too late, so its hook goes with it.
-    assert all(e[3] is None for ev in events for e in ev[3])
+    assert all(arrival[3] is None for arrival in arrivals)
     assert adversary == {"b1", "b2", "b3", "b5", "b6"}
 
 

@@ -1,6 +1,8 @@
 """Event engine: ordering discipline, determinism, delivery latency."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conflictsim.errors import TimeInPastError, UnknownNodeError
 from conflictsim.simnet import Engine, NodeConfig, Topology
@@ -55,6 +57,112 @@ def test_equal_time_events_fire_in_schedule_order():
         eng.schedule_call(5, lambda e, p: fired.append(p), tag)
     eng.run_until(5)
     assert fired == ["first", "second", "third"]
+
+
+# An event's subtree: the (delay, subtree) of each event it schedules as it
+# fires, at ``now + delay`` (a delay of 0 schedules at now).
+subtrees = st.recursive(
+    st.just(()),
+    lambda children: st.lists(st.tuples(st.integers(0, 2), children),
+                              max_size=3).map(tuple),
+    max_leaves=6,
+)
+timed = st.lists(st.tuples(st.integers(0, 6), subtrees), max_size=6)
+
+
+def spawning(log):
+    """An event callback for ``(label, subtree)`` payloads: it records
+    ``(now, label)`` and schedules its subtree's events."""
+
+    def fire(eng, payload):
+        label, subtree = payload
+        log.append((eng.now, label))
+        for i, (delay, child) in enumerate(subtree):
+            eng.schedule_call(eng.now + delay, fire, (f"{label}.{i}", child))
+
+    return fire
+
+
+def arriving(log):
+    """A sorted-run callback for ``(fire_at, label, subtree)`` events."""
+    fire = spawning(log)
+    return lambda eng, event: fire(eng, event[1:])
+
+
+@given(pre=timed, start=st.integers(0, 4), run=timed, post=timed,
+       deadlines=st.lists(st.integers(0, 14), max_size=6).map(sorted))
+def test_sorted_run_fires_as_back_to_back_schedule_calls(
+        pre, start, run, post, deadlines):
+    # Heap events scheduled before the run (some fired before it is handed
+    # over), the run with equal-time ties, heap events scheduled after it,
+    # and callbacks that schedule more, some at now: the engine given the
+    # run fires exactly as one given a schedule_call per run event.
+    arrivals = sorted(
+        ((start + t, f"run{i}", subtree) for i, (t, subtree) in enumerate(run)),
+        key=lambda event: event[0],
+    )
+
+    def drive(streamed: bool):
+        eng, log = Engine(seed=0), []
+        fire, arrive = spawning(log), arriving(log)
+        for i, (t, subtree) in enumerate(pre):
+            eng.schedule_call(t, fire, (f"pre{i}", subtree))
+        eng.run_until(start)
+        if streamed:
+            eng.schedule_sorted(arrive, list(arrivals))
+        else:
+            for event in arrivals:
+                eng.schedule_call(event[0], arrive, event)
+        for i, (t, subtree) in enumerate(post):
+            eng.schedule_call(start + t, fire, (f"post{i}", subtree))
+        states = [(eng.now, eng.pending_events(), list(log))]
+        for deadline in deadlines + [100]:
+            if deadline >= eng.now:
+                eng.run_until(deadline)
+                states.append((eng.now, eng.pending_events(), list(log)))
+        return states, eng.last_event_time
+
+    assert drive(streamed=True) == drive(streamed=False)
+
+
+def test_pending_events_and_drop_pending_cover_the_sorted_run():
+    eng, log = Engine(seed=0), []
+    arrive = arriving(log)
+    eng.schedule_call(2, spawning(log), ("heap", ()))
+    eng.schedule_sorted(arrive, [(1, "a", ()), (3, "b", ()), (3, "c", ()),
+                                 (5, "d", ())])
+    assert eng.pending_events() == 5
+    eng.run_until(3)
+    assert eng.pending_events() == 1
+    eng.drop_pending()
+    assert eng.pending_events() == 0
+    eng.run_until(10)
+    assert log == [(1, "a"), (2, "heap"), (3, "b"), (3, "c")]
+    # A dropped run is gone: another can be handed over.
+    eng.schedule_sorted(arrive, [(10, "e", ())])
+    eng.run_until(10)
+    assert log[-1] == (10, "e")
+
+
+def test_sorted_run_before_now_rejected():
+    eng = Engine(seed=1)
+    eng.run_until(5)
+    with pytest.raises(TimeInPastError):
+        eng.schedule_sorted(lambda e, p: None, [(4, "x"), (6, "y")])
+    assert eng.pending_events() == 0
+
+
+def test_second_sorted_run_rejected_while_one_is_pending():
+    eng, log = Engine(seed=1), []
+    arrive = arriving(log)
+    eng.schedule_sorted(arrive, [(1, "a", ()), (4, "b", ())])
+    eng.run_until(2)
+    with pytest.raises(RuntimeError):
+        eng.schedule_sorted(arrive, [(3, "c", ())])
+    eng.run_until(4)
+    eng.schedule_sorted(arrive, [(6, "d", ())])  # the first run is spent
+    eng.run_until(6)
+    assert log == [(1, "a"), (4, "b"), (6, "d")]
 
 
 def test_empty_queue_returns_deadline():
