@@ -36,6 +36,10 @@ from .ordering import (
 from .simnet import Engine
 from .workload import ConflictSpec, ScenarioConfig, generate_conflicting_set
 
+# Block withholding redirects every PROFIT_STRIDE-th transfer of a generated
+# batch, counting from the first, into the attacker's wallet.
+PROFIT_STRIDE = 3
+
 # Pre-condition phases that every outcome of a kind must contain.
 PRECONDITION_PHASES = {
     "block_withholding": ("P1", "P2", "P3"),
@@ -340,7 +344,7 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
 
     A generated batch is drawn on the attack's channel (the file's own for
     the ordering race).  Double spend's batch starts after its lead
-    transfer, and block withholding redirects every ``profit_stride``-th
+    transfer, and block withholding redirects every ``PROFIT_STRIDE``-th
     transfer into the attacker's wallet: the attack's point is a balance
     increase, not neutral churn.  The redirect follows generation and its
     isolation repair and draws nothing.  A scripted list is cloned, onto
@@ -376,10 +380,9 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
         replace(source, seed=seed * 4 + 1, channel=channel, start=start),
         horizon=config.deadline - config.topology.client_latency(via),
     )
-    stride = attack.p_int("profit_stride", 3)
-    if kind == "block_withholding" and stride > 0:
+    if kind == "block_withholding":
         attacker = config.attack_wallets()[0]
-        for tx in batch[::stride]:
+        for tx in batch[::PROFIT_STRIDE]:
             payload = tx.payload
             if not isinstance(payload, Transfer) or payload.dst == attacker:
                 continue
@@ -483,8 +486,9 @@ def run_block_withholding(
 
 
 def _lead_time(attack) -> int:
-    """When double spend sends its own transfer; a generated batch follows."""
-    return attack.p_int("batch_start", attack.p_int("valid_submit", 0) + 12)
+    """When double spend sends its own transfer, 12 after the valid one; a
+    generated batch follows."""
+    return attack.p_int("valid_submit", 0) + 12
 
 
 def run_double_spending(

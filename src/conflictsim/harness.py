@@ -33,6 +33,8 @@ from .ordering import (
 from .workload import ConflictSpec, ScenarioConfig, generate_bench_workload
 
 POLICY_CHOICES = (BASELINE, COUNTERMEASURES, "both")
+# The submit-time window of a sweep's generated batch, but for DDoS's burst.
+SWEEP_WINDOW = 10_000
 
 CSV_COLUMNS = [
     "attack", "policy", "conflict_count", "seed", "success", "committed",
@@ -120,7 +122,7 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     """
     attack = config.attack
     kind = attack.kind
-    window = attack.p_int("sweep_window", 10000)
+    window = SWEEP_WINDOW
     start = 0
     if kind in ("block_withholding", "double_spending"):
         wallets = config.attack_wallets()

@@ -6,11 +6,9 @@ of writers), dependency gating at dequeue time, wallet-footprint
 partitioning into one bounded queue per worker, and the workers themselves
 running as concurrent logical processes on the event engine.  Each queue
 has one ``gate``, a generator that the pipeline's workers and the thread
-bench's drain both draw from.  Admission first looks a transaction up in
-``FootprintGroups``' wallet -> group map (filled on acceptance, cleared
-when groups merge): a transaction whose wallets all map to one group is
-accepted or rejected against that group's queue, with no footprint keys
-and no union-find.
+bench's drain both draw from.  ``FootprintGroups`` groups admissions and
+the bench's ``partition`` alike; a transaction whose wallets all reach one
+group is accepted or rejected against that group's queue, joining nothing.
 
 Both services offer one surface to a simulation run (``admit``,
 ``discard``, ``peak_pool``, ``peak_queue``) and own their endorsement,
@@ -25,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -89,6 +88,12 @@ class OrderingPolicy:
             raise ValueError(f"invalid jitter range {self.jitter}")
         if self.mempool_capacity < 1:
             raise ValueError("mempool capacity must be positive")
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be >= 1")
+        if self.defer_limit < 0:
+            raise ValueError("defer_limit must be >= 0")
+        if self.client_timeout is not None and self.client_timeout < 0:
+            raise ValueError("client_timeout must be >= 0")
 
     @property
     def per_queue_capacity(self) -> int:
@@ -224,206 +229,139 @@ class OrdererQueue:
 
 
 class _Group:
-    __slots__ = ("queue_index", "seq", "members")
+    __slots__ = ("queue_index", "seq", "members", "into")
 
     def __init__(self, queue_index: int, seq: int):
         self.queue_index = queue_index
         self.seq = seq
         # Transactions ever enqueued for this group; pruned on relocation.
         self.members: list = []
+        self.into: _Group | None = None  # the older group this one merged into
+
+    def live(self) -> _Group:
+        """The group this one has merged into, transitively; compresses the
+        path there."""
+        root = self.into
+        if root is None:
+            return self
+        while root.into is not None:
+            root = root.into
+        group = self
+        while group.into is not root:
+            group.into, group = root, group.into
+        return root
+
+
+_seq = attrgetter("seq")
 
 
 class FootprintGroups:
-    """Online union-find over wallet and transaction-id keys, each group
-    dealt to one of ``n`` queues.
+    """Footprint groups, each dealt to one of ``n`` queues round-robin.
 
-    A transaction's keys are its wallets (the insertion-ordered reads, then
-    any writes it does not read, sorted), so key order stays independent of
-    the per-process string hash seed.  A ``t:<id>`` key carries declared
-    dependency edges; it exists only once some transaction references the
-    id.  New groups are dealt round-robin when created.  When a join
-    bridges two groups the older one (and its queue) survives; ``join``
-    returns each such ``(younger, older)`` pair, so the caller can move the
-    younger group's pending members.
-
-    A wallet -> group map remembers where admitted wallets sit: ``remember``
-    fills it after an accepted admission of a transaction with no declared
-    dependencies, and ``join`` clears it whenever it merges two groups, so
-    every entry names the group its wallet's key finds.  ``settled`` looks a
-    transaction up there: when every wallet it touches maps to one group
-    and no ``t:`` key applies, that group is the one a join would return,
-    found with no keys and no union-find.
+    A transaction's keys are its wallets (the reads, then the writes it does
+    not read, sorted to keep the string hash seed out), then its own id and its dependencies' ids when it
+    declares dependencies, touches no wallet, or some earlier transaction
+    named its id.  ``wallets`` maps a wallet, and ``ids`` a named id, to a
+    group (an id to None while only named).  A merged group forwards
+    through ``into`` to the older group it joined, which keeps its queue.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.next_queue = 0
-        self._parent: dict[str, str] = {}
-        self._groups: dict[str, _Group] = {}
-        self._wkeys: dict[str, str] = {}
-        self._group_seq = 0
-        self._tkeys = False  # whether any ``t:`` key may exist yet
-        self._group_of: dict[str, _Group] = {}  # wallet -> its group
+        self.next_queue = 0  # also the next group's seq
+        self.wallets: dict[str, _Group] = {}
+        self.ids: dict[str, _Group | None] = {}
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._groups)
+        return self._count
 
-    def keys(self, tx: Transaction) -> list[str]:
-        """The keys ``tx`` would join, in union order; registers none."""
-        wkeys = self._wkeys
-        keys = []
-        for w in tx.reads:
-            key = wkeys.get(w)
-            if key is None:
-                key = wkeys[w] = "w:" + w
-            keys.append(key)
-        extra = tx.writes.difference(tx.reads)
-        if extra:
-            keys.extend("w:" + w for w in sorted(extra))
-        deps = tx.declared_deps
-        if deps or not keys or (self._tkeys and f"t:{tx.id}" in self._parent):
-            self._tkeys = True
-            keys.append(f"t:{tx.id}")
-            for dep in deps:
-                keys.append(f"t:{dep}")
-        return keys
-
-    def reference(self, tx_id: str) -> None:
-        """Register ``t:<tx_id>`` so the transaction joins its dependents."""
-        key = f"t:{tx_id}"
-        self._parent.setdefault(key, key)
-        self._tkeys = True
-
-    def find(self, key: str) -> str:
-        parent = self._parent
-        root = parent[key]
-        if parent[root] == root:  # a root or its direct child
-            return root
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
-    def roots(self, txs: list[Transaction]) -> list[str]:
-        """Union every transaction's keys, dealing no groups, and return the
-        root of each one's final component, in batch order.
-
-        Roots only name components: which key of a component is its root
-        depends on union order, the components themselves do not.
-        """
-        parent, find, wkeys = self._parent, self.find, self._wkeys
-        firsts = []
-        for tx in txs:
-            reads = tx.reads
-            if len(reads) == 1 and not (tx.writes or tx.declared_deps or self._tkeys):
-                [w] = reads  # a one-wallet query: its one key joins nothing
-                first = wkeys.get(w) or wkeys.setdefault(w, "w:" + w)
-                if first not in parent:
-                    parent[first] = first
-                firsts.append(first)
-                continue
-            keys = self.keys(tx)
-            first = keys[0]
-            if first not in parent:
-                parent[first] = first
-            if len(keys) > 1:  # a single key joins nothing
-                root = find(first)
-                for key in keys[1:]:
-                    if key not in parent:
-                        parent[key] = root
-                    else:
-                        other = find(key)
-                        if other != root:
-                            parent[other] = root
-            firsts.append(first)
-        root_of = {key: find(key) for key in dict.fromkeys(firsts)}
-        return [root_of[key] for key in firsts]
+    def _has_ids(self, tx: Transaction) -> bool:
+        return bool(tx.declared_deps or not (tx.reads or tx.writes)
+                    or tx.id in self.ids)
 
     def settled(self, tx: Transaction) -> _Group | None:
-        """The one group every wallet of ``tx`` already sits in, if the map
-        knows it and no ``t:`` key applies to ``tx``; else None."""
-        if tx.declared_deps or (self._tkeys and f"t:{tx.id}" in self._parent):
+        """The live group every wallet of ``tx`` already maps to, when ``tx``
+        reads a wallet and has no id keys; else None.  Re-points the
+        forwarded entries it reads at that group."""
+        ids = self.ids
+        if tx.declared_deps or (ids and tx.id in ids):
             return None
-        group_of = self._group_of
+        wallets = self.wallets
         reads = iter(tx.reads)
-        group = group_of.get(next(reads, None))  # None if it reads nothing
+        group = wallets.get(next(reads, None))  # None if it reads nothing
         if group is None:
             return None
+        if group.into is not None:
+            group = wallets[tx.reads[0]] = group.live()
         for w in reads:
-            if group_of.get(w) is not group:
+            if wallets.get(w) is not group and not self._remap(w, group):
                 return None
         for w in tx.writes:
-            if group_of.get(w) is not group:
+            if wallets.get(w) is not group and not self._remap(w, group):
                 return None
         return group
 
-    def remember(self, tx: Transaction, group: _Group) -> None:
-        """Map the wallets of ``tx``, just admitted into ``group``."""
-        if not tx.declared_deps:
-            group_of = self._group_of
-            for w in tx.reads:
-                group_of[w] = group
-            for w in tx.writes:
-                group_of[w] = group
+    def _remap(self, wallet: str, group: _Group) -> bool:
+        """Whether ``wallet`` maps to ``group`` through merges; if so, maps
+        it to ``group`` directly."""
+        other = self.wallets.get(wallet)
+        if other is None or other.live() is not group:
+            return False
+        self.wallets[wallet] = group
+        return True
 
-    def touched(self, keys: list[str]) -> list[_Group]:
-        """Existing groups ``keys`` reach, oldest first.  Changes nothing
-        but path compression."""
-        parent, groups, find = self._parent, self._groups, self.find
+    def touched(self, tx: Transaction) -> list[_Group]:
+        """The live groups ``tx``'s keys reach, in key order.  Changes
+        nothing but path compression."""
+        wallets = self.wallets
+        reached = [wallets.get(w) for w in tx.reads]
+        extra = tx.writes.difference(tx.reads)
+        if extra:
+            reached.extend(wallets.get(w) for w in sorted(extra))
+        if self._has_ids(tx):
+            ids = self.ids
+            reached.append(ids.get(tx.id))
+            reached.extend(ids.get(dep) for dep in tx.declared_deps)
         found: list[_Group] = []
-        for key in keys:
-            root = parent.get(key)
-            if root is not None and parent[root] != root:
-                root = find(key)
-            group = groups.get(root)
-            if group is not None and group not in found:
-                found.append(group)
-        if len(found) > 1:
-            found.sort(key=lambda g: g.seq)
+        for group in reached:
+            if group is not None:
+                if group.into is not None:
+                    group = group.live()
+                if group not in found:
+                    found.append(group)
         return found
 
-    def join(self, keys: list[str]) -> tuple[_Group, list[tuple[_Group, _Group]]]:
-        """Union ``keys`` into one group, dealing a new group if none.
-        Returns the group and the ``(younger, older)`` group pairs merged,
-        in merge order."""
-        parent, find = self._parent, self.find
-        for key in keys:
-            if key not in parent:
-                parent[key] = key
-        root = find(keys[0])
+    def join(
+        self, tx: Transaction, found: list[_Group]
+    ) -> tuple[_Group, list[tuple[_Group, _Group]]]:
+        """Map ``tx``'s keys to one group: ``found``, its ``touched`` groups
+        merged in order into the oldest, or a new group.  Returns the group
+        and the ``(younger, older)`` group pairs merged, in merge order."""
         merged: list[tuple[_Group, _Group]] = []
-        for key in keys[1:]:
-            other = find(key)
-            if other != root:
-                self._merge(root, other, merged)
-        if merged:  # the younger groups' wallets now sit in older ones
-            self._group_of.clear()
-        group = self._groups.get(root)
-        if group is None:
-            group = _Group(self.next_queue % self.n, self._group_seq)
-            self._group_seq += 1
-            self.next_queue += 1
-            self._groups[root] = group
-        return group, merged
-
-    def _merge(self, ra: str, rb: str, merged: list[tuple[_Group, _Group]]) -> None:
-        # Root rb joins root ra; ra stays the root.
-        groups = self._groups
-        ga, gb = groups.get(ra), groups.get(rb)
-        if ga is not None and gb is not None:
-            if ga is not gb:
-                keep, drop = (ga, gb) if ga.seq <= gb.seq else (gb, ga)
-                merged.append((drop, keep))
-                survivor = keep
-            else:
-                survivor = ga
+        if found:
+            group = found[0]
+            for other in found[1:]:
+                if other.seq < group.seq:
+                    group, other = other, group
+                other.into = group
+                merged.append((other, group))
+            self._count -= len(merged)
         else:
-            survivor = ga or gb
-        self._parent[rb] = ra
-        if survivor is not None:
-            groups[ra] = survivor
-        groups.pop(rb, None)
+            group = _Group(self.next_queue % self.n, self.next_queue)
+            self.next_queue += 1
+            self._count += 1
+        wallets = self.wallets
+        for w in tx.reads:
+            wallets[w] = group
+        for w in tx.writes:
+            wallets[w] = group
+        if self._has_ids(tx):
+            ids = self.ids
+            ids[tx.id] = group
+            for dep in tx.declared_deps:
+                ids[dep] = group
+        return group, merged
 
 
 def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
@@ -441,16 +379,28 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     if n < 1:
         raise ValueError("need at least one queue")
     groups = FootprintGroups(n)
+    wallets, ids = groups.wallets, groups.ids
     for tx in txs:
         for dep in tx.declared_deps:
-            groups.reference(dep)
-    roots = groups.roots(txs)
-    queue_of = {root: i % n for i, root in enumerate(dict.fromkeys(roots))}
+            ids[dep] = None
+    settled, touched, join = groups.settled, groups.touched, groups.join
+    firsts = []
+    for tx in txs:
+        footprint = tx.reads
+        if len(footprint) == 1 and not (tx.writes or tx.declared_deps or tx.id in ids):
+            # A one-wallet query: its group is its wallet's, or a new one.
+            group = wallets.get(footprint[0]) or join(tx, [])[0]
+        else:
+            group = settled(tx) or join(tx, touched(tx))[0]
+        firsts.append(group)
+    live = {group: group.live() for group in dict.fromkeys(firsts)}
+    index = {final: i % n for i, final in enumerate(dict.fromkeys(live.values()))}
+    queue_of = {group: index[final] for group, final in live.items()}
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
     reads, writes = [q._read for q in queues], [q._write for q in queues]
     # A stable sort on submit time keeps batch order among ties.
-    for tx, root in sorted(zip(txs, roots), key=lambda pair: pair[0].submit_time):
-        (reads if type(tx.payload) is Query else writes)[queue_of[root]].append(tx)
+    for tx, group in sorted(zip(txs, firsts), key=lambda pair: pair[0].submit_time):
+        (reads if type(tx.payload) is Query else writes)[queue_of[group]].append(tx)
     for q in queues:
         q._live.update(tx.id for pending in (q._read, q._write) for tx in pending)
         q.peak_occupancy = len(q._live)
@@ -771,15 +721,15 @@ class PipelineOrderingService:
             if len(queue) >= queue.capacity:
                 return _MEMPOOL_FULL
         else:
-            keys = groups.keys(tx)
-            # Check the landing queue before joining, so a rejection leaves
-            # no trace: it must hold the transaction plus every pending
-            # member a bridge would pull in from other queues.
-            touched = groups.touched(keys)
+            # Check the landing queue, the oldest touched group's, before
+            # joining, so a rejection leaves no trace: it must hold the
+            # transaction plus every pending member a bridge would pull in
+            # from other queues.
+            touched = groups.touched(tx)
             incoming = 1
             if touched:
-                index = touched[0].queue_index
-                for other in touched[1:]:
+                index = min(touched, key=_seq).queue_index
+                for other in touched:
                     if other.queue_index != index:
                         pending = self.queues[other.queue_index]
                         incoming += sum(1 for m in other.members if m.id in pending)
@@ -788,10 +738,9 @@ class PipelineOrderingService:
             queue = self.queues[index]
             if len(queue) + incoming > queue.capacity:
                 return _MEMPOOL_FULL
-            group, merged = groups.join(keys)
+            group, merged = groups.join(tx, touched)
             for younger, older in merged:
                 self._relocate(younger, older)
-            groups.remember(tx, group)
         self._seen.add(tx.id)
         self.state.note_declared_deps(tx)
         queue.append(tx)

@@ -21,6 +21,7 @@ from conflictsim.core import (
     Query,
     Transaction,
     TxStatus,
+    apply_transaction,
     total_supply,
     transfer_tx,
 )
@@ -736,3 +737,66 @@ def test_balance_replays_the_first_pending_transaction(count, monkeypatch):
     if count is None:  # the pipeline leaves nothing pending here
         assert any(new is None for new, _old in picks)
     assert any(new is not None for new, _old in picks)
+
+
+# -- linear replay oracle ------------------------------------------------------
+
+
+def _replay(ledger, stream, txs):
+    """Replay an order stream serially on ``ledger``, as ``finalize`` commits
+    with no stamp, and return the statuses.  A transaction one of whose
+    declared dependencies has not committed earlier in the stream fails
+    without applying, as the gate's abort does."""
+    statuses = {}
+    for tx_id in stream:
+        tx = txs[tx_id]
+        if any(statuses.get(dep) is not TxStatus.COMMITTED
+               for dep in tx.declared_deps):
+            statuses[tx_id] = TxStatus.CONFLICT_FAILED
+            continue
+        _, status = apply_transaction(ledger, tx)
+        if status is TxStatus.COMMITTED:
+            ledger.committed_tx_count += 1
+            ledger.height += bool(tx.writes)
+        statuses[tx_id] = status
+    return statuses
+
+
+@pytest.mark.parametrize("name, count", [
+    *((name, None) for name in _BUNDLED), *((name, 1000) for name in _BUNDLED[:4]),
+])
+def test_pipeline_run_equals_the_linear_replay_of_its_order_stream(
+    name, count, monkeypatch
+):
+    # Each channel's statuses and final ledger equal a serial replay of its
+    # order stream from the initial ledger: on the bundled scenarios and on
+    # each attack's 1k sweep variant, in countermeasures mode, seeds 0-2.
+    config = resolve_scenario(name)
+    if count is not None:
+        config = sweep_scenario(config, count)
+    init, collect = SimulationRun.__init__, SimulationRun.collect
+    replayed = []
+
+    def recording(run, *args):
+        init(run, *args)
+        run.initial = {ch: s.ledger.copy() for ch, s in run.channels.items()}
+
+    def checking(run, kind, facts):
+        for ch, state in run.channels.items():
+            stream = state.order_stream
+            assert len(set(stream)) == len(stream)
+            assert all(run.all_txs[tx_id].channel == ch for tx_id in stream)
+            ledger = run.initial[ch]
+            statuses = _replay(ledger, stream, run.all_txs)
+            # Every status but a client timeout comes from the stream.
+            assert statuses == {tx_id: st for tx_id, st in state.statuses.items()
+                                if st is not TxStatus.TIMEOUT}
+            assert ledger == state.ledger
+            replayed.append(len(stream))
+        return collect(run, kind, facts)
+
+    monkeypatch.setattr(SimulationRun, "__init__", recording)
+    monkeypatch.setattr(SimulationRun, "collect", checking)
+    for seed in range(3):
+        run_attack(config, "countermeasures", seed)
+    assert sum(replayed) > 0

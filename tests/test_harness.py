@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conflictsim.cli import main, resolve_scenario
+from conflictsim.cli import BUNDLED_DIR, main, resolve_scenario
 from conflictsim.core import query_tx, transfer_tx
 from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
@@ -592,6 +592,23 @@ def test_cli_bench_zero_reps_is_config_error():
     proc = run_cli("bench", "--txs", "10", "--reps", "0")
     assert proc.returncode == 2
     assert "reps" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("queue_capacity", "0"), ("queue_capacity", "-1"), ("defer_limit", "-1"),
+    ("client_timeout", "-3"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_out_of_range_policy_is_config_error(field, value, command,
+                                                 tmp_path, capsys):
+    lines = [line for line in
+             (BUNDLED_DIR / "ddos_default.scn").read_text().splitlines()
+             if not line.startswith(field + " ")]
+    lines.insert(lines.index("[policy]") + 1, f"{field} {value}")
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_cli_sweep_attack_mismatch_is_config_error():

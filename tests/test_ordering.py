@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflictsim.core import (
@@ -694,8 +694,8 @@ def _landing(service, tx_id):
 
 @pytest.mark.parametrize("workers, capacity", [(2, None), (3, None), (2, 3), (3, 2)])
 def test_settled_admission_matches_the_key_path_across_bridges(workers, capacity):
-    # The reference service has the wallet map switched off, so every
-    # admission takes keys, touched and join.  Four pairs' groups fill up,
+    # The reference service has ``settled`` switched off, so every
+    # admission takes touched and join.  Four pairs' groups fill up,
     # a bridge merges two of them, settled traffic follows on every wallet
     # of the merged group, a second bridge merges three groups, and settled
     # traffic follows again; both services must agree on every outcome,
@@ -728,7 +728,7 @@ def test_settled_admission_matches_the_key_path_across_bridges(workers, capacity
         both(transfer_tx(f"s{x}", x, y, 1))
     traffic("w", ("ab", "cd", "ef", "gh"))
     # Each bridge's traffic first reads a wallet only the younger groups
-    # held, whose map entry must have gone with the merge.
+    # held, whose map entry must now reach the older group.
     both(transfer_tx("bridge2", "b", "c", 1))
     traffic("m", ("cd", "ba", "ad"))
     run(15)
@@ -787,13 +787,19 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
     admitted = []
 
     def shape():
+        # Live groups, not raw map entries: path compression may rewrite
+        # ``into`` without changing any key's group.
         return ([len(q) for q in service.queues], len(groups), groups.next_queue,
-                dict(groups._group_of))
+                {w: g.live() for w, g in groups.wallets.items()},
+                {i: g and g.live() for i, g in groups.ids.items()})
 
     def map_matches_keys():
-        # Every wallet the map knows sits in the group its key finds.
-        for w, group in groups._group_of.items():
-            assert group is groups._groups[groups.find("w:" + w)]
+        # Every mapped wallet or id reaches a live group, and those groups
+        # are all the groups there are.
+        reached = {g.live() for g in (*groups.wallets.values(),
+                                      *groups.ids.values()) if g is not None}
+        assert all(g.into is None for g in reached)
+        assert len(reached) == len(groups)
 
     for n, (op, x, y) in enumerate(ops):
         tx_id = f"op{n}"
@@ -825,3 +831,75 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
         for q in service.queues:
             assert len(q) <= q.peak_occupancy <= capacity
         map_matches_keys()
+
+
+def _key_components(txs):
+    """Connected components of the footprint keys of ``txs``, admitted in
+    that order, rebuilt from scratch: a transaction's keys are its wallets,
+    plus its own id and its dependencies' ids when it declares any, touches
+    no wallet, or an earlier transaction named its id."""
+    parent = {}
+
+    def find(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    for tx in txs:
+        keys = [("w", w) for w in (*tx.reads, *tx.writes)]
+        if tx.declared_deps or not keys or ("t", tx.id) in parent:
+            keys += [("t", i) for i in (tx.id, *tx.declared_deps)]
+        for key in keys:
+            parent.setdefault(key, key)
+        for key in keys[1:]:
+            parent[find(key)] = find(keys[0])
+    components = {}
+    for key in parent:
+        components.setdefault(find(key), set()).add(key)
+    return {frozenset(c) for c in components.values()}
+
+
+_dep_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["transfer", "transfer", "query", "run"]),
+        st.lists(st.integers(0, 11), max_size=3, unique=True),
+        # Dependencies by op index: earlier ops, later ones (a forward
+        # reference) and ones that never come.
+        st.lists(st.integers(0, 32), max_size=2, unique=True),
+    ),
+    max_size=32,
+)
+
+
+@settings(max_examples=300)
+@given(workers=st.integers(1, 3), capacity=st.integers(2, 8), ops=_dep_ops)
+def test_groups_are_the_components_of_the_accepted_keys(workers, capacity, ops):
+    engine, state, service, admit = _pipeline(workers, capacity, "abcdefghijkl")
+    groups = service.groups
+    accepted = []
+    for n, (kind, picks, deps) in enumerate(ops):
+        if kind == "run":
+            engine.run_until(engine.now + 1 + 10 * len(picks))
+            continue
+        wallets = ["abcdefghijkl"[i] for i in picks]
+        dep_ids = tuple(f"op{d}" for d in deps if d != n)
+        if kind == "transfer" and len(wallets) >= 2:
+            tx = transfer_tx(f"op{n}", wallets[0], wallets[1], 1,
+                             extra_reads=tuple(wallets[2:]), deps=dep_ids)
+        else:
+            tx = query_tx(f"op{n}", tuple(wallets), deps=dep_ids)
+        if admit(tx) is SubmitOutcome.ACCEPTED:
+            accepted.append(tx)
+        live = {}
+        for kind_, mapping in (("w", groups.wallets), ("t", groups.ids)):
+            for key, group in mapping.items():
+                live.setdefault(group.live(), set()).add((kind_, key))
+        assert len(live) == len(groups)
+        assert {frozenset(c) for c in live.values()} == _key_components(accepted)
+        # A pending transaction waits in its group's queue.
+        for tx in accepted:
+            key_group = (groups.wallets[tx.reads[0]] if tx.reads
+                         else groups.ids[tx.id]).live()
+            for i, q in enumerate(service.queues):
+                if tx.id in q:
+                    assert i == key_group.queue_index
