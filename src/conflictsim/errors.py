@@ -49,3 +49,7 @@ class StateMismatchError(SimulatorError):
 
 class EmptyInputError(SimulatorError):
     """An aggregation was asked to summarize zero records."""
+
+
+class TerminalStatusError(SimulatorError):
+    """A terminal status was set on a transaction that already had one."""

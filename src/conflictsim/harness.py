@@ -309,32 +309,28 @@ class BenchReport:
         return self.pipeline_tps / self.baseline_tps if self.baseline_tps else 0.0
 
 
-def _commit(state: ChannelState, tx, io_delay_s: float) -> None:
-    """Modelled service cost, then the simulator's commit, endorsing ``tx``
-    as it finalizes."""
-    if io_delay_s > 0:
-        time.sleep(io_delay_s)
-    state.finalize(tx)
-
-
 def _bench_baseline(balances, txs, io_delay_s) -> tuple[LedgerState, float]:
     state = ChannelState("baseline", LedgerState.from_balances(balances))
+    finalize = state.finalize  # endorses each transaction as it commits it
     start = time.perf_counter()
     for tx in txs:
-        _commit(state, tx, io_delay_s)
+        if io_delay_s > 0:  # modelled service cost
+            time.sleep(io_delay_s)
+        finalize(tx)
     return state.ledger, time.perf_counter() - start
 
 
 def _drain_queue(queue, state, io_delay_s) -> None:
     # No commit is ever in flight here, so a stalled queue is polled until
     # the defer limit resolves it, as the simulator's retry tick does.
-    defer_counts: dict[str, int] = {}
-    limit = OrderingPolicy.defer_limit
-    for tx in gate(queue, state, defer_counts, limit):
+    finalize = state.finalize
+    for tx in gate(queue, state, {}, OrderingPolicy.defer_limit):
         if tx is None:
             break
         if tx is not STALLED:
-            _commit(state, tx, io_delay_s)
+            if io_delay_s > 0:
+                time.sleep(io_delay_s)
+            finalize(tx)
 
 
 def _bench_pipeline(

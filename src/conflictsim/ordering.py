@@ -36,6 +36,7 @@ from .core import (
     conflicts_with,
     stamp_read_versions,
 )
+from .errors import TerminalStatusError
 from .simnet import Engine, NodeConfig
 
 BASELINE = "baseline"
@@ -195,37 +196,49 @@ def check_dependencies(
 class OrdererQueue:
     """Per-worker bounded queue: queries dequeue ahead of writers.
 
-    ``gate`` pops the class deques and updates the live set itself, so
-    nothing may rebind ``_read``, ``_write`` or ``_live``."""
+    ``pending`` counts the transactions waiting to be served (``len`` reads
+    it).  The serving rule: an entry is served when it is the first entry
+    of its id popped while that id is pending here; later entries of the id
+    are skipped.  Only an id taken out while queued (``discard``, which
+    relocation also uses) can leave an entry behind, so only those ids are
+    tracked: ``_moved`` maps one to its entries still queued, and ``_dead``
+    holds the ones among them not pending here.  ``gate`` pops the class
+    deques and keeps the count and both maps itself."""
 
     def __init__(self, owner: str, capacity: int):
         self.owner = owner
         self.capacity = capacity
         self._read: deque[Transaction] = deque()
         self._write: deque[Transaction] = deque()
-        self._live: set[str] = set()
+        self._moved: dict[str, int] = {}
+        self._dead: set[str] = set()
+        self.pending = 0
         self.peak_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._live
+        return self.pending
 
     def append(self, tx: Transaction) -> None:
-        self._live.add(tx.id)
+        """Queue ``tx``, which is not pending here, at the tail of its
+        class."""
+        moved = self._moved
+        if moved and tx.id in moved:  # its older entries serve again
+            moved[tx.id] += 1
+            self._dead.discard(tx.id)
         if type(tx.payload) is Query:
             self._read.append(tx)
         else:
             self._write.append(tx)
-        if len(self._live) > self.peak_occupancy:
-            self.peak_occupancy = len(self._live)
+        self.pending += 1
+        if self.pending > self.peak_occupancy:
+            self.peak_occupancy = self.pending
 
-    def discard(self, tx_id: str) -> bool:
-        if tx_id in self._live:
-            self._live.discard(tx_id)
-            return True
-        return False
+    def discard(self, tx_id: str) -> None:
+        """Take ``tx_id``, which is pending here, out of the queue; its
+        entries stay queued, dead."""
+        self._moved.setdefault(tx_id, 1)  # an id never moved has one entry
+        self._dead.add(tx_id)
+        self.pending -= 1
 
 
 class _Group:
@@ -373,8 +386,8 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     transaction always shares a queue with its dependency.  The final
     groups are dealt round-robin in order of first appearance; within each
     queue transactions keep (queries first, submit time, batch index) order.
-    The queues are built in bulk, so each one's live set and peak are set
-    once.
+    The queues are built in bulk, so each one's count and peak are set
+    once; the batch's ids must be distinct.
     """
     if n < 1:
         raise ValueError("need at least one queue")
@@ -402,8 +415,7 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     for tx, group in sorted(zip(txs, firsts), key=lambda pair: pair[0].submit_time):
         (reads if type(tx.payload) is Query else writes)[queue_of[group]].append(tx)
     for q in queues:
-        q._live.update(tx.id for pending in (q._read, q._write) for tx in pending)
-        q.peak_occupancy = len(q._live)
+        q.pending = q.peak_occupancy = len(q._read) + len(q._write)
     return queues
 
 
@@ -433,7 +445,9 @@ class ChannelState:
     def set_status(self, tx: Transaction, status: TxStatus) -> None:
         current = self.statuses.get(tx.id)
         if current in TERMINAL:
-            raise ValueError(f"{tx.id}: terminal status {current} already set")
+            raise TerminalStatusError(
+                f"{tx.id}: terminal status {current} already set"
+            )
         if status in TERMINAL:
             self._settle(tx, status)
         else:
@@ -452,23 +466,31 @@ class ChannelState:
     def finalize(self, tx: Transaction, stamp: dict | None = None) -> TxStatus:
         """Validate an ordered transaction against the ledger, with the read
         stamp of its endorsement or endorsed now when none is given, and
-        commit it.
+        commit it; records its terminal status as ``_settle`` does.
 
         Committed writers extend the chain by one single-transaction block;
         failed transactions never occupy block space.
         """
-        current = self.statuses.get(tx.id)
+        tx_id = tx.id
+        statuses = self.statuses
+        current = statuses.get(tx_id)
         if current in TERMINAL:
             return current
         ledger = self.ledger
         # Every status apply_transaction returns is terminal.
         _, status = apply_transaction(ledger, tx, stamp)
-        self.order_stream.append(tx.id)
+        self.order_stream.append(tx_id)
+        statuses[tx_id] = status
         if status is _COMMITTED:
+            self.committed.add(tx_id)
             ledger.committed_tx_count += 1
             if tx.writes:
                 ledger.height += 1
-        self._settle(tx, status)
+        else:
+            self.failed.add(tx_id)
+        if self.terminal_listeners:
+            for listener in self.terminal_listeners:
+                listener(tx, status)
         return status
 
     def dependency_violations(self) -> int:
@@ -500,32 +522,42 @@ def gate(
     """The gated drain (C1): each ``next()`` takes ``queue``'s next
     transaction that is ready to order against ``state``.
 
-    A transaction already terminal is skipped, one whose declared
-    dependency failed aborts, and a deferred one goes back to the tail of
-    its class, timing out once deferred more than ``defer_limit``
-    times.  A pass looks at each queued transaction at most once: deferred
-    ones are held aside and re-queued before the pass yields, so a deferred
-    read cannot hide a ready writer behind it.  Yields the ready
-    transaction, ``None`` when the queue is empty, or ``STALLED`` when every
-    transaction left was deferred.  ``in_flight`` is read on every pass, so
-    a live view stays current.
+    Entries the queue's serving rule skips are dropped as they are popped;
+    only ids taken out while queued cost the pop a lookup.  A transaction
+    already terminal is skipped, one whose declared dependency failed
+    aborts, and a deferred one goes back to the tail of its class, timing
+    out once deferred more than ``defer_limit`` times.  A pass looks at
+    each queued transaction at most once: deferred ones are held aside and
+    re-queued before the pass yields, so a deferred read cannot hide a
+    ready writer behind it.  Yields the ready transaction, ``None`` when
+    the queue is empty, or ``STALLED`` when every transaction left was
+    deferred.  ``in_flight`` is read on every pass, so a live view stays
+    current.
 
-    The gate reads the queue's deques directly.  A terminal listener that
-    the gate's aborts and timeouts reach must not draw from the same gate:
-    a running generator raises.
+    The gate reads the queue's deques and maps directly.  A terminal
+    listener that the gate's aborts and timeouts reach must not draw from
+    the same gate: a running generator raises.
     """
     committed, failed = state.committed, state.failed
-    reads, writes, live = queue._read, queue._write, queue._live
-    discard = live.discard
+    reads, writes = queue._read, queue._write
+    moved, dead = queue._moved, queue._dead
     deferred: list[Transaction] = []
     while True:
         ready = None
         while reads or writes:
             tx = (reads or writes).popleft()
             tx_id = tx.id
-            if tx_id not in live:  # discarded while queued
-                continue
-            discard(tx_id)
+            if moved and tx_id in moved:
+                left = moved.pop(tx_id) - 1  # its entries queued behind this one
+                if left:
+                    moved[tx_id] = left
+                if tx_id in dead:  # not pending here: skip the entry
+                    if not left:
+                        dead.discard(tx_id)
+                    continue
+                if left:
+                    dead.add(tx_id)  # served now, so the rest are skipped
+            queue.pending -= 1
             if tx_id in committed or tx_id in failed:  # already terminal
                 continue
             if not tx.declared_deps and not in_flight:
@@ -675,7 +707,7 @@ class PipelineOrderingService:
         self.worker_nodes = worker_nodes or []
         self.groups = FootprintGroups(n)
         self._busy = [False] * n
-        self._seen: set[str] = set()
+        self._seen: dict[str, Transaction] = {}  # every admitted transaction
         self.peak_pool = 0  # most transactions pending across all queues
         self._total_live = 0
         self._in_flight: dict[str, Transaction] = {}
@@ -691,11 +723,23 @@ class PipelineOrderingService:
     def peak_queue(self) -> int:
         return max(q.peak_occupancy for q in self.queues)
 
+    def _waiting(self, txs: Iterable[Transaction]) -> list[Transaction]:
+        """The admitted ``txs`` still pending in their group's queue: those
+        neither in flight nor terminal."""
+        in_flight, committed, failed = (
+            self._in_flight, self.state.committed, self.state.failed
+        )
+        return [tx for tx in txs if not (
+            tx.id in in_flight or tx.id in committed or tx.id in failed
+        )]
+
     def _relocate(self, source: _Group, dest: _Group) -> None:
         # Move only the source group's still-pending members; other groups
         # sharing the queue stay put.
         src_q = self.queues[source.queue_index]
-        moved = [tx for tx in source.members if src_q.discard(tx.id)]
+        moved = self._waiting(source.members)
+        for tx in moved:
+            src_q.discard(tx.id)
         dest.members.extend(moved)
         if source.queue_index == dest.queue_index:
             for tx in moved:  # same queue: nothing to re-route
@@ -718,7 +762,7 @@ class PipelineOrderingService:
             # Its footprint sits in one group already: nothing to join.
             index = group.queue_index
             queue = self.queues[index]
-            if len(queue) >= queue.capacity:
+            if queue.pending >= queue.capacity:
                 return _MEMPOOL_FULL
         else:
             # Check the landing queue, the oldest touched group's, before
@@ -731,17 +775,16 @@ class PipelineOrderingService:
                 index = min(touched, key=_seq).queue_index
                 for other in touched:
                     if other.queue_index != index:
-                        pending = self.queues[other.queue_index]
-                        incoming += sum(1 for m in other.members if m.id in pending)
+                        incoming += len(self._waiting(other.members))
             else:
                 index = groups.next_queue % groups.n
             queue = self.queues[index]
-            if len(queue) + incoming > queue.capacity:
+            if queue.pending + incoming > queue.capacity:
                 return _MEMPOOL_FULL
             group, merged = groups.join(tx, touched)
             for younger, older in merged:
                 self._relocate(younger, older)
-        self._seen.add(tx.id)
+        self._seen[tx.id] = tx
         self.state.note_declared_deps(tx)
         queue.append(tx)
         group.members.append(tx)
@@ -752,11 +795,16 @@ class PipelineOrderingService:
         return _ACCEPTED
 
     def discard(self, tx_id: str) -> bool:
-        for queue in self.queues:
-            if queue.discard(tx_id):
-                self._total_live -= 1
-                return True
-        return False
+        tx = self._seen.get(tx_id)
+        if tx is None or not self._waiting((tx,)):
+            return False
+        # Every wallet key, or with none its id key, maps to its group.
+        groups = self.groups
+        wallet = tx.reads[0] if tx.reads else next(iter(tx.writes), None)
+        group = groups.ids[tx_id] if wallet is None else groups.wallets[wallet]
+        self.queues[group.live().queue_index].discard(tx_id)
+        self._total_live -= 1
+        return True
 
     # drain (C1 + C3)
 
@@ -764,9 +812,9 @@ class PipelineOrderingService:
         if self._busy[index] or index == self.withheld_worker:
             return
         queue = self.queues[index]
-        pending = len(queue)
+        pending = queue.pending
         tx = next(self._gates[index])
-        self._total_live -= pending - len(queue)
+        self._total_live -= pending - queue.pending
         if tx is STALLED:
             self._ensure_retry(index)
         elif tx is not None:
@@ -783,7 +831,7 @@ class PipelineOrderingService:
 
     def _on_retry(self, engine: Engine, index: int) -> None:
         self._retry_scheduled[index] = False
-        if len(self.queues[index]):
+        if self.queues[index].pending:
             self._wake(index)
 
     def _dispatch(self, index: int, tx: Transaction) -> None:
@@ -803,5 +851,5 @@ class PipelineOrderingService:
         self._wake(index)
         # A commit can unblock deferred transactions in other queues.
         for i, busy in enumerate(self._busy):
-            if i != index and not busy and len(self.queues[i]):
+            if i != index and not busy and self.queues[i].pending:
                 self._wake(i)

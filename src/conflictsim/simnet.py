@@ -94,6 +94,8 @@ class Topology:
             if node.id in seen:
                 raise ValueError(f"duplicate node id {node.id}")
             seen.add(node.id)
+            if node.latency is not None and node.latency < 0:
+                raise ValueError(f"node {node.id} latency must be >= 0")
         for (a, b), delay in self.links.items():
             if delay <= 0:
                 raise ValueError(f"link {a}->{b} latency must be positive")

@@ -303,6 +303,13 @@ class ScenarioConfig:
                     )
         if self.deadline < 0:
             raise ScenarioValidationError("deadline must be non-negative")
+        if self.attack.kind == "balance":
+            # Either would plan a valid transaction to arrive before time 0.
+            for name in ("valid_spacing", "tail_start"):
+                if self.attack.p_int(name, 0) < 0:
+                    raise ScenarioValidationError(
+                        f"attack param {name} must be non-negative"
+                    )
         for tx_id, orderer in self.pinned_orderers.items():
             if not self.topology.has_node(orderer):
                 raise ScenarioValidationError(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conflictsim.cli import BUNDLED_DIR, main, resolve_scenario
-from conflictsim.core import query_tx, transfer_tx
+from conflictsim.core import TxStatus, query_tx, transfer_tx
 from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
     CSV_COLUMNS,
@@ -26,7 +26,7 @@ from conflictsim.harness import (
     summarize,
     write_results,
 )
-from conflictsim.ordering import partition
+from conflictsim.ordering import ChannelState, partition
 from test_ordering import queued
 from test_workload import bench_batches
 
@@ -249,7 +249,6 @@ def test_bench_drain_commits_deferred_dependent_after_its_dependency(monkeypatch
     # t1 spends what t2 brings in and declares t2 as a dependency, but is
     # submitted first: the gate defers it until t2 has committed.
     from conflictsim import harness
-    from conflictsim.ordering import ChannelState
 
     finalized = []
     finalize = ChannelState.finalize
@@ -416,16 +415,17 @@ def test_bench_partition_queues_match_pinned_digest(count, n_wallets,
 
 
 def _check_queue_counts(txs) -> None:
-    """The digests pin each queue's order; this checks that its length, peak
-    and membership agree with what it holds, at 1 to 4 workers."""
-    ids = [tx.id for tx in txs]
+    """The digests pin each queue's order; this checks, at 1 to 4 workers,
+    that each queue's length and peak count what it holds, every entry
+    pending, and that every transaction is held once."""
+    ids = sorted(tx.id for tx in txs)
     for workers in (1, 2, 3, 4):
         queues = partition(txs, workers)
         held = [[tx.id for tx in (*q._read, *q._write)] for q in queues]
-        assert sum(map(len, held)) == len(ids)
+        assert sorted(tx_id for members in held for tx_id in members) == ids
         for q, members in zip(queues, held):
             assert len(q) == q.peak_occupancy == len(members)
-            assert {tx_id for tx_id in ids if tx_id in q} == set(members)
+            assert not q._moved and not q._dead
 
 
 # The same for 40 batches with forward, backward, cyclic and out-of-batch
@@ -609,6 +609,50 @@ def test_cli_out_of_range_policy_is_config_error(field, value, command,
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--scenario", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, line, edit, named", [
+    ("table2_block_withholding",
+     "node client1 role=client channels=main latency=5",
+     "node client1 role=client channels=main latency=-1", "client1 latency"),
+    ("sec3b_double_spend",
+     "node hclient role=client channels=main latency=10",
+     "node hclient role=client channels=main latency=-1", "hclient latency"),
+    ("table2_balance_attack", "param valid_spacing 10", "param valid_spacing -1",
+     "valid_spacing"),
+    ("table2_balance_attack", "param tail_start 1010", "param tail_start -1",
+     "tail_start"),
+    ("table2_balance_attack", "link orderer1 peer1 5", "link orderer1 peer1 -1",
+     "latency"),
+    ("ddos_default", "default_latency 5", "default_latency -1", "latency"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, named,
+                                                      command, tmp_path, capsys):
+    # Each edit would plan an arrival or a delivery before time 0.
+    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
+    assert text.count(line + "\n") == 1
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(line + "\n", edit + "\n"))
+    assert main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+
+
+def test_cli_double_terminal_status_is_runtime_error(monkeypatch, capsys):
+    # A terminal status set twice is the program's fault, not the user's
+    # configuration: it exits 3.
+    finalize = ChannelState.finalize
+
+    def twice(self, tx, stamp=None):
+        status = finalize(self, tx, stamp)
+        self.set_status(tx, TxStatus.TIMEOUT)
+        return status
+
+    monkeypatch.setattr(ChannelState, "finalize", twice)
+    assert main(["run", "--scenario", "fig1_race", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "terminal status" in err
 
 
 def test_cli_sweep_attack_mismatch_is_config_error():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from conflictsim.core import (
     query_tx,
     transfer_tx,
 )
+from conflictsim.errors import SimulatorError, TerminalStatusError
 from conflictsim.ordering import (
     BASELINE,
     COUNTERMEASURES,
@@ -170,9 +172,17 @@ def test_conflicting_in_flight_defers():
 
 def queued(queue):
     """The transactions still pending in an ``OrdererQueue``, in dequeue
-    order (reads first), without taking any."""
-    live = queue._live
-    return [tx for tx in (*queue._read, *queue._write) if tx.id in live]
+    order (reads first), without taking any: one pass over its deques
+    under the serving rule."""
+    moved, dead = queue._moved, queue._dead
+    served, out = set(), []
+    for tx in (*queue._read, *queue._write):
+        if tx.id in moved:
+            if tx.id in dead or tx.id in served:
+                continue
+            served.add(tx.id)
+        out.append(tx)
+    return out
 
 
 def test_disjoint_transactions_spread_one_per_queue():
@@ -542,6 +552,142 @@ def test_one_gate_follows_commits_and_the_live_in_flight_view():
     assert next(passes) is None
 
 
+class _LiveSetQueue:
+    """Reference model of ``OrdererQueue`` as a live set of pending ids: an
+    entry popped while its id is live is served, and serving takes the id
+    out of the set."""
+
+    def __init__(self):
+        self.read, self.write, self.live = deque(), deque(), set()
+        self.peak_occupancy = 0
+
+    def __len__(self):
+        return len(self.live)
+
+    def append(self, tx):
+        self.live.add(tx.id)
+        (self.read if type(tx.payload) is Query else self.write).append(tx)
+        self.peak_occupancy = max(self.peak_occupancy, len(self.live))
+
+    def discard(self, tx_id):
+        self.live.discard(tx_id)
+
+    def queued(self):
+        """Pending transactions in dequeue order: each live id's first entry."""
+        first = {}
+        for tx in (*self.read, *self.write):
+            if tx.id in self.live:
+                first.setdefault(tx.id, tx)
+        return list(first.values())
+
+
+def _live_set_gate(queue, state, defer_counts, defer_limit):
+    """``gate`` over a ``_LiveSetQueue``, with nothing in flight."""
+    committed, failed = state.committed, state.failed
+    deferred = []
+    while True:
+        ready = None
+        while queue.read or queue.write:
+            tx = (queue.read or queue.write).popleft()
+            if tx.id not in queue.live:
+                continue
+            queue.live.discard(tx.id)
+            if tx.id in committed or tx.id in failed:
+                continue
+            verdict = check_dependencies(tx, committed, failed)
+            if verdict is DependencyVerdict.READY:
+                ready = tx
+                break
+            if verdict is DependencyVerdict.ABORT:
+                state.order_stream.append(tx.id)
+                state.set_status(tx, TxStatus.CONFLICT_FAILED)
+                continue
+            defer_counts[tx.id] = defer_counts.get(tx.id, 0) + 1
+            if defer_counts[tx.id] > defer_limit:
+                state.set_status(tx, TxStatus.TIMEOUT)
+                continue
+            deferred.append(tx)
+        for tx in deferred:
+            queue.append(tx)
+        if deferred and ready is None:
+            ready = STALLED
+        deferred.clear()
+        yield ready
+
+
+def test_counted_queue_serves_as_the_live_set_queue():
+    # Seeded random sequences of appends, discards of a pending id,
+    # relocations (same queue, another queue, or back to one the id has
+    # left) and gate passes over declared-dependency deferrals, aborts and
+    # timeouts; after every step the counted queues must have served the
+    # same transactions and hold the same ones, counts and peaks.
+    keys = ("k0", "k1", "k2")
+    for seed in range(600):
+        rng = random.Random(seed)
+        n, limit = rng.randint(1, 3), rng.randint(0, 3)
+        states = [ChannelState("main", LedgerState.from_balances({})) for _ in "nr"]
+        new = [OrdererQueue(f"q{i}", capacity=100) for i in range(n)]
+        ref = [_LiveSetQueue() for _ in range(n)]
+        new_gates = [gate(q, states[0], {}, limit) for q in new]
+        ref_gates = [_live_set_gate(q, states[1], {}, limit) for q in ref]
+        txs, visited = {}, {}
+
+        def served(got):
+            return got if got is None or got is STALLED else got.id
+
+        for step in range(rng.randint(1, 40)):
+            pending = [(i, tx_id) for i, q in enumerate(ref) for tx_id in sorted(q.live)]
+            op = rng.random()
+            if op < 0.35 or not pending and op < 0.65:
+                deps = tuple(k for k in keys if rng.random() < 0.25)
+                tx = (query_tx(f"t{step}", ("a",), deps=deps) if rng.random() < 0.4
+                      else transfer_tx(f"t{step}", "a", "b", 1, deps=deps))
+                i = rng.randrange(n)
+                txs[tx.id], visited[tx.id] = tx, {i}
+                new[i].append(tx)
+                ref[i].append(tx)
+            elif op < 0.65:
+                i, tx_id = rng.choice(pending)
+                new[i].discard(tx_id)
+                ref[i].discard(tx_id)
+                if op >= 0.45:  # relocation
+                    j = rng.choice(sorted(visited[tx_id]) if rng.random() < 0.5
+                                   else range(n))
+                    visited[tx_id].add(j)
+                    new[j].append(txs[tx_id])
+                    ref[j].append(txs[tx_id])
+            elif op < 0.75:
+                key, settle = rng.choice(keys), rng.choice(("committed", "failed"))
+                if all(key not in st.committed and key not in st.failed
+                       for st in states):
+                    for st in states:
+                        getattr(st, settle).add(key)
+            else:
+                i = rng.randrange(n)
+                got = served(next(new_gates[i]))
+                assert got == served(next(ref_gates[i])), (seed, step)
+                if got is not None and got is not STALLED:
+                    for st in states:
+                        st.set_status(txs[got], TxStatus.COMMITTED)
+            assert [[tx.id for tx in queued(q)] for q in new] == \
+                [[tx.id for tx in q.queued()] for q in ref], (seed, step)
+            assert [len(q) for q in new] == [len(q) for q in ref], (seed, step)
+            assert [q.peak_occupancy for q in new] == \
+                [q.peak_occupancy for q in ref], (seed, step)
+            assert states[0].statuses == states[1].statuses, (seed, step)
+        # Draining both to empty serves the rest in the same order.
+        for i in range(n):
+            while True:
+                got = served(next(new_gates[i]))
+                assert got == served(next(ref_gates[i])), (seed, i)
+                if got is None:
+                    break
+                if got is not STALLED:
+                    for st in states:
+                        st.set_status(txs[got], TxStatus.COMMITTED)
+            assert len(new[i]) == 0 and not new[i]._moved and not new[i]._dead
+
+
 def test_pipeline_aborts_dependent_of_failed_tx():
     txs = [
         transfer_tx("broke", "Q", "P", 9999, submit_time=0),  # insufficient
@@ -593,12 +739,39 @@ def test_terminal_status_never_overwritten():
     state = ChannelState("main", LedgerState.from_balances({"a": 10, "b": 0}))
     tx = transfer_tx("t", "a", "b", 1)
     state.set_status(tx, TxStatus.COMMITTED)
-    with pytest.raises(ValueError):
+    # A runtime invariant failure, not a configuration error.
+    with pytest.raises(TerminalStatusError) as raised:
         state.set_status(tx, TxStatus.TIMEOUT)
+    assert isinstance(raised.value, SimulatorError)
+    assert not isinstance(raised.value, ValueError)
     held = transfer_tx("h", "a", "b", 1)
     state.set_status(held, TxStatus.WITHHELD)  # non-terminal, may change
     state.set_status(held, TxStatus.TIMEOUT)
     assert state.status("h") is TxStatus.TIMEOUT
+
+
+@pytest.mark.parametrize("amount, outcome", [
+    (4, TxStatus.COMMITTED), (40, TxStatus.INSUFFICIENT_FUNDS),
+])
+@pytest.mark.parametrize("listening", [False, True])
+def test_finalize_records_what_set_status_records(amount, outcome, listening):
+    # finalize settles in its own call; for the same outcome it must leave
+    # what set_status leaves.
+    def recorded(settle):
+        state = ChannelState("main", LedgerState.from_balances({"a": 10, "b": 0}))
+        calls = []
+        if listening:
+            state.terminal_listeners.append(
+                lambda tx, status: calls.append((tx.id, status, set(state.committed),
+                                                 set(state.failed))))
+        settle(state, transfer_tx("t", "a", "b", amount))
+        return state.statuses, state.committed, state.failed, calls
+
+    def finalize(state, tx):
+        assert state.finalize(tx) is outcome
+
+    assert recorded(finalize) == recorded(
+        lambda state, tx: state.set_status(tx, outcome))
 
 
 def _pipeline(workers, queue_capacity, wallets):
@@ -687,7 +860,7 @@ def _traced_pipeline(workers, queue_capacity, wallets):
 def _landing(service, tx_id):
     """The queue index ``tx_id`` waits in, or the worker that took it."""
     for i, q in enumerate(service.queues):
-        if tx_id in q:
+        if any(tx.id == tx_id for tx in queued(q)):
             return i
     return service.dispatched.get(tx_id)
 
@@ -897,9 +1070,10 @@ def test_groups_are_the_components_of_the_accepted_keys(workers, capacity, ops):
         assert len(live) == len(groups)
         assert {frozenset(c) for c in live.values()} == _key_components(accepted)
         # A pending transaction waits in its group's queue.
+        waiting = [{tx.id for tx in queued(q)} for q in service.queues]
         for tx in accepted:
             key_group = (groups.wallets[tx.reads[0]] if tx.reads
                          else groups.ids[tx.id]).live()
-            for i, q in enumerate(service.queues):
-                if tx.id in q:
+            for i, ids in enumerate(waiting):
+                if tx.id in ids:
                     assert i == key_group.queue_index
