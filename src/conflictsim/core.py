@@ -67,12 +67,12 @@ class Query:
 class Transaction:
     """A single wallet operation plus the read/write footprint it declared.
 
-    ``reads`` names the wallets it reads, in order and each once; their
-    versions belong to the stamp an endorsement takes.  Nothing writes into
-    a transaction once its batch is built, so one batch serves every run: a
-    run keeps its endorsement stamps (from ``stamp_read_versions``) to
-    itself, and a queue reads the class of the payload (queries dequeue
-    first).
+    ``reads`` names the wallets it reads and ``declared_deps`` the ids it
+    depends on, in order and each once; the read versions belong to the
+    stamp an endorsement takes.  Nothing writes into a transaction once its
+    batch is built, so one batch serves every run: a run keeps its
+    endorsement stamps (from ``stamp_read_versions``) to itself, and a
+    queue reads the class of the payload (queries dequeue first).
     """
 
     id: TransactionId
@@ -81,12 +81,13 @@ class Transaction:
     submitter: str = "client"
     reads: tuple[WalletId, ...] = ()
     writes: frozenset[WalletId] = frozenset()
-    declared_deps: frozenset[TransactionId] = frozenset()
+    declared_deps: tuple[TransactionId, ...] = ()
     submit_time: int = 0
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("transaction id must be non-empty")
+        self.declared_deps = tuple(dict.fromkeys(self.declared_deps))
         p = self.payload
         if isinstance(p, Transfer):
             if p.src == p.dst:
@@ -128,7 +129,7 @@ def transfer_tx(
         channel=channel,
         submitter=submitter,
         reads=(src, dst, *extra_reads),
-        declared_deps=frozenset(deps),
+        declared_deps=deps,
         submit_time=submit_time,
     )
 
@@ -147,7 +148,7 @@ def query_tx(
         payload=Query(tuple(wallets)),
         channel=channel,
         submitter=submitter,
-        declared_deps=frozenset(deps),
+        declared_deps=deps,
         submit_time=submit_time,
     )
 

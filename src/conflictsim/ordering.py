@@ -272,33 +272,30 @@ class FootprintGroups:
     """Footprint groups, each dealt to one of ``n`` queues round-robin.
 
     A transaction's keys are its wallets (the reads, then the writes it does
-    not read, sorted to keep the string hash seed out), then its own id and its dependencies' ids when it
-    declares dependencies, touches no wallet, or some earlier transaction
-    named its id.  ``wallets`` maps a wallet, and ``ids`` a named id, to a
-    group (an id to None while only named).  A merged group forwards
-    through ``into`` to the older group it joined, which keeps its queue.
+    not read, sorted to keep the string hash seed out), its own id and its
+    dependencies' ids in declared order.  ``wallets`` maps a wallet to a
+    group, ``placed`` an accepted id (the caller writes it on acceptance),
+    and ``named`` an id a dependent named before it was placed.  A merged
+    group forwards through ``into`` to the older group it joined.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.next_queue = 0  # also the next group's seq
         self.wallets: dict[str, _Group] = {}
-        self.ids: dict[str, _Group | None] = {}
+        self.placed: dict[str, _Group] = {}
+        self.named: dict[str, _Group] = {}
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
-    def _has_ids(self, tx: Transaction) -> bool:
-        return bool(tx.declared_deps or not (tx.reads or tx.writes)
-                    or tx.id in self.ids)
-
     def settled(self, tx: Transaction) -> _Group | None:
         """The live group every wallet of ``tx`` already maps to, when ``tx``
-        reads a wallet and has no id keys; else None.  Re-points the
-        forwarded entries it reads at that group."""
-        ids = self.ids
-        if tx.declared_deps or (ids and tx.id in ids):
+        reads a wallet and neither names a dependency nor was named; else
+        None.  Re-points the forwarded entries it reads at that group."""
+        named = self.named
+        if tx.declared_deps or (named and tx.id in named):
             return None
         wallets = self.wallets
         reads = iter(tx.reads)
@@ -327,15 +324,16 @@ class FootprintGroups:
     def touched(self, tx: Transaction) -> list[_Group]:
         """The live groups ``tx``'s keys reach, in key order.  Changes
         nothing but path compression."""
-        wallets = self.wallets
+        wallets, named = self.wallets, self.named
         reached = [wallets.get(w) for w in tx.reads]
         extra = tx.writes.difference(tx.reads)
         if extra:
             reached.extend(wallets.get(w) for w in sorted(extra))
-        if self._has_ids(tx):
-            ids = self.ids
-            reached.append(ids.get(tx.id))
-            reached.extend(ids.get(dep) for dep in tx.declared_deps)
+        if named:
+            reached.append(named.get(tx.id))
+        if tx.declared_deps:
+            placed = self.placed
+            reached.extend(placed.get(dep) or named.get(dep) for dep in tx.declared_deps)
         found: list[_Group] = []
         for group in reached:
             if group is not None:
@@ -348,9 +346,10 @@ class FootprintGroups:
     def join(
         self, tx: Transaction, found: list[_Group]
     ) -> tuple[_Group, list[tuple[_Group, _Group]]]:
-        """Map ``tx``'s keys to one group: ``found``, its ``touched`` groups
-        merged in order into the oldest, or a new group.  Returns the group
-        and the ``(younger, older)`` group pairs merged, in merge order."""
+        """Map ``tx``'s wallets and unplaced dependencies to one group:
+        ``found``, its ``touched`` groups merged in order into the oldest, or
+        a new group.  Returns the group and the ``(younger, older)`` group
+        pairs merged, in merge order."""
         merged: list[tuple[_Group, _Group]] = []
         if found:
             group = found[0]
@@ -369,11 +368,10 @@ class FootprintGroups:
             wallets[w] = group
         for w in tx.writes:
             wallets[w] = group
-        if self._has_ids(tx):
-            ids = self.ids
-            ids[tx.id] = group
-            for dep in tx.declared_deps:
-                ids[dep] = group
+        placed, named = self.placed, self.named
+        for dep in tx.declared_deps:
+            if dep not in placed:
+                named[dep] = group
         return group, merged
 
 
@@ -381,39 +379,35 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
     """Split a workload into n queues, keeping conflicting transactions
     together.
 
-    Groups are the pipeline's footprint groups over the whole batch: every
-    id a declared dependency names is registered first, so a dependent
-    transaction always shares a queue with its dependency.  The final
-    groups are dealt round-robin in order of first appearance; within each
-    queue transactions keep (queries first, submit time, batch index) order.
-    The queues are built in bulk, so each one's count and peak are set
-    once; the batch's ids must be distinct.
+    Groups are the pipeline's footprint groups over the whole batch, under
+    the same key rule: a dependent shares a queue with every dependency in
+    the batch, whichever comes first.  The final groups are dealt
+    round-robin in order of first appearance; within each queue
+    transactions keep (queries first, submit time, batch index) order.  The
+    queues are built in bulk, so each one's count and peak are set once;
+    the batch's ids must be distinct.
     """
     if n < 1:
         raise ValueError("need at least one queue")
     groups = FootprintGroups(n)
-    wallets, ids = groups.wallets, groups.ids
-    for tx in txs:
-        for dep in tx.declared_deps:
-            ids[dep] = None
+    wallets, placed, named = groups.wallets, groups.placed, groups.named
     settled, touched, join = groups.settled, groups.touched, groups.join
-    firsts = []
     for tx in txs:
         footprint = tx.reads
-        if len(footprint) == 1 and not (tx.writes or tx.declared_deps or tx.id in ids):
+        if len(footprint) == 1 and not (tx.writes or tx.declared_deps or tx.id in named):
             # A one-wallet query: its group is its wallet's, or a new one.
             group = wallets.get(footprint[0]) or join(tx, [])[0]
         else:
             group = settled(tx) or join(tx, touched(tx))[0]
-        firsts.append(group)
-    live = {group: group.live() for group in dict.fromkeys(firsts)}
+        placed[tx.id] = group
+    live = {group: group.live() for group in dict.fromkeys(placed.values())}
     index = {final: i % n for i, final in enumerate(dict.fromkeys(live.values()))}
     queue_of = {group: index[final] for group, final in live.items()}
     queues = [OrdererQueue(owner=f"q{i}", capacity=max(len(txs), 1)) for i in range(n)]
     reads, writes = [q._read for q in queues], [q._write for q in queues]
     # A stable sort on submit time keeps batch order among ties.
-    for tx, group in sorted(zip(txs, firsts), key=lambda pair: pair[0].submit_time):
-        (reads if type(tx.payload) is Query else writes)[queue_of[group]].append(tx)
+    for tx in sorted(txs, key=attrgetter("submit_time")):
+        (reads if type(tx.payload) is Query else writes)[queue_of[placed[tx.id]]].append(tx)
     for q in queues:
         q.pending = q.peak_occupancy = len(q._read) + len(q._write)
     return queues
@@ -433,7 +427,7 @@ class ChannelState:
         self.failed: set[str] = set()
         self.order_stream: list[str] = []
         self.terminal_listeners: list[Callable[[Transaction, TxStatus], None]] = []
-        self._declared: dict[str, frozenset[str]] = {}
+        self._declared: dict[str, tuple[str, ...]] = {}
 
     def status(self, tx_id: str) -> TxStatus:
         return self.statuses.get(tx_id, TxStatus.PENDING)
@@ -707,7 +701,6 @@ class PipelineOrderingService:
         self.worker_nodes = worker_nodes or []
         self.groups = FootprintGroups(n)
         self._busy = [False] * n
-        self._seen: dict[str, Transaction] = {}  # every admitted transaction
         self.peak_pool = 0  # most transactions pending across all queues
         self._total_live = 0
         self._in_flight: dict[str, Transaction] = {}
@@ -723,21 +716,18 @@ class PipelineOrderingService:
     def peak_queue(self) -> int:
         return max(q.peak_occupancy for q in self.queues)
 
-    def _waiting(self, txs: Iterable[Transaction]) -> list[Transaction]:
-        """The admitted ``txs`` still pending in their group's queue: those
-        neither in flight nor terminal."""
-        in_flight, committed, failed = (
-            self._in_flight, self.state.committed, self.state.failed
-        )
-        return [tx for tx in txs if not (
-            tx.id in in_flight or tx.id in committed or tx.id in failed
-        )]
+    def _waiting(self, tx_id: str) -> bool:
+        """Whether the admitted ``tx_id`` still waits in its group's queue:
+        it is neither in flight nor terminal."""
+        state = self.state
+        return not (tx_id in self._in_flight or tx_id in state.committed
+                    or tx_id in state.failed)
 
     def _relocate(self, source: _Group, dest: _Group) -> None:
         # Move only the source group's still-pending members; other groups
         # sharing the queue stay put.
         src_q = self.queues[source.queue_index]
-        moved = self._waiting(source.members)
+        moved = [tx for tx in source.members if self._waiting(tx.id)]
         for tx in moved:
             src_q.discard(tx.id)
         dest.members.extend(moved)
@@ -754,9 +744,10 @@ class PipelineOrderingService:
     # admission (C2 + C4)
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
-        if tx.id in self._seen:
-            return _DUPLICATE
         groups = self.groups
+        placed = groups.placed
+        if tx.id in placed:
+            return _DUPLICATE
         group = groups.settled(tx)
         if group is not None:
             # Its footprint sits in one group already: nothing to join.
@@ -775,7 +766,7 @@ class PipelineOrderingService:
                 index = min(touched, key=_seq).queue_index
                 for other in touched:
                     if other.queue_index != index:
-                        incoming += len(self._waiting(other.members))
+                        incoming += sum(self._waiting(tx.id) for tx in other.members)
             else:
                 index = groups.next_queue % groups.n
             queue = self.queues[index]
@@ -784,7 +775,7 @@ class PipelineOrderingService:
             group, merged = groups.join(tx, touched)
             for younger, older in merged:
                 self._relocate(younger, older)
-        self._seen[tx.id] = tx
+        placed[tx.id] = group
         self.state.note_declared_deps(tx)
         queue.append(tx)
         group.members.append(tx)
@@ -795,13 +786,9 @@ class PipelineOrderingService:
         return _ACCEPTED
 
     def discard(self, tx_id: str) -> bool:
-        tx = self._seen.get(tx_id)
-        if tx is None or not self._waiting((tx,)):
+        group = self.groups.placed.get(tx_id)
+        if group is None or not self._waiting(tx_id):
             return False
-        # Every wallet key, or with none its id key, maps to its group.
-        groups = self.groups
-        wallet = tx.reads[0] if tx.reads else next(iter(tx.writes), None)
-        group = groups.ids[tx_id] if wallet is None else groups.wallets[wallet]
         self.queues[group.live().queue_index].discard(tx_id)
         self._total_live -= 1
         return True

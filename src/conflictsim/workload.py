@@ -53,8 +53,8 @@ class ConflictSpec:
             raise InfeasibleSpecError("conflict count must be at least 1")
         if len(self.wallets) < 2:
             raise InfeasibleSpecError("conflicts need at least two wallets")
-        if self.window < 0:
-            raise InfeasibleSpecError("window must be non-negative")
+        if self.window < 0 or self.start < 0:
+            raise InfeasibleSpecError("window and start must be non-negative")
         if not 0.0 <= self.mix_query <= 1.0:
             raise InfeasibleSpecError("query mix must be within [0, 1]")
 
@@ -131,7 +131,7 @@ def generate_conflicting_set(
         tx.id = ids[i]
         tx.channel = channel
         tx.submitter = submitter
-        tx.declared_deps = empty
+        tx.declared_deps = ()
         tx.submit_time = start + times[i]
         # The first element is always a transfer so the batch has a writer
         # for the conflict-density repair below to anchor on.
@@ -284,6 +284,11 @@ class ScenarioConfig:
                 )
         if isinstance(self.conflicts, list):
             for tx in self.conflicts:
+                if tx.submit_time < 0:
+                    raise ScenarioValidationError(
+                        f"scripted transaction {tx.id} submits at "
+                        f"{tx.submit_time}, before time 0"
+                    )
                 for wallet in sorted(tx.footprint()):
                     if wallet not in self.balances:
                         raise ScenarioValidationError(
@@ -303,13 +308,17 @@ class ScenarioConfig:
                     )
         if self.deadline < 0:
             raise ScenarioValidationError("deadline must be non-negative")
-        if self.attack.kind == "balance":
-            # Either would plan a valid transaction to arrive before time 0.
-            for name in ("valid_spacing", "tail_start"):
-                if self.attack.p_int(name, 0) < 0:
-                    raise ScenarioValidationError(
-                        f"attack param {name} must be non-negative"
-                    )
+        # An integer attack param is a count, amount, height, time, spacing
+        # or window: a negative time would plan an event before time 0.
+        for name, value in self.attack.params.items():
+            try:
+                negative = int(value) < 0
+            except ValueError:  # a word or a fraction
+                continue
+            if negative:
+                raise ScenarioValidationError(
+                    f"attack param {name} must be non-negative"
+                )
         for tx_id, orderer in self.pinned_orderers.items():
             if not self.topology.has_node(orderer):
                 raise ScenarioValidationError(
@@ -587,7 +596,7 @@ def generate_bench_workload(
         tx.id = ids[i]
         tx.channel = "main"
         tx.submitter = "client"
-        tx.declared_deps = empty
+        tx.declared_deps = ()
         tx.submit_time = i
         if rand() < read_ratio:
             r = bits(k_wallet)

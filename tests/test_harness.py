@@ -625,8 +625,18 @@ def test_cli_out_of_range_policy_is_config_error(field, value, command,
     ("table2_balance_attack", "link orderer1 peer1 5", "link orderer1 peer1 -1",
      "latency"),
     ("ddos_default", "default_latency 5", "default_latency -1", "latency"),
+    ("table2_block_withholding", "param target_submit 0",
+     "param target_submit -10", "target_submit"),
+    ("table2_block_withholding", "param variant hold",
+     "param variant release\nparam release_at -5", "release_at"),
+    ("sec3b_double_spend", "param valid_submit 0", "param valid_submit -20",
+     "valid_submit"),
+    ("ddos_default", "param burst 1000", "param burst -100", "burst"),
+    ("ddos_default", "window=0 start=1000", "window=0 start=-1000", "start"),
+    ("fig1_race", "tx tx1 transfer X Y 10 at 0", "tx tx1 transfer X Y 10 at -20",
+     "tx1"),
 ])
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, named,
                                                       command, tmp_path, capsys):
     # Each edit would plan an arrival or a delivery before time 0.
@@ -634,7 +644,10 @@ def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, name
     assert text.count(line + "\n") == 1
     path = tmp_path / "bad.scn"
     path.write_text(text.replace(line + "\n", edit + "\n"))
-    assert main([command, "--scenario", str(path)]) == 2
+    args = [command, "--scenario", str(path)]
+    if command == "sweep":
+        args += ["--conflicts", "100..100:100", "--trials", "1"]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
 

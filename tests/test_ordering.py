@@ -1,13 +1,18 @@
 """Ordering services: mempool bounds, countermeasure ops, race behaviour."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conflictsim
 from conflictsim.core import (
     LedgerState,
     Query,
@@ -35,6 +40,8 @@ from conflictsim.ordering import (
     partition,
 )
 from conflictsim.simnet import Engine, NodeConfig, Topology
+
+SRC_PATH = str(Path(conflictsim.__file__).resolve().parent.parent)
 
 
 # -- mempool ---------------------------------------------------------------
@@ -89,7 +96,7 @@ def test_queue_class_comes_from_the_payload():
     queue = OrdererQueue("q0", capacity=10)
     writer = transfer_tx("t", "A1", "V1", 100, extra_reads=("V2",))
     query = query_tx("q", ("V1", "V2"))
-    query.declared_deps = frozenset({"t"})
+    query.declared_deps = ("t",)
     for tx in (writer, query):
         queue.append(tx)
     assert [tx.id for tx in queued(queue)] == ["q", "t"]
@@ -487,7 +494,7 @@ def test_pipeline_defer_limit_times_out_cyclic_deps():
 
 def test_deferred_read_does_not_starve_ready_writer():
     query = query_tx("q", ("P",), submit_time=0)
-    query.declared_deps = frozenset({"missing"})
+    query.declared_deps = ("missing",)
     writer = transfer_tx("w", "P", "Q", 5, submit_time=0)
     finalized = {}
     state, service = _drive([query, writer], COUNTERMEASURES, seed=1,
@@ -506,7 +513,7 @@ def test_deferred_read_does_not_starve_ready_writer():
 def test_gate_looks_at_each_transaction_once_per_pass():
     state = ChannelState("main", LedgerState.from_balances({"P": 9, "Q": 9}))
     blocked = query_tx("r", ("P",))
-    blocked.declared_deps = frozenset({"missing"})
+    blocked.declared_deps = ("missing",)
     waiting = transfer_tx("w1", "P", "Q", 1, deps=("missing",))
     ready = transfer_tx("w2", "Q", "P", 1)
     behind = transfer_tx("w3", "P", "Q", 1)
@@ -964,13 +971,15 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
         # ``into`` without changing any key's group.
         return ([len(q) for q in service.queues], len(groups), groups.next_queue,
                 {w: g.live() for w, g in groups.wallets.items()},
-                {i: g and g.live() for i, g in groups.ids.items()})
+                {i: g.live() for i, g in groups.placed.items()},
+                {i: g.live() for i, g in groups.named.items()})
 
     def map_matches_keys():
         # Every mapped wallet or id reaches a live group, and those groups
         # are all the groups there are.
         reached = {g.live() for g in (*groups.wallets.values(),
-                                      *groups.ids.values()) if g is not None}
+                                      *groups.placed.values(),
+                                      *groups.named.values())}
         assert all(g.into is None for g in reached)
         assert len(reached) == len(groups)
 
@@ -1009,8 +1018,7 @@ def test_admission_respects_capacity_and_rejection_leaves_no_trace(
 def _key_components(txs):
     """Connected components of the footprint keys of ``txs``, admitted in
     that order, rebuilt from scratch: a transaction's keys are its wallets,
-    plus its own id and its dependencies' ids when it declares any, touches
-    no wallet, or an earlier transaction named its id."""
+    its own id and its dependencies' ids."""
     parent = {}
 
     def find(key):
@@ -1020,8 +1028,7 @@ def _key_components(txs):
 
     for tx in txs:
         keys = [("w", w) for w in (*tx.reads, *tx.writes)]
-        if tx.declared_deps or not keys or ("t", tx.id) in parent:
-            keys += [("t", i) for i in (tx.id, *tx.declared_deps)]
+        keys += [("t", i) for i in (tx.id, *tx.declared_deps)]
         for key in keys:
             parent.setdefault(key, key)
         for key in keys[1:]:
@@ -1044,6 +1051,17 @@ _dep_ops = st.lists(
 )
 
 
+def _dep_tx(n, kind, picks, deps):
+    """Op ``n`` of an op list like ``_dep_ops``, as a transaction over
+    wallets a..l."""
+    wallets = ["abcdefghijkl"[i] for i in picks]
+    dep_ids = tuple(f"op{d}" for d in deps if d != n)
+    if kind == "transfer" and len(wallets) >= 2:
+        return transfer_tx(f"op{n}", wallets[0], wallets[1], 1,
+                           extra_reads=tuple(wallets[2:]), deps=dep_ids)
+    return query_tx(f"op{n}", tuple(wallets), deps=dep_ids)
+
+
 @settings(max_examples=300)
 @given(workers=st.integers(1, 3), capacity=st.integers(2, 8), ops=_dep_ops)
 def test_groups_are_the_components_of_the_accepted_keys(workers, capacity, ops):
@@ -1054,17 +1072,12 @@ def test_groups_are_the_components_of_the_accepted_keys(workers, capacity, ops):
         if kind == "run":
             engine.run_until(engine.now + 1 + 10 * len(picks))
             continue
-        wallets = ["abcdefghijkl"[i] for i in picks]
-        dep_ids = tuple(f"op{d}" for d in deps if d != n)
-        if kind == "transfer" and len(wallets) >= 2:
-            tx = transfer_tx(f"op{n}", wallets[0], wallets[1], 1,
-                             extra_reads=tuple(wallets[2:]), deps=dep_ids)
-        else:
-            tx = query_tx(f"op{n}", tuple(wallets), deps=dep_ids)
+        tx = _dep_tx(n, kind, picks, deps)
         if admit(tx) is SubmitOutcome.ACCEPTED:
             accepted.append(tx)
         live = {}
-        for kind_, mapping in (("w", groups.wallets), ("t", groups.ids)):
+        for kind_, mapping in (("w", groups.wallets), ("t", groups.placed),
+                               ("t", groups.named)):
             for key, group in mapping.items():
                 live.setdefault(group.live(), set()).add((kind_, key))
         assert len(live) == len(groups)
@@ -1072,8 +1085,94 @@ def test_groups_are_the_components_of_the_accepted_keys(workers, capacity, ops):
         # A pending transaction waits in its group's queue.
         waiting = [{tx.id for tx in queued(q)} for q in service.queues]
         for tx in accepted:
-            key_group = (groups.wallets[tx.reads[0]] if tx.reads
-                         else groups.ids[tx.id]).live()
+            key_group = groups.placed[tx.id].live()
             for i, ids in enumerate(waiting):
                 if tx.id in ids:
                     assert i == key_group.queue_index
+
+
+# As ``_dep_ops``, over six wallets and with more dependencies ahead, so
+# that a named transaction often finds its wallets in one group already.
+_batch_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["transfer", "query", "run"]),
+        st.lists(st.integers(0, 5), max_size=3, unique=True),
+        st.lists(st.integers(0, 24), max_size=2, unique=True),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=150)
+@given(workers=st.integers(1, 3), ops=_batch_ops)
+# A dependency admitted before anything names it.
+@example(workers=3, ops=[("transfer", [0, 1], []), ("transfer", [2, 3], [0])])
+# A named query whose wallet already sits in another group.
+@example(workers=1, ops=[("transfer", [0, 1], []), ("transfer", [2, 3], [2]),
+                         ("query", [0], [])])
+def test_online_groups_equal_partition_groups(workers, ops):
+    # With room for the whole batch nothing is rejected, so admission, with
+    # commits between arrivals, forms exactly the groups that ``partition``
+    # forms offline over the same batch: the components of their keys.
+    engine, state, service, admit = _pipeline(workers, max(len(ops), 1),
+                                              "abcdefghijkl")
+    batch = []
+    for n, (kind, picks, deps) in enumerate(ops):
+        if kind == "run":
+            engine.run_until(engine.now + 1 + 10 * len(picks))
+            continue
+        tx = _dep_tx(n, kind, picks, deps)
+        assert admit(tx) is SubmitOutcome.ACCEPTED
+        batch.append(tx)
+    online = {}
+    for tx in batch:
+        online.setdefault(service.groups.placed[tx.id].live(), set()).add(tx.id)
+    # One queue per transaction: each of partition's groups gets its own.
+    offline = {frozenset(tx.id for tx in queued(q))
+               for q in partition(batch, max(len(batch), 1)) if len(q)}
+    assert {frozenset(ids) for ids in online.values()} == offline
+    ids = {tx.id for tx in batch}
+    assert offline == {frozenset(key for kind, key in c if kind == "t" and key in ids)
+                       for c in _key_components(batch)}
+
+
+_BRIDGE_CASE = """
+from conflictsim.core import LedgerState, transfer_tx
+from conflictsim.ordering import (
+    COUNTERMEASURES, ChannelState, OrderingPolicy, PipelineOrderingService)
+from conflictsim.simnet import Engine, NodeConfig, Topology
+
+workers = [NodeConfig(f"o{i}", role="orderer") for i in range(3)]
+engine = Engine(seed=1, topology=Topology(
+    nodes=[NodeConfig("peer1", role="peer"), *workers], default_latency=5))
+state = ChannelState("main", LedgerState.from_balances(
+    {w: 1000 for w in "abcdefgh"}))
+service = PipelineOrderingService(
+    engine, state, OrderingPolicy(mode=COUNTERMEASURES, workers=3),
+    "peer1", worker_nodes=workers)
+for tx in (transfer_tx("pa", "a", "b", 1, deps=("xa",)),
+           transfer_tx("pc", "c", "d", 1, deps=("xc",)),
+           transfer_tx("pe", "e", "f", 1, deps=("xe",)),
+           transfer_tx("bridge", "g", "h", 1, extra_reads=("a",),
+                       deps=("pc", "pe"))):
+    service.admit(tx)
+print([[tx.id for tx in (*q._read, *q._write)] for q in service.queues])
+"""
+
+
+def test_bridge_relocations_follow_declared_order_under_any_hash_seed():
+    # Three groups each wait on a dependency that never comes; a bridge
+    # reading ``a`` and naming ``pc`` then ``pe`` pulls both into queue 0,
+    # in the order it names them, whatever the string hash seed.
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BRIDGE_CASE], capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC_PATH, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    # Relocation leaves a dead entry behind in each source queue.
+    assert outs[0] == str([["pa", "pc", "pe", "bridge"], ["pc"], ["pe"]]) + "\n"

@@ -531,7 +531,7 @@ tx q2 query A1,A1 at 4
     ]
     assert config.conflicts[0].reads == ("A1", "B1", "C1")
     assert config.conflicts[2].reads == ("A1",)
-    assert config.conflicts[1].declared_deps == {"t1"}
+    assert config.conflicts[1].declared_deps == ("t1",)
     assert config.pinned_orderers == {"q1": "orderer1"}
 
 
