@@ -16,7 +16,6 @@ from .core import (
 )
 from .ordering import (
     DependencyVerdict,
-    Mempool,
     OrdererQueue,
     OrderingPolicy,
     SubmitOutcome,

@@ -150,7 +150,6 @@ class SimulationRun:
             str, BaselineOrderingService | PipelineOrderingService
         ] = {}
         self.valid_ids: set[str] = set()
-        self.adversary_ids: set[str] = set()
         self.rejected: dict[str, SubmitOutcome] = {}
         # Ids that arrived, per channel.
         self.arrived: dict[str, set[str]] = {ch: set() for ch in config.channels}
@@ -231,18 +230,17 @@ class SimulationRun:
         # Expand the requests in submission order, testing the deadline once
         # per transaction with the client latency looked up once per request.
         deadline = self.config.deadline
-        all_txs = self.all_txs
+        all_txs, valid_ids = self.all_txs, self.valid_ids
         plan = []
         for txs, valid, via, timeout, hook in self._requests:
             latency = self.config.topology.client_latency(via)
             last = deadline - latency  # the latest submit time that arrives
-            ids = self.valid_ids if valid else self.adversary_ids
             for tx in txs:
                 t = tx.submit_time
                 if t <= last:
-                    tx_id = tx.id
-                    all_txs[tx_id] = tx
-                    ids.add(tx_id)
+                    all_txs[tx.id] = tx
+                    if valid:
+                        valid_ids.add(tx.id)
                     plan.append((t + latency, tx, timeout, hook))
                 hook = None  # a dropped first transaction takes its hook along
         self._requests = []
@@ -447,14 +445,13 @@ def run_block_withholding(
         on_first_arrival=run.phase_marker("P3"),
     )
 
-    release_at = attack.p_int("release_at", 0)
-    if variant == "release" and release_at:
+    if variant == "release":
         def release(engine: Engine, _payload) -> None:
             run.phases.enter("P5", engine.now)
             for tx, stamp in withheld:
                 state.finalize(tx, stamp)
 
-        run.engine.schedule_call(release_at, release)
+        run.engine.schedule_call(attack.p_int("release_at"), release)
 
     run.run_until_deadline()
 
@@ -655,7 +652,7 @@ def run_balance_attack(
         if run.phases.entered("P1"):
             if tx.channel == reference and status is TxStatus.COMMITTED:
                 run.phases.enter("P2", run.engine.now)
-            if tx.channel == attacked and tx.id in run.adversary_ids \
+            if tx.channel == attacked and tx.id not in run.valid_ids \
                     and status is not TxStatus.COMMITTED:
                 run.phases.enter("P3", run.engine.now)
 

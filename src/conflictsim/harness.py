@@ -333,9 +333,7 @@ def _drain_queue(queue, state, io_delay_s) -> None:
             finalize(tx)
 
 
-def _bench_pipeline(
-    balances, txs, workers, io_delay_s, parallel: bool
-) -> tuple[LedgerState, float]:
+def _bench_pipeline(balances, txs, workers, io_delay_s) -> tuple[LedgerState, float]:
     queues = partition(txs, workers)
     # Queues are conflict-closed: they touch disjoint wallets and hold their
     # own declared dependencies, so each drains against its own shard.
@@ -343,18 +341,14 @@ def _bench_pipeline(
         ChannelState(q.owner, LedgerState.from_balances(balances)) for q in queues
     ]
     start = time.perf_counter()
-    if parallel:
-        threads = [
-            threading.Thread(target=_drain_queue, args=(q, shard, io_delay_s))
-            for q, shard in zip(queues, shards)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    else:
-        for q, shard in zip(queues, shards):
-            _drain_queue(q, shard, io_delay_s)
+    threads = [
+        threading.Thread(target=_drain_queue, args=(q, shard, io_delay_s))
+        for q, shard in zip(queues, shards)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     # Every committed write bumps its wallets' versions, so a wallet's final
     # state is that of the one shard that moved its version off 0.
     ledger = LedgerState.from_balances(balances)
@@ -378,9 +372,7 @@ def _bench_rep(
         txs, read_ratio, n_wallets=n_wallets, seed=seed
     )
     b_ledger, b_time = _bench_baseline(balances, workload, io_delay_s)
-    p_ledger, p_time = _bench_pipeline(
-        balances, workload, workers, io_delay_s, parallel=True
-    )
+    p_ledger, p_time = _bench_pipeline(balances, workload, workers, io_delay_s)
     if p_ledger != b_ledger:
         raise StateMismatchError(
             f"rep {rep}: pipeline ledger diverged from the baseline's"

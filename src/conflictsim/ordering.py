@@ -1,4 +1,4 @@
-"""Mempool, the race-prone baseline ordering service, and the countermeasure
+"""The race-prone baseline ordering service and the countermeasure
 pipeline.
 
 The pipeline composes four measures: read priority (queries dequeue ahead
@@ -99,49 +99,6 @@ class OrderingPolicy:
     @property
     def per_queue_capacity(self) -> int:
         return self.queue_capacity or self.mempool_capacity
-
-
-class Mempool:
-    """Bounded FIFO intake. Rejections are explicit, never silent drops."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._queue: deque[Transaction] = deque()
-        self._live: set[str] = set()
-        self._seen: set[str] = set()
-        self.peak_occupancy = 0
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def submit(self, tx: Transaction) -> SubmitOutcome:
-        if tx.id in self._seen:
-            return _DUPLICATE
-        if len(self._live) >= self.capacity:
-            return _MEMPOOL_FULL
-        self._seen.add(tx.id)
-        self._live.add(tx.id)
-        self._queue.append(tx)
-        if len(self._live) > self.peak_occupancy:
-            self.peak_occupancy = len(self._live)
-        return _ACCEPTED
-
-    def take_next(self) -> Transaction | None:
-        queue = self._queue
-        live = self._live
-        while queue:
-            tx = queue.popleft()
-            if tx.id in live:
-                live.discard(tx.id)
-                return tx
-        return None
-
-    def discard(self, tx_id: str) -> bool:
-        """Logically remove a pending transaction (snatch, client timeout)."""
-        if tx_id in self._live:
-            self._live.discard(tx_id)
-            return True
-        return False
 
 
 def _commit_at(
@@ -594,8 +551,9 @@ class BaselineOrderingService:
 
     ``pinned`` maps a transaction id to the orderer a scripted scenario
     routes it to; the service reads it on admission, so entries added after
-    construction still apply.  An accepted transaction's read stamp is held
-    by id until it commits or leaves the pool.
+    construction still apply.  The pool is one deque; ``_waiting`` maps each
+    id still waiting in it to the read stamp taken on acceptance, which
+    rides in the commit event once the id is pulled.
     """
 
     def __init__(
@@ -614,59 +572,66 @@ class BaselineOrderingService:
         self.policy = policy
         self.peer_id = peer_id
         self.pinned = {} if pinned is None else pinned
-        self.mempool = Mempool(policy.mempool_capacity)
         self._idle = deque(orderers)
-        self._stamps: dict[str, dict[str, int]] = {}
+        self._pool: deque[Transaction] = deque()
+        self._waiting: dict[str, dict[str, int]] = {}
+        self._seen: set[str] = set()
+        self.peak_pool = 0
 
     @property
-    def peak_pool(self) -> int:
-        return self.mempool.peak_occupancy
-
-    # The shared pool is the only queue.
-    peak_queue = peak_pool
+    def peak_queue(self) -> int:
+        return self.peak_pool  # the shared pool is the only queue
 
     def admit(self, tx: Transaction) -> SubmitOutcome:
-        outcome = self.mempool.submit(tx)
-        if outcome is not _ACCEPTED:
-            return outcome
+        tx_id = tx.id
+        if tx_id in self._seen:
+            return _DUPLICATE
+        waiting = self._waiting
+        if len(waiting) >= self.policy.mempool_capacity:
+            return _MEMPOOL_FULL
+        self._seen.add(tx_id)
+        if len(waiting) >= self.peak_pool:
+            self.peak_pool = len(waiting) + 1
         # Endorse on acceptance: the transaction commits with this stamp.
-        self._stamps[tx.id] = stamp_read_versions(tx, self.state.ledger)
+        stamp = stamp_read_versions(tx, self.state.ledger)
         self.state.note_declared_deps(tx)
-        pinned_orderer = self.pinned.get(tx.id)
+        pinned_orderer = self.pinned.get(tx_id)
         if pinned_orderer is not None:
-            # Scripted scenarios route a transaction to a named orderer, which
-            # takes it out of pool order immediately.
-            self.mempool.discard(tx.id)
+            # Scripted scenarios route a transaction to a named orderer,
+            # past the pool.
             orderer = self.engine.topology.node(pinned_orderer)
             try:
                 self._idle.remove(orderer)
             except ValueError:
                 pass
-            self._dispatch(orderer, tx)
-        elif self._idle:
-            self._start_cycle(self._idle.popleft())
-        return outcome
+            self._dispatch(orderer, tx, stamp)
+        else:
+            waiting[tx_id] = stamp
+            self._pool.append(tx)
+            if self._idle:
+                self._start_cycle(self._idle.popleft())
+        return _ACCEPTED
 
     def discard(self, tx_id: str) -> bool:
-        if self.mempool.discard(tx_id):
-            del self._stamps[tx_id]
-            return True
-        return False
+        return self._waiting.pop(tx_id, None) is not None
 
     def _start_cycle(self, orderer: NodeConfig) -> None:
-        tx = self.mempool.take_next()
-        if tx is None:
-            self._idle.append(orderer)
-            return
-        self._dispatch(orderer, tx)
+        pool, waiting = self._pool, self._waiting
+        while pool:
+            tx = pool.popleft()
+            stamp = waiting.pop(tx.id, None)
+            if stamp is not None:  # else discarded while waiting
+                self._dispatch(orderer, tx, stamp)
+                return
+        self._idle.append(orderer)
 
-    def _dispatch(self, orderer: NodeConfig, tx: Transaction) -> None:
+    def _dispatch(self, orderer: NodeConfig, tx: Transaction, stamp: dict) -> None:
         at = _commit_at(self.engine, self.policy.jitter, orderer, self.peer_id)
-        self.engine.schedule_call(at, self._on_commit, (orderer, tx))
+        self.engine.schedule_call(at, self._on_commit, (orderer, tx, stamp))
 
     def _on_commit(self, engine: Engine, payload) -> None:
-        orderer, tx = payload
-        self.state.finalize(tx, self._stamps.pop(tx.id))
+        orderer, tx, stamp = payload
+        self.state.finalize(tx, stamp)
         self._start_cycle(orderer)
 
 

@@ -319,7 +319,20 @@ class ScenarioConfig:
                 raise ScenarioValidationError(
                     f"attack param {name} must be non-negative"
                 )
-        for tx_id, orderer in self.pinned_orderers.items():
+        if self.attack.kind == "block_withholding":
+            variant = self.attack.p_str("variant", "hold")
+            if variant not in ("hold", "release"):
+                raise ScenarioValidationError(
+                    f"attack param variant must be hold or release, not {variant!r}"
+                )
+            if variant == "release" and self.attack.p_int("release_at", 0) < 1:
+                raise ScenarioValidationError(
+                    "attack param variant release needs a positive release_at"
+                )
+        pinned = dict(self.pinned_orderers)
+        if self.attack.kind == "double_spending" and self.attack.params.get("valid_orderer"):
+            pinned["valid"] = self.attack.params["valid_orderer"]
+        for tx_id, orderer in pinned.items():
             if not self.topology.has_node(orderer):
                 raise ScenarioValidationError(
                     f"transaction {tx_id} pinned to unknown orderer {orderer}"

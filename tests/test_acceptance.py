@@ -201,7 +201,7 @@ def test_criterion_6_supplements_worker1_overhead_and_conflict_floor():
     funds, batch = generate_bench_workload(4000, 0.8, seed=2)
     drains = {
         "baseline": lambda: _bench_baseline(funds, batch, 150e-6),
-        "pipeline": lambda: _bench_pipeline(funds, batch, 1, 150e-6, True),
+        "pipeline": lambda: _bench_pipeline(funds, batch, 1, 150e-6),
     }
     totals = dict.fromkeys(drains, 0.0)
     for rep in range(3):
@@ -223,8 +223,8 @@ def test_criterion_6_supplements_worker1_overhead_and_conflict_floor():
                 for i in range(3000)]
 
     balances = {"hot1": 10_000, "hot2": 10_000}
-    _, t4 = _bench_pipeline(balances, all_conflicting(), 4, 150e-6, True)
-    _, t1 = _bench_pipeline(balances, all_conflicting(), 1, 150e-6, True)
+    _, t4 = _bench_pipeline(balances, all_conflicting(), 4, 150e-6)
+    _, t1 = _bench_pipeline(balances, all_conflicting(), 1, 150e-6)
     assert abs(t4 - t1) / t1 <= 0.20
     print("ACCEPTANCE 6-supplement: PASS "
           f"(worker1 {worker1:.3f}x, conflict-floor {t4/t1:.2f})")

@@ -423,14 +423,14 @@ def test_submit_batch_plans_as_per_transaction_submits(monkeypatch):
         planned_runs.clear()
         # In firing order, as the engine fires a sorted run.
         arrivals = [(e[0], e[1].id, e[2], e[3]) for e in events]
-        return name, arrivals, run.all_txs, run.valid_ids, run.adversary_ids
+        return name, arrivals, run.all_txs, run.valid_ids
 
-    name, arrivals, all_txs, valid, adversary = planned(one_call=True)
-    assert (name, arrivals, all_txs, valid, adversary) == planned(one_call=False)
+    name, arrivals, all_txs, valid = planned(one_call=True)
+    assert (name, arrivals, all_txs, valid) == planned(one_call=False)
     assert name == "_on_arrivals"
     # The first transaction arrives too late, so its hook goes with it.
     assert all(arrival[3] is None for arrival in arrivals)
-    assert adversary == {"b1", "b2", "b3", "b5", "b6"}
+    assert all_txs.keys() - valid == {"b1", "b2", "b3", "b5", "b6"}
 
 
 # -- outcome collection ------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -263,9 +264,7 @@ def test_bench_drain_commits_deferred_dependent_after_its_dependency(monkeypatch
         transfer_tx("t1", "A", "B", 5, deps=("t2",), submit_time=0),
         transfer_tx("t2", "C", "A", 5, submit_time=1),
     ]
-    ledger, _ = harness._bench_pipeline(
-        {"A": 0, "B": 0, "C": 5}, txs, 1, 0.0, True
-    )
+    ledger, _ = harness._bench_pipeline({"A": 0, "B": 0, "C": 5}, txs, 1, 0.0)
     assert finalized == [("t2", "committed"), ("t1", "committed")]
     assert ledger.balances == {"A": 0, "B": 5, "C": 0}
     assert ledger.versions == {"A": 2, "B": 1, "C": 1}
@@ -296,12 +295,30 @@ def _dep_batch(rng, trial):
     return balances, txs
 
 
-def test_bench_threaded_drain_matches_serial_drain():
+class _InlineThread:
+    """A ``threading.Thread`` stand-in that runs its target on ``start``."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def test_bench_threaded_drain_matches_serial_drain(monkeypatch):
     # Each queue drains against its own shard, through a gate of its own, so
     # running the queues on threads or one after another must give the same
     # merged ledger.  A small service cost makes the worker threads
     # interleave; with none, a tiny switch interval does.
-    from conflictsim.harness import _bench_pipeline
+    from conflictsim import harness
+
+    def serial_pipeline(*args):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "threading", SimpleNamespace(Thread=_InlineThread))
+            return harness._bench_pipeline(*args)
 
     rng = random.Random(23)
     interval = sys.getswitchinterval()
@@ -312,8 +329,8 @@ def test_bench_threaded_drain_matches_serial_drain():
             for workers in (1, 2, 3, 4):
                 for io_delay_s in (1e-5, 0):
                     args = (balances, txs, workers, io_delay_s)
-                    threaded, _ = _bench_pipeline(*args, True)
-                    serial, _ = _bench_pipeline(*args, False)
+                    threaded, _ = harness._bench_pipeline(*args)
+                    serial, _ = serial_pipeline(*args)
                     assert threaded == serial, (trial, workers, io_delay_s)
                     assert sum(threaded.balances.values()) == sum(balances.values())
     finally:
@@ -629,6 +646,12 @@ def test_cli_out_of_range_policy_is_config_error(field, value, command,
      "param target_submit -10", "target_submit"),
     ("table2_block_withholding", "param variant hold",
      "param variant release\nparam release_at -5", "release_at"),
+    ("table2_block_withholding", "param variant hold", "param variant release",
+     "release_at"),
+    ("table2_block_withholding", "param variant hold", "param variant hodl",
+     "variant"),
+    ("sec3b_double_spend", "param valid_orderer orderer1",
+     "param valid_orderer orderer9", "orderer9"),
     ("sec3b_double_spend", "param valid_submit 0", "param valid_submit -20",
      "valid_submit"),
     ("ddos_default", "param burst 1000", "param burst -100", "burst"),
@@ -639,7 +662,8 @@ def test_cli_out_of_range_policy_is_config_error(field, value, command,
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, named,
                                                       command, tmp_path, capsys):
-    # Each edit would plan an arrival or a delivery before time 0.
+    # Each edit would plan an arrival or a delivery before time 0, a
+    # block-withholding release that never fires, or a route to no node.
     text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
     assert text.count(line + "\n") == 1
     path = tmp_path / "bad.scn"

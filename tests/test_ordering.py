@@ -1,4 +1,4 @@
-"""Ordering services: mempool bounds, countermeasure ops, race behaviour."""
+"""Ordering services: pool bounds, countermeasure ops, race behaviour."""
 
 import itertools
 import os
@@ -30,7 +30,6 @@ from conflictsim.ordering import (
     BaselineOrderingService,
     ChannelState,
     DependencyVerdict,
-    Mempool,
     OrdererQueue,
     OrderingPolicy,
     PipelineOrderingService,
@@ -44,47 +43,98 @@ from conflictsim.simnet import Engine, NodeConfig, Topology
 SRC_PATH = str(Path(conflictsim.__file__).resolve().parent.parent)
 
 
-# -- mempool ---------------------------------------------------------------
+# -- baseline pool ------------------------------------------------------------
 
 
-def test_submit_accepts_below_capacity():
-    pool = Mempool(capacity=5000)
-    for i in range(4999):
-        assert pool.submit(transfer_tx(f"t{i}", "a", "b", 1)) is SubmitOutcome.ACCEPTED
-    assert pool.submit(transfer_tx("last", "a", "b", 1)) is SubmitOutcome.ACCEPTED
-    assert len(pool) == 5000
+def _baseline_service(capacity, orderers=1, pinned=None):
+    """A baseline service over wallets a and b whose engine has not run: its
+    first ``orderers`` admissions go straight to an idle orderer."""
+    nodes = [NodeConfig(f"o{i}", role="orderer") for i in range(orderers)]
+    topo = Topology(nodes=[*nodes, NodeConfig("peer1", role="peer")],
+                    default_latency=5)
+    state = ChannelState("main", LedgerState.from_balances({"a": 10**9, "b": 0}))
+    policy = OrderingPolicy(mode=BASELINE, mempool_capacity=capacity)
+    engine = Engine(seed=0, topology=topo)
+    service = BaselineOrderingService(engine, state, nodes, policy, "peer1", pinned)
+    return service, engine
 
 
-def test_submit_rejects_at_capacity_without_peak_change():
-    pool = Mempool(capacity=3)
-    for i in range(3):
-        pool.submit(transfer_tx(f"t{i}", "a", "b", 1))
-    peak = pool.peak_occupancy
-    assert pool.submit(transfer_tx("t3", "a", "b", 1)) is SubmitOutcome.MEMPOOL_FULL
-    assert pool.peak_occupancy == peak == 3
+def test_admit_accepts_up_to_capacity():
+    service, _ = _baseline_service(capacity=5000)
+    for i in range(5001):  # the first goes straight to the orderer
+        assert service.admit(transfer_tx(f"t{i}", "a", "b", 1)) is SubmitOutcome.ACCEPTED
+    assert len(service._waiting) == len(service._pool) == service.peak_pool == 5000
 
 
-def test_submit_rejects_duplicate_id():
-    pool = Mempool(capacity=10)
-    pool.submit(transfer_tx("t0", "a", "b", 1))
-    assert pool.submit(transfer_tx("t0", "a", "b", 2)) is SubmitOutcome.DUPLICATE
+def test_admit_rejects_at_capacity_without_peak_change():
+    service, _ = _baseline_service(capacity=3)
+    for i in range(4):
+        service.admit(transfer_tx(f"t{i}", "a", "b", 1))
+    peak = service.peak_pool
+    assert service.admit(transfer_tx("t4", "a", "b", 1)) is SubmitOutcome.MEMPOOL_FULL
+    assert service.peak_pool == peak == len(service._waiting) == 3
+    assert "t4" not in service._seen
 
 
-def test_mempool_bound_and_peak_shadow_counter():
+def test_admit_rejects_duplicate_id():
+    service, engine = _baseline_service(capacity=10)
+    service.admit(transfer_tx("t0", "a", "b", 1))
+    assert service.admit(transfer_tx("t0", "a", "b", 2)) is SubmitOutcome.DUPLICATE
+    engine.run_until(10_000)  # committed, still a duplicate
+    assert service.admit(transfer_tx("t0", "a", "b", 2)) is SubmitOutcome.DUPLICATE
+
+
+def test_baseline_pool_bound_and_peak_shadow_counter():
+    # Seeded admissions (every seventh pinned past the pool), discards and
+    # engine steps against a shadow of the ids waiting in the pool.  An
+    # accepted transaction counts toward the peak when it is admitted,
+    # whether it waits or goes straight to an orderer.
     rng = random.Random(3)
-    pool = Mempool(capacity=8)
-    live = 0
+    pinned = {f"x{i}": "o1" for i in range(0, 500, 7)}
+    service, engine = _baseline_service(capacity=8, orderers=2, pinned=pinned)
+    dispatched = []
+    dispatch = service._dispatch
+
+    def recording(orderer, tx, stamp):
+        dispatched.append(tx.id)
+        dispatch(orderer, tx, stamp)
+
+    service._dispatch = recording
+    waiting: dict[str, None] = {}  # in pool order
+    pool_order, discarded, seen = [], set(), []
     shadow_peak = 0
     for i in range(500):
-        if rng.random() < 0.6:
-            if pool.submit(transfer_tx(f"x{i}", "a", "b", 1)) is SubmitOutcome.ACCEPTED:
-                live += 1
+        roll = rng.random()
+        if roll < 0.65 or not seen:
+            tx_id = rng.choice(seen) if seen and rng.random() < 0.05 else f"x{i}"
+            outcome = service.admit(transfer_tx(tx_id, "a", "b", 1))
+            if tx_id in seen:
+                assert outcome is SubmitOutcome.DUPLICATE
+            elif len(waiting) >= 8:
+                assert outcome is SubmitOutcome.MEMPOOL_FULL
+            else:
+                assert outcome is SubmitOutcome.ACCEPTED
+                seen.append(tx_id)
+                shadow_peak = max(shadow_peak, len(waiting) + 1)
+                if tx_id not in pinned:
+                    waiting[tx_id] = None
+                    pool_order.append(tx_id)
+        elif roll < 0.85:
+            tx_id = rng.choice(seen[-12:])
+            assert service.discard(tx_id) is (tx_id in waiting)
+            if waiting.pop(tx_id, 0) is None:
+                discarded.add(tx_id)
         else:
-            if pool.take_next() is not None:
-                live -= 1
-        shadow_peak = max(shadow_peak, live)
-        assert len(pool) == live <= 8
-    assert pool.peak_occupancy == shadow_peak
+            engine.run_until(engine.now + rng.randint(1, 12))
+        for tx_id in dispatched:
+            waiting.pop(tx_id, None)
+        assert list(service._waiting) == list(waiting)
+        assert service.peak_pool == shadow_peak
+        assert len(waiting) <= 8
+    # Orderers pull the pool first in, first out, skipping discarded ids.
+    pulled = [tx_id for tx_id in dispatched if tx_id not in pinned]
+    assert pulled == [x for x in pool_order if x not in discarded][:len(pulled)]
+    assert service.peak_queue == shadow_peak
 
 
 # -- priority (C2) ------------------------------------------------------------
@@ -387,13 +437,13 @@ def test_each_service_endorses_when_its_contract_says():
     full = transfer_tx("t3", "a", "b", 1)
     assert service.admit(duplicate) is SubmitOutcome.DUPLICATE
     assert service.admit(full) is SubmitOutcome.MEMPOOL_FULL
-    assert sorted(service._stamps) == ["t1", "t2"]
+    assert list(service._waiting) == ["t2"]
     engine.run_until(10_000)
     # t1 was stamped at (3, 5), so it fails; t2 was stamped at (4, 7), which
     # t1's failure left current, so it commits.
     assert state.status("t1") is TxStatus.CONFLICT_FAILED
     assert state.status("t2") is TxStatus.COMMITTED
-    assert service._stamps == {}
+    assert service._waiting == {}
     assert [tx.reads for tx in (first, second, duplicate, full)] == [
         ("a", "b"), ("b", "a"), ("a", "b"), ("a", "b")]
 
