@@ -24,7 +24,6 @@ from .core import (
     transfer_tx,
     query_tx,
 )
-from .errors import ScenarioMismatchError
 from .ordering import (
     BASELINE,
     BaselineOrderingService,
@@ -179,10 +178,6 @@ class SimulationRun:
                 # only when it is not busy withholding (block withholding
                 # manages it out of band).
                 cycling = honest if attack.kind == "block_withholding" else orderers
-                if not cycling:
-                    raise ScenarioMismatchError(
-                        f"channel {channel} has no usable orderer"
-                    )
                 self.services[channel] = BaselineOrderingService(
                     self.engine, state, cycling, policy, peer_id, self.pinned
                 )
@@ -391,11 +386,6 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     return batch
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioMismatchError(message)
-
-
 # -- block withholding ---------------------------------------------------------
 
 
@@ -407,12 +397,6 @@ def run_block_withholding(
     amount = attack.p_int("target_amount", 15)
     variant = attack.p_str("variant", "hold")
     channel = config.channels[0]
-    _require(
-        any(n.is_adversary and n.role == "orderer" for n in config.topology.nodes),
-        "block withholding needs an adversary orderer",
-    )
-    for wallet in (attacker_wallet, target_from, target_to):
-        _require(wallet in config.balances, f"missing wallet {wallet}")
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]
@@ -495,9 +479,6 @@ def run_double_spending(
     source, victim, alt = config.attack_wallets()
     amount = attack.p_int("amount", 100)
     channel = config.channels[0]
-    for wallet in (source, victim, alt):
-        _require(wallet in config.balances, f"missing wallet {wallet}")
-    _require(config.balances[source] >= amount, "attacker cannot fund the transfer")
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]
@@ -532,11 +513,6 @@ def run_double_spending(
             submit_time=_lead_time(attack),
         )
         batch = [ds] + batch
-    else:
-        _require(
-            any(tx.id == ds_id for tx in batch),
-            f"scripted double spend needs a transaction with id {ds_id!r}",
-        )
 
     run.submit_batch(
         batch, via=_client_of(config, adversary=True),
@@ -567,26 +543,14 @@ def run_double_spending(
 # -- balance attack ---------------------------------------------------------------
 
 
-def _pool_wallets(config: ScenarioConfig, prefix: str) -> list[str]:
-    return sorted(w for w in config.balances if w.startswith(prefix))
-
-
 def run_balance_attack(
     config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
     attack = config.attack
     channels = config.channels
-    _require(len(channels) >= 2, "balance attack needs two channels")
     attacked = attack.p_str("attacked_channel", channels[0])
     reference = attack.p_str("reference_channel", channels[1])
-    _require(attacked in channels and reference in channels, "unknown channel")
-    _require(
-        any(n.is_adversary for n in config.topology.nodes),
-        "balance attack needs an adversary member of both channels",
-    )
-    prefix = attack.p_str("pool_prefix", "W")
-    pool = _pool_wallets(config, prefix)
-    _require(len(pool) >= 4, "balance attack needs a wallet pool")
+    pool = config.pool_wallets(attack.p_str("pool_prefix", "W"))
 
     run = SimulationRun(config, mode, seed)
     amount = attack.p_int("valid_amount", 5)
@@ -700,14 +664,9 @@ def run_ddos(
 ) -> AttackOutcome:
     attack = config.attack
     n_accounts = attack.p_int("n_accounts", 32)
-    _require(n_accounts >= 32, "DDoS needs at least 32 adversary accounts")
-    prefix = attack.p_str("accounts_prefix", "ACC")
-    accounts = _pool_wallets(config, prefix)
-    _require(len(accounts) >= n_accounts, "adversary accounts missing from balances")
     theta = attack.p_float("theta", 0.5)
     channel = config.channels[0]
-    valid_pool = _pool_wallets(config, attack.p_str("valid_pool_prefix", "H"))
-    _require(len(valid_pool) >= 2, "DDoS needs an honest wallet pool")
+    valid_pool = config.pool_wallets(attack.p_str("valid_pool_prefix", "H"))
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .errors import (
     InfeasibleSpecError,
-    ScenarioMismatchError,
     ScenarioParseError,
     ScenarioValidationError,
     SimulatorError,
@@ -197,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ScenarioParseError,
         ScenarioValidationError,
-        ScenarioMismatchError,
         InfeasibleSpecError,
         ValueError,
     ) as exc:

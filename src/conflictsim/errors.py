@@ -39,10 +39,6 @@ class ScenarioValidationError(SimulatorError):
     """A well-formed scenario file violates a config invariant."""
 
 
-class ScenarioMismatchError(SimulatorError):
-    """Scenario lacks wallets/roles/channels required by its attack."""
-
-
 class StateMismatchError(SimulatorError):
     """Parallel bench run diverged from the serial reference ledger."""
 

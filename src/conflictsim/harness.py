@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .attacks import AttackOutcome, _conflict_batch, _pool_wallets, run_attack
+from .attacks import AttackOutcome, _conflict_batch, run_attack
 from .core import LedgerState
 from .errors import EmptyInputError, StateMismatchError
 from .ordering import (
@@ -127,9 +127,9 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     if kind in ("block_withholding", "double_spending"):
         wallets = config.attack_wallets()
     elif kind == "balance":
-        wallets = _pool_wallets(config, attack.p_str("pool_prefix", "W"))
+        wallets = config.pool_wallets(attack.p_str("pool_prefix", "W"))
     elif kind == "ddos":
-        wallets = _pool_wallets(config, attack.p_str("accounts_prefix", "ACC"))
+        wallets = config.pool_wallets(attack.p_str("accounts_prefix", "ACC"))
         window, start = 0, attack.p_int("burst", 1000)
     else:
         raise ValueError(f"attack kind {kind} does not support sweeps")

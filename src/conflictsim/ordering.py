@@ -36,7 +36,7 @@ from .core import (
     conflicts_with,
     stamp_read_versions,
 )
-from .errors import TerminalStatusError
+from .errors import TerminalStatusError, UnknownWalletError
 from .simnet import Engine, NodeConfig
 
 BASELINE = "baseline"
@@ -419,6 +419,9 @@ class ChannelState:
         stamp of its endorsement or endorsed now when none is given, and
         commit it; records its terminal status as ``_settle`` does.
 
+        A query commits here, whatever its stamp, once every wallet it reads
+        exists, and raises ``UnknownWalletError`` as ``apply_transaction``
+        does otherwise; a transfer goes through ``apply_transaction``.
         Committed writers extend the chain by one single-transaction block;
         failed transactions never occupy block space.
         """
@@ -428,8 +431,15 @@ class ChannelState:
         if current in TERMINAL:
             return current
         ledger = self.ledger
-        # Every status apply_transaction returns is terminal.
-        _, status = apply_transaction(ledger, tx, stamp)
+        if type(tx.payload) is Query:
+            versions = ledger.versions
+            for wallet in tx.reads:
+                if wallet not in versions:
+                    raise UnknownWalletError(f"{tx_id}: unknown wallet {wallet}")
+            status = _COMMITTED
+        else:
+            # Every status apply_transaction returns is terminal.
+            _, status = apply_transaction(ledger, tx, stamp)
         self.order_stream.append(tx_id)
         statuses[tx_id] = status
         if status is _COMMITTED:
@@ -666,6 +676,9 @@ class PipelineOrderingService:
         self.worker_nodes = worker_nodes or []
         self.groups = FootprintGroups(n)
         self._busy = [False] * n
+        # Workers whose last gate pass stalled: with the withheld worker,
+        # these are the only idle workers that can hold pending work.
+        self._stalled: set[int] = set()
         self.peak_pool = 0  # most transactions pending across all queues
         self._total_live = 0
         self._in_flight: dict[str, Transaction] = {}
@@ -768,9 +781,12 @@ class PipelineOrderingService:
         tx = next(self._gates[index])
         self._total_live -= pending - queue.pending
         if tx is STALLED:
+            self._stalled.add(index)
             self._ensure_retry(index)
-        elif tx is not None:
-            self._dispatch(index, tx)
+        else:
+            self._stalled.discard(index)
+            if tx is not None:
+                self._dispatch(index, tx)
 
     def _ensure_retry(self, index: int) -> None:
         # Whole queue deferred: if nothing is in flight anywhere there is no
@@ -801,7 +817,10 @@ class PipelineOrderingService:
         # transaction executes against the state it was waiting for.
         self.state.finalize(tx)
         self._wake(index)
-        # A commit can unblock deferred transactions in other queues.
-        for i, busy in enumerate(self._busy):
-            if i != index and not busy and self.queues[i].pending:
-                self._wake(i)
+        # A commit can unblock deferred transactions in other queues.  Waking
+        # one worker changes no other worker's queue or stall.
+        if self._stalled:
+            queues = self.queues
+            for i in sorted(self._stalled):
+                if i != index and queues[i].pending:
+                    self._wake(i)

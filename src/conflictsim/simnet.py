@@ -29,12 +29,13 @@ from typing import Any, Callable
 from .errors import TimeInPastError, UnknownNodeError
 
 SimTime = int
+ROLES = ("client", "orderer", "peer")
 
 
 @dataclass
 class NodeConfig:
     id: str
-    role: str = "peer"  # client | peer | orderer
+    role: str = "peer"  # one of ROLES
     channels: frozenset[str] = frozenset(("main",))
     is_adversary: bool = False
     # Fixed per-cycle processing cost added on top of drawn jitter.
@@ -94,6 +95,11 @@ class Topology:
             if node.id in seen:
                 raise ValueError(f"duplicate node id {node.id}")
             seen.add(node.id)
+            if node.role not in ROLES:
+                raise ValueError(
+                    f"node {node.id} role must be one of {', '.join(ROLES)}, "
+                    f"not {node.role!r}"
+                )
             if node.latency is not None and node.latency < 0:
                 raise ValueError(f"node {node.id} latency must be >= 0")
         for (a, b), delay in self.links.items():

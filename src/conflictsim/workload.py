@@ -84,7 +84,9 @@ def generate_conflicting_set(
     every one conflicts with at least one other.
 
     Transfers draw amounts from [1, 20]; submit times spread uniformly over
-    the window.  Deterministic in ``spec.seed``.
+    the window.  Queries on one wallet share one ``Query`` payload, and an
+    unrepaired query's ``reads`` is that payload's ``wallets``.
+    Deterministic in ``spec.seed``.
 
     With a ``horizon``, return only the prefix of that batch submitted at
     or before it, and always its first transaction.  The isolation repair
@@ -117,6 +119,9 @@ def generate_conflicting_set(
     # decide which transactions the conflict graph leaves isolated.
     written = [0] * n
     queried = [0] * n
+    # Query payloads by wallet index, built on first use; nothing writes
+    # into a payload.
+    queries: list[Query | None] = [None] * n
     txs: list[Transaction] = []
     new = Transaction.__new__
     empty = frozenset()
@@ -138,9 +143,11 @@ def generate_conflicting_set(
         if i > 0 and rand() < mix:
             k = int(rand() * n)
             queried[k] += 1
-            wallet = wallets[k]
-            tx.payload = Query((wallet,))
-            tx.reads = (wallet,)
+            query = queries[k]
+            if query is None:
+                query = queries[k] = Query((wallets[k],))
+            tx.payload = query
+            tx.reads = query.wallets
             tx.writes = empty
         else:
             a = int(rand() * n)
@@ -319,16 +326,7 @@ class ScenarioConfig:
                 raise ScenarioValidationError(
                     f"attack param {name} must be non-negative"
                 )
-        if self.attack.kind == "block_withholding":
-            variant = self.attack.p_str("variant", "hold")
-            if variant not in ("hold", "release"):
-                raise ScenarioValidationError(
-                    f"attack param variant must be hold or release, not {variant!r}"
-                )
-            if variant == "release" and self.attack.p_int("release_at", 0) < 1:
-                raise ScenarioValidationError(
-                    "attack param variant release needs a positive release_at"
-                )
+        self._validate_attack_needs(channels)
         pinned = dict(self.pinned_orderers)
         if self.attack.kind == "double_spending" and self.attack.params.get("valid_orderer"):
             pinned["valid"] = self.attack.params["valid_orderer"]
@@ -337,6 +335,74 @@ class ScenarioConfig:
                 raise ScenarioValidationError(
                     f"transaction {tx_id} pinned to unknown orderer {orderer}"
                 )
+
+    def _validate_attack_needs(self, channels: list[str]) -> None:
+        """Check what the attack's runner needs of the scenario, so that a
+        scenario that validates also runs."""
+        attack, kind = self.attack, self.attack.kind
+        nodes = self.topology.nodes
+        if kind == "block_withholding":
+            variant = attack.p_str("variant", "hold")
+            if variant not in ("hold", "release"):
+                raise ScenarioValidationError(
+                    f"attack param variant must be hold or release, not {variant!r}"
+                )
+            if variant == "release" and attack.p_int("release_at", 0) < 1:
+                raise ScenarioValidationError(
+                    "attack param variant release needs a positive release_at"
+                )
+            if not any(n.is_adversary and n.role == "orderer" for n in nodes):
+                raise ScenarioValidationError(
+                    "block withholding needs an adversary orderer"
+                )
+            for channel in channels:
+                # The baseline's honest orderers order while one withholds.
+                if all(n.is_adversary for n in self.topology.orderers(channel)):
+                    raise ScenarioValidationError(
+                        f"channel {channel} has no honest orderer"
+                    )
+        elif kind == "double_spending":
+            source = self.attack_wallets()[0]
+            if self.balances[source] < attack.p_int("amount", 100):
+                raise ScenarioValidationError(
+                    f"double spend source {source} cannot fund the transfer"
+                )
+            if isinstance(self.conflicts, list) and not any(
+                tx.id == "dsx" for tx in self.conflicts
+            ):
+                raise ScenarioValidationError(
+                    "scripted double spend needs a transaction with id 'dsx'"
+                )
+        elif kind == "balance":
+            if len(channels) < 2:
+                raise ScenarioValidationError("balance attack needs two channels")
+            for name, default in (("attacked_channel", channels[0]),
+                                  ("reference_channel", channels[1])):
+                if attack.p_str(name, default) not in channels:
+                    raise ScenarioValidationError(
+                        f"attack param {name} names an unknown channel"
+                    )
+            if not any(n.is_adversary for n in nodes):
+                raise ScenarioValidationError("balance attack needs an adversary node")
+            if len(self.pool_wallets(attack.p_str("pool_prefix", "W"))) < 4:
+                raise ScenarioValidationError(
+                    "balance attack needs a pool of at least 4 wallets"
+                )
+        elif kind == "ddos":
+            n_accounts = attack.p_int("n_accounts", 32)
+            if n_accounts < 32:
+                raise ScenarioValidationError("DDoS needs at least 32 adversary accounts")
+            accounts = self.pool_wallets(attack.p_str("accounts_prefix", "ACC"))
+            if len(accounts) < n_accounts:
+                raise ScenarioValidationError("adversary accounts missing from balances")
+            if len(self.pool_wallets(attack.p_str("valid_pool_prefix", "H"))) < 2:
+                raise ScenarioValidationError(
+                    "DDoS needs an honest pool of at least 2 wallets"
+                )
+
+    def pool_wallets(self, prefix: str) -> list[str]:
+        """The wallets named with ``prefix``, sorted."""
+        return sorted(w for w in self.balances if w.startswith(prefix))
 
     def attack_wallets(self) -> list[str]:
         """The wallets the attack's parameters name (defaults included)."""
@@ -579,6 +645,8 @@ def generate_bench_workload(
     percolated component; random pairing over a shared pool would collapse
     everything into a single queue.  A transfer needs two wallets in its
     cluster; a batch of queries only (``read_ratio`` at least 1) needs one.
+    Queries on one wallet share one ``Query`` payload, whose ``wallets`` is
+    their ``reads``.
     """
     if n_wallets < 1:
         raise ValueError("the bench needs at least one wallet")
@@ -598,6 +666,7 @@ def generate_bench_workload(
     k_wallet, k_cluster = n_wallets.bit_length(), clusters.bit_length()
     k_a, k_b = width.bit_length(), (width - 1).bit_length()
     k_amount = (20).bit_length()
+    queries: list[Query | None] = [None] * n_wallets
     txs: list[Transaction] = []
     new = Transaction.__new__
     empty = frozenset()
@@ -615,9 +684,11 @@ def generate_bench_workload(
             r = bits(k_wallet)
             while r >= n_wallets:
                 r = bits(k_wallet)
-            wallet = wallets[r]
-            tx.payload = Query((wallet,))
-            tx.reads = (wallet,)
+            query = queries[r]
+            if query is None:
+                query = queries[r] = Query((wallets[r],))
+            tx.payload = query
+            tx.reads = query.wallets
             tx.writes = empty
         else:
             c = bits(k_cluster)

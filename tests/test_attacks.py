@@ -25,7 +25,7 @@ from conflictsim.core import (
     total_supply,
     transfer_tx,
 )
-from conflictsim.errors import ScenarioMismatchError
+from conflictsim.errors import ScenarioValidationError
 from conflictsim.harness import MetricsRecord, sweep_scenario
 from conflictsim.simnet import Engine
 from conflictsim.workload import (
@@ -153,9 +153,8 @@ def test_withholding_requires_adversary_orderer():
     text = WITHHOLD_TEMPLATE.format(
         variant="hold", release_at=0, conflicts="tx c0 transfer Y A1 2 at 1"
     ).replace("node badorderer role=orderer channels=main adversary\n", "")
-    config = parse_scenario(text)
-    with pytest.raises(ScenarioMismatchError):
-        run_attack(config, "baseline", 3)
+    with pytest.raises(ScenarioValidationError, match="adversary orderer"):
+        parse_scenario(text)
 
 
 DS_TEMPLATE = """

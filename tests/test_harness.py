@@ -676,6 +676,46 @@ def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, name
     assert err.startswith("config error") and named in err
 
 
+@pytest.mark.parametrize("scenario, line, edit, named", [
+    # Scenario fuzz cases 174, 519, 864, 417 and 195, one edit each.
+    ("table2_block_withholding",
+     "node orderer1 role=orderer channels=main processing=10",
+     "node orderer1 role=policy channels=main processing=10", "role"),
+    ("table2_block_withholding",
+     "node orderer1 role=orderer channels=main processing=10",
+     "node orderer1 role=orderer channels=main processing=10 adversary",
+     "honest orderer"),
+    ("table2_block_withholding",
+     "node badorderer role=orderer channels=main adversary",
+     "node badorderer holds=orderer channels=main adversary", "adversary orderer"),
+    ("table2_block_withholding",
+     "node badorderer role=orderer channels=main adversary",
+     "node badorderer element=orderer channels=main adversary",
+     "adversary orderer"),
+    ("sec3b_double_spend", "A1 100", "A1 1", "cannot fund"),
+    ("ddos_default", "node aclient role=client channels=main adversary latency=5",
+     "node aclient role=window channels=main adversary latency=5", "window"),
+    # The other checks the runners used to make.
+    ("ddos_default", "param n_accounts 32", "param n_accounts 33", "accounts"),
+    ("table2_balance_attack", "param pool_prefix W", "param pool_prefix Z", "pool"),
+    ("table2_balance_attack", "param reference_channel ch2",
+     "param reference_channel ch3", "reference_channel"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_scenario_the_runner_would_reject_is_config_error(
+    scenario, line, edit, named, command, tmp_path, capsys
+):
+    # validate checks what the attack's runner needs and every node's role,
+    # so no copy that validates fails at run time as a config error.
+    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
+    assert text.count(line + "\n") == 1
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(line + "\n", edit + "\n"))
+    assert main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+
+
 def test_cli_double_terminal_status_is_runtime_error(monkeypatch, capsys):
     # A terminal status set twice is the program's fault, not the user's
     # configuration: it exits 3.

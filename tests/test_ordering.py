@@ -22,7 +22,7 @@ from conflictsim.core import (
     query_tx,
     transfer_tx,
 )
-from conflictsim.errors import SimulatorError, TerminalStatusError
+from conflictsim.errors import SimulatorError, TerminalStatusError, UnknownWalletError
 from conflictsim.ordering import (
     BASELINE,
     COUNTERMEASURES,
@@ -829,6 +829,51 @@ def test_finalize_records_what_set_status_records(amount, outcome, listening):
 
     assert recorded(finalize) == recorded(
         lambda state, tx: state.set_status(tx, outcome))
+
+
+def _finalize_through_apply(state, tx, stamp=None):
+    """``finalize`` as it was for every payload: ``apply_transaction``, then
+    the same bookkeeping."""
+    _, status = apply_transaction(state.ledger, tx, stamp)
+    state.order_stream.append(tx.id)
+    state.statuses[tx.id] = status
+    if status is TxStatus.COMMITTED:
+        state.committed.add(tx.id)
+        state.ledger.committed_tx_count += 1
+        if tx.writes:
+            state.ledger.height += 1
+    else:
+        state.failed.add(tx.id)
+    for listener in state.terminal_listeners:
+        listener(tx, status)
+    return status
+
+
+@pytest.mark.parametrize("wallets", [("a",), ("b", "a"), ("a", "z"), ("z",)])
+@pytest.mark.parametrize("stamp", [None, "current", "stale"])
+def test_query_commit_equals_apply_transaction(wallets, stamp):
+    # finalize commits a query itself; status, ledger, order stream,
+    # terminal sets, listeners and any unknown-wallet error are those of
+    # apply_transaction.
+    def committed_by(finalize):
+        state = ChannelState("main", LedgerState.from_balances({"a": 10, "b": 0}))
+        calls = []
+        state.terminal_listeners.append(
+            lambda tx, status: calls.append((tx.id, status, set(state.committed))))
+        finalize(state, transfer_tx("t", "a", "b", 4))  # versions 1, 1
+        versions = {"current": 1, "stale": 0}.get(stamp)
+        q = query_tx("q", wallets)
+        try:
+            status = finalize(state, q, None if stamp is None
+                              else {w: versions for w in wallets})
+        except Exception as exc:
+            status = (type(exc), str(exc))
+        return (status, state.ledger, state.order_stream, state.statuses,
+                state.committed, state.failed, calls)
+
+    expected = committed_by(_finalize_through_apply)
+    assert committed_by(ChannelState.finalize) == expected
+    assert expected[0] in (TxStatus.COMMITTED, (UnknownWalletError, "q: unknown wallet z"))
 
 
 def _pipeline(workers, queue_capacity, wallets):

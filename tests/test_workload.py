@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import conflictsim
+from conflictsim import harness
 from conflictsim.cli import BUNDLED_DIR, resolve_scenario
 from conflictsim.core import Query, Transfer, conflicts_with, query_tx, transfer_tx
 from conflictsim.errors import (
@@ -211,6 +212,36 @@ def test_generators_build_reads_as_distinct_ids_from_the_payload():
         assert type(tx.reads) is tuple
         assert len(set(tx.reads)) == len(tx.reads)
         assert tx.reads[:len(own)] == own
+
+
+def test_generators_share_one_query_payload_per_wallet(monkeypatch):
+    # Every query on a wallet carries that wallet's one payload, and an
+    # unrepaired query reads the payload's own tuple.  A bench rep leaves
+    # the payloads and reads it was handed as they were.
+    batches = [_pinned_batch(*row[:5]) for row in GENERATOR_DIGESTS if row[3]]
+    handed = []
+
+    def generate(*args, **kwargs):
+        balances, txs = generate_bench_workload(*args, **kwargs)
+        handed.append([(tx, tx.payload, repr(tx.payload), tx.reads) for tx in txs])
+        return balances, txs
+
+    monkeypatch.setattr(harness, "generate_bench_workload", generate)
+    harness.bench_throughput(txs=2000, read_ratio=0.8, workers=2, reps=1,
+                             io_delay_us=0, seed=3)
+    batches.append([tx for tx, *_ in handed[0]])
+    shared = 0
+    for batch in batches:
+        payloads = {}
+        queries = [tx for tx in batch if isinstance(tx.payload, Query)]
+        for tx in queries:
+            assert payloads.setdefault(tx.payload.wallets, tx.payload) is tx.payload
+            if tx.reads == tx.payload.wallets:
+                assert tx.reads is tx.payload.wallets
+        shared += len(queries) - len(payloads)
+    assert shared > 1000
+    for tx, payload, text, reads in handed[0]:
+        assert tx.payload is payload and repr(payload) == text and tx.reads is reads
 
 
 def _fields(tx):
