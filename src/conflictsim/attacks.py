@@ -10,9 +10,11 @@ background workload) deterministically from the trial seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import attrgetter
 
 from .core import (
     LedgerState,
@@ -90,6 +92,10 @@ class AttackOutcome:
 
 _TERMINAL = tuple(st for st in TxStatus if st.terminal)
 
+_SUBMIT_TIME = attrgetter("submit_time")
+_CHANNEL = attrgetter("channel")
+_ID = attrgetter("id")
+
 
 def recompute_success(outcome: AttackOutcome) -> bool:
     """Re-derive the success flag from recorded outcome fields only."""
@@ -152,9 +158,10 @@ class SimulationRun:
         self.rejected: dict[str, SubmitOutcome] = {}
         # Ids that arrived, per channel.
         self.arrived: dict[str, set[str]] = {ch: set() for ch in config.channels}
-        self.all_txs: dict[str, Transaction] = {}
         self.pinned = dict(config.pinned_orderers)
         self._requests: list = []
+        # The batch's arriving prefix, in submit-time order.
+        self._batch: list[Transaction] = []
         self.conflict_count = config.conflict_count
 
         attack = config.attack
@@ -206,53 +213,80 @@ class SimulationRun:
     ) -> None:
         """Plan endorsement + admission at submit_time + client latency.
 
-        A transaction that would arrive after the deadline is not planned:
-        the engine would never fire its arrival, and everything read after
-        the run (collection, the balance replay, the DDoS failure rate)
-        looks only at arrived transactions, in ``arrived``.
+        ``on_arrival(tx)`` runs first at the arrival; returning True
+        intercepts the transaction before admission.  A transaction that
+        would arrive after the deadline is not planned: the engine would
+        never fire its arrival, and everything read after the run
+        (collection, the balance replay, the DDoS failure rate) looks only
+        at arrived transactions, in ``arrived``.
         """
-        self._requests.append(([tx], valid, via or tx.submitter, timeout, on_arrival))
+        self._requests.append(
+            (False, tx, via or tx.submitter, on_arrival, valid, timeout)
+        )
 
     def submit_batch(
-        self, txs: list[Transaction], *, via: str, on_first_arrival=None
+        self, txs: list[Transaction], *, via: str, first_phase: str | None = None
     ) -> None:
-        """Plan an adversary batch sent through client ``via``, as
-        ``submit(tx, valid=False, via=via)`` for each transaction in order
-        would, with ``on_first_arrival`` as the first one's arrival hook."""
-        self._requests.append((txs, False, via, None, on_first_arrival))
+        """Plan an adversary batch sent through client ``via``, in
+        submit-time order, and enter ``first_phase`` when its first
+        transaction arrives.
+
+        The batch arrives as ``submit(tx, valid=False, via=via)`` for each
+        transaction in order would, but costs nothing per transaction to
+        plan: its arriving prefix goes to the engine as one sorted run, and
+        its ids join ``arrived`` in one update after the run.
+        """
+        self._requests.append((True, txs, via, first_phase, False, None))
 
     def _flush_submissions(self) -> None:
-        # Expand the requests in submission order, testing the deadline once
-        # per transaction with the client latency looked up once per request.
+        # Schedule the requests in submission order, so equal-time arrivals
+        # fire in that order, testing the deadline with the client latency
+        # looked up once per request.
         deadline = self.config.deadline
-        all_txs, valid_ids = self.all_txs, self.valid_ids
-        plan = []
-        for txs, valid, via, timeout, hook in self._requests:
-            latency = self.config.topology.client_latency(via)
+        engine = self.engine
+        client_latency = self.config.topology.client_latency
+        for is_batch, sent, via, hook, valid, timeout in self._requests:
+            latency = client_latency(via)
             last = deadline - latency  # the latest submit time that arrives
-            for tx in txs:
-                t = tx.submit_time
-                if t <= last:
-                    all_txs[tx.id] = tx
-                    if valid:
-                        valid_ids.add(tx.id)
-                    plan.append((t + latency, tx, timeout, hook))
-                hook = None  # a dropped first transaction takes its hook along
+            if is_batch:
+                arriving = bisect_right(sent, last, key=_SUBMIT_TIME)
+                if arriving:
+                    prefix = sent if arriving == len(sent) else sent[:arriving]
+                    if hook is not None:
+                        engine.schedule_call(
+                            prefix[0].submit_time + latency, self._on_phase, hook
+                        )
+                    engine.schedule_sorted(
+                        self._on_arrivals, prefix, _SUBMIT_TIME, latency
+                    )
+                    self._batch = prefix
+            elif sent.submit_time <= last:
+                if valid:
+                    self.valid_ids.add(sent.id)
+                engine.schedule_call(
+                    sent.submit_time + latency, self._on_single,
+                    (sent, hook, timeout),
+                )
         self._requests = []
-        plan.sort(key=itemgetter(0))
-        self.engine.schedule_sorted(self._on_arrivals, plan)
 
-    def _on_arrivals(self, engine: Engine, arrival) -> None:
-        _, tx, timeout, hook = arrival
-        channel = tx.channel
-        self.arrived[channel].add(tx.id)
+    def _on_single(self, engine: Engine, single) -> None:
+        tx, hook, timeout = single
+        self.arrived[tx.channel].add(tx.id)
         if hook is not None and hook(tx):
             return  # intercepted (e.g. withheld by the adversary)
-        outcome = self.services[channel].admit(tx)
-        if outcome is not _ACCEPTED:
-            self.rejected[tx.id] = outcome
-        elif timeout is not None:
+        if self._on_arrivals(engine, tx) and timeout is not None:
             engine.schedule_call(engine.now + timeout, self._on_timeout, tx)
+
+    def _on_arrivals(self, engine: Engine, tx: Transaction) -> bool:
+        """Admit an arrived transaction; True if its service accepted it."""
+        outcome = self.services[tx.channel].admit(tx)
+        if outcome is _ACCEPTED:
+            return True
+        self.rejected[tx.id] = outcome
+        return False
+
+    def _on_phase(self, engine: Engine, phase: str) -> None:
+        self.phases.enter(phase, engine.now)
 
     def _on_timeout(self, engine: Engine, tx: Transaction) -> None:
         state = self.channels[tx.channel]
@@ -275,6 +309,10 @@ class SimulationRun:
     def run_until_deadline(self) -> None:
         self._flush_submissions()
         self.engine.run_until(self.config.deadline)
+        # The whole arriving prefix of the batch has arrived by now.
+        arrived = self.arrived
+        for channel, txs in groupby(self._batch, key=_CHANNEL):
+            arrived[channel].update(map(_ID, txs))
 
     def collect(self, kind: str, facts: dict) -> AttackOutcome:
         """Gather the run's outcome; success comes from its recorded facts
@@ -332,8 +370,8 @@ class SimulationRun:
 
 
 def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
-    """The trial's conflicting batch, shaped for its attack; the runners
-    submit it unchanged.
+    """The trial's conflicting batch, shaped for its attack and in
+    submit-time order; the runners submit it unchanged.
 
     A generated batch is drawn on the attack's channel (the file's own for
     the ordering race).  Double spend's batch starts after its lead
@@ -341,7 +379,8 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     transfer into the attacker's wallet: the attack's point is a balance
     increase, not neutral churn.  The redirect follows generation and its
     isolation repair and draws nothing.  A scripted list is cloned, onto
-    the first channel for block withholding and DDoS.
+    the first channel for block withholding and DDoS, and stable-sorted by
+    submit time.
 
     A generated batch stops at its horizon: the deadline less the latency of
     the client that sends it, the bound ``_flush_submissions`` tests, so no
@@ -351,7 +390,7 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     kind = attack.kind
     source = config.conflicts
     if not isinstance(source, ConflictSpec):
-        batch = [clone_tx(tx) for tx in source]
+        batch = sorted(map(clone_tx, source), key=_SUBMIT_TIME)
         if kind in ("block_withholding", "ddos"):
             channel = config.channels[0]
             for tx in batch:
@@ -425,8 +464,7 @@ def run_block_withholding(
 
     run.submit(target, valid=True, on_arrival=intercept)
     run.submit_batch(
-        batch, via=_client_of(config, adversary=True),
-        on_first_arrival=run.phase_marker("P3"),
+        batch, via=_client_of(config, adversary=True), first_phase="P3"
     )
 
     if variant == "release":
@@ -515,8 +553,7 @@ def run_double_spending(
         batch = [ds] + batch
 
     run.submit_batch(
-        batch, via=_client_of(config, adversary=True),
-        on_first_arrival=run.phase_marker("P3"),
+        batch, via=_client_of(config, adversary=True), first_phase="P3"
     )
 
     def watch(tx: Transaction, status: TxStatus) -> None:
@@ -562,38 +599,37 @@ def run_balance_attack(
         k %= pairs
         return pool[2 * k], pool[2 * k + 1]
 
+    valid_txs: list[Transaction] = []
+
     def build_valid(channel: str, head: int, tail: int, tail_start: int) -> None:
         client = _client_of(config, adversary=False)
         latency = config.topology.client_latency(client)
         for i in range(initial_pending):
             src, dst = pair(i)
-            run.submit(
+            valid_txs.append(
                 transfer_tx(
                     f"pre-{channel}-{i:03d}", src, dst, amount, channel=channel,
                     submitter=client,
                     submit_time=-latency,  # arrives at t=0
-                ),
-                valid=True,
+                )
             )
         for i in range(head):
             src, dst = pair(initial_pending + i)
-            run.submit(
+            valid_txs.append(
                 transfer_tx(
                     f"val-{channel}-{i:03d}", src, dst, amount, channel=channel,
                     submitter=client,
                     submit_time=spacing * (i + 1) - latency,
-                ),
-                valid=True,
+                )
             )
         for i in range(tail):
             src, dst = pair(initial_pending + head + i)
-            run.submit(
+            valid_txs.append(
                 transfer_tx(
                     f"val-{channel}-{head + i:03d}", src, dst, amount,
                     channel=channel, submitter=client,
                     submit_time=tail_start + spacing * i - latency,
-                ),
-                valid=True,
+                )
             )
 
     build_valid(
@@ -603,10 +639,11 @@ def run_balance_attack(
         attack.p_int("tail_start", 1010),
     )
     build_valid(reference, attack.p_int("valid_reference", 90), 0, 0)
+    for tx in valid_txs:
+        run.submit(tx, valid=True)
 
     run.submit_batch(
-        batch, via=_client_of(config, adversary=True),
-        on_first_arrival=run.phase_marker("P1"),
+        batch, via=_client_of(config, adversary=True), first_phase="P1"
     )
 
     ref_state = run.channels[reference]
@@ -629,20 +666,23 @@ def run_balance_attack(
     run.phases.enter("P4", config.deadline)
 
     # P5 epilogue: replay the first still-pending attacked-channel transaction
-    # on the reference chain, endorsed there now (validated on a copy so
-    # recorded metrics stay a deadline snapshot).  An id's status is
-    # terminal exactly when it is in committed or failed.
-    rejected, committed, failed = run.rejected, att_state.committed, att_state.failed
-    all_txs = run.all_txs
-    replay_committed = False
-    replayed = min(
-        (tx_id for tx_id in run.arrived[attacked]
-         if tx_id not in rejected and tx_id not in committed
-         and tx_id not in failed),
-        key=lambda tx_id: (all_txs[tx_id].submit_time, tx_id), default=None,
+    # (by submit time, then id) on the reference chain, endorsed there now
+    # (validated on a copy so recorded metrics stay a deadline snapshot).
+    # An id's status is terminal exactly when it is in committed or failed;
+    # the candidates are the valid transactions and the batch.
+    pending = run.arrived[attacked].difference(
+        run.rejected, att_state.committed, att_state.failed
     )
-    if replayed is not None:
-        _, st = apply_transaction(ref_state.ledger.copy(), all_txs[replayed])
+    replay_committed = False
+    replayed = None
+    if pending:
+        first = min(
+            (tx for tx in chain(valid_txs, batch)
+             if tx.id in pending and tx.channel == attacked),
+            key=lambda tx: (tx.submit_time, tx.id),
+        )
+        replayed = first.id
+        _, st = apply_transaction(ref_state.ledger.copy(), first)
         replay_committed = st is TxStatus.COMMITTED
         run.phases.enter("P5", config.deadline + 1)
 
@@ -695,8 +735,7 @@ def run_ddos(
     burst = isinstance(config.conflicts, ConflictSpec) and config.conflicts.start or 0
     run.phases.enter("P1", max(0, (burst or batch[0].submit_time) - 1))
     run.submit_batch(
-        batch, via=_client_of(config, adversary=True),
-        on_first_arrival=run.phase_marker("P2"),
+        batch, via=_client_of(config, adversary=True), first_phase="P2"
     )
 
     run.run_until_deadline()
@@ -759,8 +798,9 @@ def run_attack(
     batch: list[Transaction] | None = None,
 ) -> AttackOutcome:
     """Run one trial in one mode.  ``batch`` is the trial's conflicting
-    batch from ``_conflict_batch``, built here when not given; the runner
-    submits it as it is and assigns no attribute of its transactions."""
+    batch from ``_conflict_batch`` (so in submit-time order), built here
+    when not given; the runner submits it as it is and assigns no attribute
+    of its transactions."""
     if batch is None:
         batch = _conflict_batch(config, seed)
     return _RUNNERS[config.attack.kind](config, mode, seed, batch)

@@ -33,6 +33,11 @@ class TxStatus(Enum):
     INSUFFICIENT_FUNDS = "insufficient_funds"
     TIMEOUT = "timeout"
 
+    # Enum hashes a member by its name, in Python code.  A member is the
+    # only object with its value, so the identity hash, which runs in C,
+    # serves as well.
+    __hash__ = object.__hash__
+
     @property
     def terminal(self) -> bool:
         return self in TERMINAL

@@ -189,6 +189,9 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
                     if plan.lean:
                         record.outcome = None
                     records.append(record)
+                # Dropped here, not on the way out, so that the backstop
+                # collection does not walk the last batch.
+                del batch
     return records
 
 

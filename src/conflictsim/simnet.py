@@ -5,11 +5,13 @@ equal-time events resolve in schedule order and a whole run is a pure
 function of (scenario, seed).  "Races" between orderers come from seeded
 jitter delays, not from wall-clock nondeterminism.
 
-Most events are scheduled one at a time onto a heap.  Events all known at
-once, such as a trial's arrivals, can instead be handed over as one list
-sorted by fire time (``schedule_sorted``): the list stays outside the heap,
-takes the block of seqs the same back-to-back ``schedule_call``s would have
-taken, and ``run_until`` merges its head with the heap's, so the
+Most events are scheduled one at a time onto a heap.  A batch of events
+all known at once, such as a trial's conflicting batch, can instead be
+handed over as one list with a fire-time rule (``schedule_sorted``): each
+element fires at its key plus one constant delay, so the caller builds no
+per-event tuple.  The list must be sorted by that key.  It stays outside
+the heap, takes the block of seqs the same back-to-back ``schedule_call``s
+would have taken, and ``run_until`` merges its head with the heap's, so the
 (fire_at, seq) order covers both and is exactly the order those calls
 would give.
 
@@ -124,11 +126,13 @@ class Engine:
         self._heap: list[tuple[SimTime, int, Callable, Any]] = []
         self._seq = 0
         # The sorted run: its events, the next one to fire, the seq before
-        # its first and the callback that fires each.
+        # its first, the callback that fires each and its fire-time rule.
         self._run: list = []
         self._run_pos = 0
         self._run_seq = 0
         self._run_fn: Callable | None = None
+        self._run_key: Callable | None = None
+        self._run_delay: SimTime = 0
         self.last_event_time: SimTime = 0
 
     # -- scheduling -------------------------------------------------------
@@ -144,27 +148,31 @@ class Engine:
 
     def schedule_sorted(
         self, fn: Callable[["Engine", Any], None], events: list,
+        key: Callable[[Any], SimTime], delay: SimTime = 0,
     ) -> None:
-        """Schedule ``fn(engine, event)`` for each event, at ``event[0]``.
+        """Schedule ``fn(engine, event)`` for each event, at
+        ``key(event) + delay``.
 
-        ``events`` must be sorted by fire time; the engine keeps the list
-        and the caller must not change it.  The events fire exactly as
-        ``schedule_call(event[0], fn, event)`` for each of them in order
-        would fire them.  Raises ``TimeInPastError`` if the first fires
-        before now and ``RuntimeError`` while an earlier run is pending.
+        ``events`` must be sorted by ``key``; the engine keeps the list and
+        the caller must not change it.  The events fire exactly as
+        ``schedule_call(key(event) + delay, fn, event)`` for each of them in
+        order would fire them.  Raises ``TimeInPastError`` if the first
+        fires before now and ``RuntimeError`` while an earlier run is
+        pending.
         """
         if not events:
             return
         if self._run:  # a spent run is cleared as it ends
             raise RuntimeError("a sorted run is still pending")
-        if events[0][0] < self.now:
-            raise TimeInPastError(
-                f"cannot schedule at {events[0][0]}, now is {self.now}"
-            )
+        first = key(events[0]) + delay
+        if first < self.now:
+            raise TimeInPastError(f"cannot schedule at {first}, now is {self.now}")
         self._run = events
         self._run_pos = 0
         self._run_seq = self._seq
         self._run_fn = fn
+        self._run_key = key
+        self._run_delay = delay
         self._seq += len(events)
 
     # -- execution --------------------------------------------------------
@@ -178,11 +186,12 @@ class Engine:
         pos = self._run_pos
         if run:
             fn_run = self._run_fn
+            key, delay = self._run_key, self._run_delay
             seq = self._run_seq  # seq of run[pos] is seq + pos + 1
             n = len(run)
             while pos < n:
                 event = run[pos]
-                at = event[0]
+                at = key(event) + delay
                 if at > deadline:
                     break
                 # Heap events ahead of run[pos] by (fire_at, seq) fire first.
@@ -223,3 +232,4 @@ class Engine:
         self._run = []
         self._run_pos = 0
         self._run_fn = None
+        self._run_key = None

@@ -427,6 +427,8 @@ class ScenarioConfig:
 _SECTIONS = (
     "topology", "balances", "attack", "policy", "conflicts", "seed", "deadline",
 )
+# The attributes a topology ``node`` line may set.
+_NODE_KEYS = frozenset(("role", "channels", "adversary", "processing", "latency"))
 
 
 def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
@@ -518,6 +520,11 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                     default_latency = int(parts[1])
                 elif parts[0] == "node":
                     attrs = _parse_kv(parts[2:], lineno)
+                    unknown = attrs.keys() - _NODE_KEYS
+                    if unknown:
+                        raise ScenarioParseError(
+                            f"unknown node attribute {min(unknown)!r}", lineno
+                        )
                     nodes.append(
                         NodeConfig(
                             id=parts[1],

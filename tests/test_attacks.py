@@ -27,7 +27,6 @@ from conflictsim.core import (
 )
 from conflictsim.errors import ScenarioValidationError
 from conflictsim.harness import MetricsRecord, sweep_scenario
-from conflictsim.simnet import Engine
 from conflictsim.workload import (
     ConflictSpec,
     generate_conflicting_set,
@@ -361,22 +360,27 @@ def test_clone_tx_equals_source_and_copies_are_independent(tx):
     assert (tx.reads, tx.channel, tx.submitter, tx.submit_time) == before
 
 
-def _record_planned_arrivals(monkeypatch):
-    """Record every sorted run an engine is handed, as (callback name,
-    events), and schedule it as usual."""
-    planned = []
-    schedule_sorted = Engine.schedule_sorted
+def _record_arrivals(monkeypatch):
+    """Record, in firing order, every admission ``_on_arrivals`` sees as
+    ("arrive", now, id) and every phase entered as ("phase", name, t)."""
+    log = []
+    on_arrivals, enter = SimulationRun._on_arrivals, attacks.PhaseRecorder.enter
 
-    def record(engine, fn, events):
-        planned.append((fn.__name__, list(events)))
-        schedule_sorted(engine, fn, events)
+    def arriving(run, engine, tx):
+        log.append(("arrive", engine.now, tx.id))
+        return on_arrivals(run, engine, tx)
 
-    monkeypatch.setattr(Engine, "schedule_sorted", record)
-    return planned
+    def entering(recorder, phase, t):
+        log.append(("phase", phase, t))
+        enter(recorder, phase, t)
+
+    monkeypatch.setattr(SimulationRun, "_on_arrivals", arriving)
+    monkeypatch.setattr(attacks.PhaseRecorder, "enter", entering)
+    return log
 
 
 def test_submission_arriving_after_deadline_is_never_planned(monkeypatch):
-    planned = _record_planned_arrivals(monkeypatch)
+    log = _record_arrivals(monkeypatch)
     config = resolve_scenario("fig1_race")
     run = SimulationRun(config, "baseline", config.seed)
     latency = config.topology.client_latency("client1")
@@ -387,49 +391,83 @@ def test_submission_arriving_after_deadline_is_never_planned(monkeypatch):
                         submit_time=arrive_at - latency),
             valid=True,
         )
-    run.run_until_deadline()
+    run.submit_batch(
+        [transfer_tx(f"b{i}", "X", "Y", 1, submitter="adv",
+                     submit_time=config.deadline - latency + i)
+         for i in (1, 2)],
+        via="client1", first_phase="M",
+    )
+    run._flush_submissions()
+    assert run.engine.pending_events() == 1  # nothing late is scheduled
+    run.engine.run_until(config.deadline)
+    assert log == [("arrive", config.deadline, "on_time")]
     assert run.arrived == {"main": {"on_time"}}
-    assert [(name, [e[1].id for e in events]) for name, events in planned] == [
-        ("_on_arrivals", ["on_time"])
-    ]
+    assert run.valid_ids == {"on_time"}
 
 
 def test_submit_batch_plans_as_per_transaction_submits(monkeypatch):
-    planned_runs = _record_planned_arrivals(monkeypatch)
+    log = _record_arrivals(monkeypatch)
     config = resolve_scenario("fig1_race")
     latency = 5  # client1's
     late = config.deadline - latency + 1
-    hook = object()  # planning only carries the hook; it never fires here
     batch = [
         transfer_tx(f"b{i}", "X", "Y", 1, submitter="adv", submit_time=t)
-        for i, t in enumerate((late, 100, 3, late - 1, late, 7, 100))
+        for i, t in enumerate((3, 7, 100, 100, late - 1, late, late))
     ]
-    before = transfer_tx("v0", "P", "Q", 1, submitter="client1", submit_time=50)
+    # Each ties with batch arrivals: one submitted before the batch, one after.
+    before = transfer_tx("v0", "P", "Q", 1, submitter="client1", submit_time=100)
     after = transfer_tx("v1", "Q", "R", 1, submitter="client1", submit_time=3)
 
-    def planned(one_call: bool):
+    def arrivals(one_call: bool, batch):
         run = SimulationRun(config, "baseline", config.seed)
         run.submit(before, valid=True)
         if one_call:
-            run.submit_batch(batch, via="client1", on_first_arrival=hook)
+            run.submit_batch(batch, via="client1", first_phase="M")
         else:
             for i, tx in enumerate(batch):
                 run.submit(tx, valid=False, via="client1",
-                           on_arrival=hook if i == 0 else None)
+                           on_arrival=run.phase_marker("M") if i == 0 else None)
         run.submit(after, valid=True)
-        run._flush_submissions()
-        (name, events), = planned_runs
-        planned_runs.clear()
-        # In firing order, as the engine fires a sorted run.
-        arrivals = [(e[0], e[1].id, e[2], e[3]) for e in events]
-        return name, arrivals, run.all_txs, run.valid_ids
+        run.run_until_deadline()
+        fired = list(log)
+        log.clear()
+        return fired, run.arrived, run.valid_ids, run.phases.log
 
-    name, arrivals, all_txs, valid = planned(one_call=True)
-    assert (name, arrivals, all_txs, valid) == planned(one_call=False)
-    assert name == "_on_arrivals"
-    # The first transaction arrives too late, so its hook goes with it.
-    assert all(arrival[3] is None for arrival in arrivals)
-    assert all_txs.keys() - valid == {"b1", "b2", "b3", "b5", "b6"}
+    fired, arrived, valid, phases = arrivals(True, batch)
+    assert (fired, arrived, valid, phases) == arrivals(False, batch)
+    # Equal-time arrivals fire in submission order; the marker fires right
+    # before the batch's first arrival, and the late tail never arrives.
+    assert fired == [
+        ("phase", "M", 8), ("arrive", 8, "b0"), ("arrive", 8, "v1"),
+        ("arrive", 12, "b1"), ("arrive", 105, "v0"), ("arrive", 105, "b2"),
+        ("arrive", 105, "b3"), ("arrive", config.deadline, "b4"),
+    ]
+    assert phases == [("M", 8)]
+    assert valid == {"v0", "v1"}
+    assert arrived["main"] - valid == {"b0", "b1", "b2", "b3", "b4"}
+    # A batch whose first transaction arrives too late takes its marker along.
+    assert arrivals(True, batch[5:]) == arrivals(False, batch[5:])
+    fired, arrived, _, phases = arrivals(True, batch[5:])
+    assert phases == [] and arrived["main"] == {"v0", "v1"}
+    assert [event[2] for event in fired] == ["v1", "v0"]
+
+
+def _record_submissions(monkeypatch):
+    """Record on each run, in ``run.submitted``, every transaction handed to
+    ``submit`` or ``submit_batch`` by id (a later one with an id wins): the
+    lookup the oracles below read."""
+    submit, submit_batch = SimulationRun.submit, SimulationRun.submit_batch
+
+    def submitting(run, tx, **kwargs):
+        vars(run).setdefault("submitted", {})[tx.id] = tx
+        submit(run, tx, **kwargs)
+
+    def submitting_batch(run, txs, **kwargs):
+        vars(run).setdefault("submitted", {}).update((tx.id, tx) for tx in txs)
+        submit_batch(run, txs, **kwargs)
+
+    monkeypatch.setattr(SimulationRun, "submit", submitting)
+    monkeypatch.setattr(SimulationRun, "submit_batch", submitting_batch)
 
 
 # -- outcome collection ------------------------------------------------------------
@@ -448,7 +486,7 @@ def _collect_by_arrival(run):
         if tx_id in run.rejected:
             statuses["rejected"] += 1
             continue
-        ch = run.all_txs[tx_id].channel
+        ch = run.submitted[tx_id].channel
         st = run.channels[ch].status(tx_id)
         if st is TxStatus.COMMITTED:
             statuses["committed"] += 1
@@ -468,6 +506,7 @@ def _collect_by_arrival(run):
 def collect_oracle(monkeypatch):
     """Check every ``collect`` against the per-arrival oracle; yields the
     outcomes checked."""
+    _record_submissions(monkeypatch)
     checked = []
     collect = SimulationRun.collect
 
@@ -709,7 +748,7 @@ def _replay_by_sort(run, attacked):
         tx_id for tx_id in run.arrived[attacked]
         if tx_id not in run.rejected and not state.status(tx_id).terminal
     ]
-    pending.sort(key=lambda tx_id: (run.all_txs[tx_id].submit_time, tx_id))
+    pending.sort(key=lambda tx_id: (run.submitted[tx_id].submit_time, tx_id))
     return pending[0] if pending else None
 
 
@@ -718,6 +757,7 @@ def test_balance_replays_the_first_pending_transaction(count, monkeypatch):
     config = resolve_scenario("table2_balance_attack")
     if count is not None:
         config = sweep_scenario(config, count)
+    _record_submissions(monkeypatch)
     picks = []
     collect = SimulationRun.collect
 
@@ -773,6 +813,7 @@ def test_pipeline_run_equals_the_linear_replay_of_its_order_stream(
     config = resolve_scenario(name)
     if count is not None:
         config = sweep_scenario(config, count)
+    _record_submissions(monkeypatch)
     init, collect = SimulationRun.__init__, SimulationRun.collect
     replayed = []
 
@@ -784,9 +825,9 @@ def test_pipeline_run_equals_the_linear_replay_of_its_order_stream(
         for ch, state in run.channels.items():
             stream = state.order_stream
             assert len(set(stream)) == len(stream)
-            assert all(run.all_txs[tx_id].channel == ch for tx_id in stream)
+            assert all(run.submitted[tx_id].channel == ch for tx_id in stream)
             ledger = run.initial[ch]
-            statuses = _replay(ledger, stream, run.all_txs)
+            statuses = _replay(ledger, stream, run.submitted)
             # Every status but a client timeout comes from the stream.
             assert statuses == {tx_id: st for tx_id, st in state.statuses.items()
                                 if st is not TxStatus.TIMEOUT}

@@ -1,5 +1,7 @@
 """Event engine: ordering discipline, determinism, delivery latency."""
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,7 +86,7 @@ def spawning(log):
 
 
 def arriving(log):
-    """A sorted-run callback for ``(fire_at, label, subtree)`` events."""
+    """A sorted-run callback for ``(time, label, subtree)`` events."""
     fire = spawning(log)
     return lambda eng, event: fire(eng, event[1:])
 
@@ -96,10 +98,11 @@ def test_sorted_run_fires_as_back_to_back_schedule_calls(
     # Heap events scheduled before the run (some fired before it is handed
     # over), the run with equal-time ties, heap events scheduled after it,
     # and callbacks that schedule more, some at now: the engine given the
-    # run fires exactly as one given a schedule_call per run event.
+    # run, each event firing at its time plus ``start``, fires exactly as
+    # one given a schedule_call per run event.
     arrivals = sorted(
-        ((start + t, f"run{i}", subtree) for i, (t, subtree) in enumerate(run)),
-        key=lambda event: event[0],
+        ((t, f"run{i}", subtree) for i, (t, subtree) in enumerate(run)),
+        key=itemgetter(0),
     )
 
     def drive(streamed: bool):
@@ -109,10 +112,10 @@ def test_sorted_run_fires_as_back_to_back_schedule_calls(
             eng.schedule_call(t, fire, (f"pre{i}", subtree))
         eng.run_until(start)
         if streamed:
-            eng.schedule_sorted(arrive, list(arrivals))
+            eng.schedule_sorted(arrive, list(arrivals), itemgetter(0), start)
         else:
             for event in arrivals:
-                eng.schedule_call(event[0], arrive, event)
+                eng.schedule_call(event[0] + start, arrive, event)
         for i, (t, subtree) in enumerate(post):
             eng.schedule_call(start + t, fire, (f"post{i}", subtree))
         states = [(eng.now, eng.pending_events(), list(log))]
@@ -130,7 +133,7 @@ def test_pending_events_and_drop_pending_cover_the_sorted_run():
     arrive = arriving(log)
     eng.schedule_call(2, spawning(log), ("heap", ()))
     eng.schedule_sorted(arrive, [(1, "a", ()), (3, "b", ()), (3, "c", ()),
-                                 (5, "d", ())])
+                                 (5, "d", ())], itemgetter(0))
     assert eng.pending_events() == 5
     eng.run_until(3)
     assert eng.pending_events() == 1
@@ -139,7 +142,7 @@ def test_pending_events_and_drop_pending_cover_the_sorted_run():
     eng.run_until(10)
     assert log == [(1, "a"), (2, "heap"), (3, "b"), (3, "c")]
     # A dropped run is gone: another can be handed over.
-    eng.schedule_sorted(arrive, [(10, "e", ())])
+    eng.schedule_sorted(arrive, [(10, "e", ())], itemgetter(0))
     eng.run_until(10)
     assert log[-1] == (10, "e")
 
@@ -148,19 +151,22 @@ def test_sorted_run_before_now_rejected():
     eng = Engine(seed=1)
     eng.run_until(5)
     with pytest.raises(TimeInPastError):
-        eng.schedule_sorted(lambda e, p: None, [(4, "x"), (6, "y")])
+        eng.schedule_sorted(lambda e, p: None, [(4, "x"), (6, "y")],
+                            itemgetter(0))
+    with pytest.raises(TimeInPastError):  # the delay counts
+        eng.schedule_sorted(lambda e, p: None, [(0, "x")], itemgetter(0), 4)
     assert eng.pending_events() == 0
 
 
 def test_second_sorted_run_rejected_while_one_is_pending():
     eng, log = Engine(seed=1), []
     arrive = arriving(log)
-    eng.schedule_sorted(arrive, [(1, "a", ()), (4, "b", ())])
+    eng.schedule_sorted(arrive, [(1, "a", ()), (4, "b", ())], itemgetter(0))
     eng.run_until(2)
     with pytest.raises(RuntimeError):
-        eng.schedule_sorted(arrive, [(3, "c", ())])
+        eng.schedule_sorted(arrive, [(3, "c", ())], itemgetter(0))
     eng.run_until(4)
-    eng.schedule_sorted(arrive, [(6, "d", ())])  # the first run is spent
+    eng.schedule_sorted(arrive, [(6, "d", ())], itemgetter(0))  # the first is spent
     eng.run_until(6)
     assert log == [(1, "a"), (4, "b"), (6, "d")]
 
