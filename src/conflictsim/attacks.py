@@ -164,9 +164,9 @@ class SimulationRun:
         self._batch: list[Transaction] = []
         self.conflict_count = config.conflict_count
 
-        attack = config.attack
-        init_height = attack.p_int("initial_height", 0)
-        init_count = attack.p_int("initial_tx_count", init_height)
+        kind = config.attack.kind
+        init_height = config.param("initial_height")
+        init_count = config.param("initial_tx_count")
         for channel in config.channels:
             ledger = LedgerState.from_balances(
                 config.balances, height=init_height, tx_count=init_count
@@ -184,13 +184,13 @@ class SimulationRun:
                 # The adversary orderer participates in the shared pull loop
                 # only when it is not busy withholding (block withholding
                 # manages it out of band).
-                cycling = honest if attack.kind == "block_withholding" else orderers
+                cycling = honest if kind == "block_withholding" else orderers
                 self.services[channel] = BaselineOrderingService(
                     self.engine, state, cycling, policy, peer_id, self.pinned
                 )
             else:
                 withheld = None
-                if attack.kind == "block_withholding":
+                if kind == "block_withholding":
                     for i, node in enumerate(orderers):
                         if node.is_adversary:
                             withheld = i % policy.workers
@@ -386,8 +386,7 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
     the client that sends it, the bound ``_flush_submissions`` tests, so no
     transaction is built that could not arrive (the first always is).
     """
-    attack = config.attack
-    kind = attack.kind
+    kind = config.attack.kind
     source = config.conflicts
     if not isinstance(source, ConflictSpec):
         batch = sorted(map(clone_tx, source), key=_SUBMIT_TIME)
@@ -398,12 +397,12 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
         return batch
     channel = source.channel
     if kind == "balance":
-        channel = attack.p_str("attacked_channel", config.channels[0])
+        channel = config.param("attacked_channel")
     elif kind != "ordering_race":
         channel = config.channels[0]
     start = source.start
     if kind == "double_spending":
-        start += _lead_time(attack) + 1
+        start += _lead_time(config) + 1
     # The ordering race submits each transaction through its own submitter.
     via = source.submitter
     if kind != "ordering_race":
@@ -431,10 +430,9 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
 def run_block_withholding(
     config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
-    attack = config.attack
     attacker_wallet, target_from, target_to = config.attack_wallets()
-    amount = attack.p_int("target_amount", 15)
-    variant = attack.p_str("variant", "hold")
+    amount = config.param("target_amount")
+    variant = config.param("variant")
     channel = config.channels[0]
 
     run = SimulationRun(config, mode, seed)
@@ -442,7 +440,7 @@ def run_block_withholding(
     target = transfer_tx(
         "target", target_from, target_to, amount,
         channel=channel, submitter=_client_of(config, adversary=False),
-        submit_time=attack.p_int("target_submit", 0),
+        submit_time=config.param("target_submit"),
     )
     run.phases.enter("P1", target.submit_time)
 
@@ -473,7 +471,7 @@ def run_block_withholding(
             for tx, stamp in withheld:
                 state.finalize(tx, stamp)
 
-        run.engine.schedule_call(attack.p_int("release_at"), release)
+        run.engine.schedule_call(config.param("release_at"), release)
 
     run.run_until_deadline()
 
@@ -504,32 +502,31 @@ def run_block_withholding(
 # -- double spending -------------------------------------------------------------
 
 
-def _lead_time(attack) -> int:
+def _lead_time(config: ScenarioConfig) -> int:
     """When double spend sends its own transfer, 12 after the valid one; a
     generated batch follows."""
-    return attack.p_int("valid_submit", 0) + 12
+    return config.param("valid_submit") + 12
 
 
 def run_double_spending(
     config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
-    attack = config.attack
     source, victim, alt = config.attack_wallets()
-    amount = attack.p_int("amount", 100)
+    amount = config.param("amount")
     channel = config.channels[0]
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]
-    endorse_withheld = attack.params.get("endorse_withheld") == "true"
+    endorse_withheld = config.param("endorse_withheld")
     asset_delivered = [False]
 
     valid = transfer_tx(
         "valid", source, victim, amount,
         channel=channel, submitter=_client_of(config, adversary=False),
-        submit_time=attack.p_int("valid_submit", 0),
+        submit_time=config.param("valid_submit"),
     )
-    valid_orderer = attack.params.get("valid_orderer")
-    if valid_orderer:
+    valid_orderer = config.param("valid_orderer")
+    if valid_orderer is not None:
         run.pinned["valid"] = valid_orderer
     run.phases.enter("P1", valid.submit_time)
 
@@ -548,7 +545,7 @@ def run_double_spending(
         ds = transfer_tx(
             ds_id, source, alt, amount, channel=channel,
             submitter=_client_of(config, adversary=True),
-            submit_time=_lead_time(attack),
+            submit_time=_lead_time(config),
         )
         batch = [ds] + batch
 
@@ -583,16 +580,14 @@ def run_double_spending(
 def run_balance_attack(
     config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
-    attack = config.attack
-    channels = config.channels
-    attacked = attack.p_str("attacked_channel", channels[0])
-    reference = attack.p_str("reference_channel", channels[1])
-    pool = config.pool_wallets(attack.p_str("pool_prefix", "W"))
+    attacked = config.param("attacked_channel")
+    reference = config.param("reference_channel")
+    pool = config.pool_wallets("pool_prefix")
 
     run = SimulationRun(config, mode, seed)
-    amount = attack.p_int("valid_amount", 5)
-    spacing = attack.p_int("valid_spacing", 10)
-    initial_pending = attack.p_int("initial_pending", 0)
+    amount = config.param("valid_amount")
+    spacing = config.param("valid_spacing")
+    initial_pending = config.param("initial_pending")
     pairs = len(pool) // 2
 
     def pair(k: int) -> tuple[str, str]:
@@ -634,11 +629,11 @@ def run_balance_attack(
 
     build_valid(
         attacked,
-        attack.p_int("valid_head", 40),
-        attack.p_int("valid_tail", 40),
-        attack.p_int("tail_start", 1010),
+        config.param("valid_head"),
+        config.param("valid_tail"),
+        config.param("tail_start"),
     )
-    build_valid(reference, attack.p_int("valid_reference", 90), 0, 0)
+    build_valid(reference, config.param("valid_reference"), 0, 0)
     for tx in valid_txs:
         run.submit(tx, valid=True)
 
@@ -702,20 +697,19 @@ def run_balance_attack(
 def run_ddos(
     config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
 ) -> AttackOutcome:
-    attack = config.attack
-    n_accounts = attack.p_int("n_accounts", 32)
-    theta = attack.p_float("theta", 0.5)
+    n_accounts = config.param("n_accounts")
+    theta = config.param("theta")
     channel = config.channels[0]
-    valid_pool = config.pool_wallets(attack.p_str("valid_pool_prefix", "H"))
+    valid_pool = config.pool_wallets("valid_pool_prefix")
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]
 
     # Honest background traffic, read-heavy.
     valid_rng = random.Random(seed * 4 + 2)
-    valid_count = attack.p_int("valid_count", 100)
-    valid_window = attack.p_int("valid_window", 6000)
-    read_ratio = attack.p_float("valid_read_ratio", 0.8)
+    valid_count = config.param("valid_count")
+    valid_window = config.param("valid_window")
+    read_ratio = config.param("valid_read_ratio")
     client = _client_of(config, adversary=False)
     for i in range(valid_count):
         t = valid_rng.randint(0, valid_window)

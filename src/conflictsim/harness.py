@@ -120,17 +120,16 @@ def sweep_scenario(config: ScenarioConfig, count: int) -> ScenarioConfig:
     size over the attack's wallets, and the fixed scripted jitter gives way
     to the default race jitter so ordering contention is seed-driven.
     """
-    attack = config.attack
-    kind = attack.kind
+    kind = config.attack.kind
     window = SWEEP_WINDOW
     start = 0
     if kind in ("block_withholding", "double_spending"):
         wallets = config.attack_wallets()
     elif kind == "balance":
-        wallets = config.pool_wallets(attack.p_str("pool_prefix", "W"))
+        wallets = config.pool_wallets("pool_prefix")
     elif kind == "ddos":
-        wallets = config.pool_wallets(attack.p_str("accounts_prefix", "ACC"))
-        window, start = 0, attack.p_int("burst", 1000)
+        wallets = config.pool_wallets("accounts_prefix")
+        window, start = 0, config.param("burst")
     else:
         raise ValueError(f"attack kind {kind} does not support sweeps")
     return replace(

@@ -10,10 +10,12 @@ submit times and orderer assignments.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import Query, Transaction, Transfer, query_tx, transfer_tx
 from .errors import (
@@ -23,15 +25,6 @@ from .errors import (
 )
 from .ordering import BASELINE, COUNTERMEASURES, OrderingPolicy
 from .simnet import NodeConfig, Topology
-
-ATTACK_KINDS = (
-    "block_withholding",
-    "double_spending",
-    "balance",
-    "ddos",
-    "ordering_race",
-)
-
 
 @dataclass(eq=True)
 class ConflictSpec:
@@ -220,30 +213,108 @@ def generate_conflicting_set(
 # -- scenario configuration ----------------------------------------------------
 
 
+class Param(NamedTuple):
+    """One attack param: its type, its default and, for a number, its
+    bounds.  The type is int, float, str, ``"wallet"`` (a str naming a
+    wallet of the balances), bool (``true`` or ``false``) or a tuple of the
+    words allowed.  A default of None is unset, or resolved from the
+    scenario by ``ScenarioConfig.param``."""
+
+    type: object
+    default: object = None
+    low: float = 0
+    high: float = math.inf
+
+    def parse(self, name: str, raw: str):
+        """``raw`` as a value of this param, which is called ``name``."""
+        kind = self.type
+        if kind in (int, float):
+            try:
+                if self.low <= (value := kind(raw)) <= self.high:
+                    return value
+            except ValueError:
+                pass
+            expected = "an integer" if kind is int else "a number"
+            expected += f" within [{self.low}, {self.high}]"
+        elif kind in (str, "wallet"):
+            if raw:
+                return raw
+            expected = "a word"
+        else:
+            words = ("true", "false") if kind is bool else kind
+            if raw in words:
+                return raw == "true" if kind is bool else raw
+            expected = " or ".join(words)
+        raise ScenarioValidationError(
+            f"attack param {name} must be {expected}, not {raw!r}"
+        )
+
+
+# Every param an attack kind takes; a ``param`` line naming any other is a
+# parse error.  Counts, amounts and times are non-negative (an amount
+# positive), so that no event is planned before time 0.
+_SHARED_PARAMS = {
+    "initial_height": Param(int, 0),
+    "initial_tx_count": Param(int),  # initial_height
+}
+ATTACK_PARAMS: dict[str, dict[str, Param]] = {
+    kind: {**own, **_SHARED_PARAMS} for kind, own in {
+        "block_withholding": {
+            "attacker_wallet": Param("wallet", "A1"),
+            "target_from": Param("wallet", "V1"),
+            "target_to": Param("wallet", "V2"),
+            "target_amount": Param(int, 15, 1),
+            "target_submit": Param(int, 0),
+            "variant": Param(("hold", "release"), "hold"),
+            "release_at": Param(int),  # needed by variant release
+        },
+        "double_spending": {
+            "source": Param("wallet", "A1"),
+            "victim": Param("wallet", "V1"),
+            "alt": Param("wallet", "A2"),
+            "amount": Param(int, 100, 1),
+            "valid_submit": Param(int, 0),
+            "valid_orderer": Param(str),  # unset: not pinned
+            "endorse_withheld": Param(bool, False),
+        },
+        "balance": {
+            "attacked_channel": Param(str),  # the first channel
+            "reference_channel": Param(str),  # the second channel
+            "pool_prefix": Param(str, "W"),
+            "valid_amount": Param(int, 5, 1),
+            "valid_spacing": Param(int, 10),
+            "initial_pending": Param(int, 0),
+            "valid_head": Param(int, 40),
+            "valid_tail": Param(int, 40),
+            "tail_start": Param(int, 1010),
+            "valid_reference": Param(int, 90),
+        },
+        "ddos": {
+            "n_accounts": Param(int, 32, 32),
+            "accounts_prefix": Param(str, "ACC"),
+            "valid_pool_prefix": Param(str, "H"),
+            "theta": Param(float, 0.5, high=1),
+            "valid_count": Param(int, 100),
+            "valid_window": Param(int, 6000),
+            "valid_read_ratio": Param(float, 0.8, high=1),
+            "burst": Param(int, 1000),
+        },
+        "ordering_race": {},
+    }.items()
+}
+
+
 @dataclass(eq=True)
 class AttackSpec:
+    """An attack kind and its params as the scenario file writes them;
+    ``ScenarioConfig.param`` reads them typed."""
+
     kind: str
     params: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
+        if self.kind not in ATTACK_PARAMS:
             raise ScenarioValidationError(f"unknown attack kind {self.kind!r}")
-
-    def p_str(self, name: str, default: str | None = None) -> str:
-        value = self.params.get(name, default)
-        if value is None:
-            raise ScenarioValidationError(f"attack param {name!r} is required")
-        return value
-
-    def p_int(self, name: str, default: int | None = None) -> int:
-        if name not in self.params:
-            if default is None:
-                raise ScenarioValidationError(f"attack param {name!r} is required")
-            return default
-        return int(self.params[name])
-
-    def p_float(self, name: str, default: float) -> float:
-        return float(self.params.get(name, default))
 
 
 @dataclass(eq=True)
@@ -264,6 +335,25 @@ class ScenarioConfig:
         for node in self.topology.nodes:
             seen.update(node.channels)
         return sorted(seen)
+
+    def param(self, name: str):
+        """The attack param ``name``, typed by its ``ATTACK_PARAMS`` entry:
+        the value the file sets, else its default."""
+        spec = ATTACK_PARAMS[self.attack.kind][name]
+        raw = self.attack.params.get(name)
+        if raw is not None:
+            return spec.parse(name, raw)
+        if name == "attacked_channel":
+            return self.channels[0]
+        if name == "reference_channel":
+            return self.channels[1]
+        if name == "initial_tx_count":
+            return self.param("initial_height")
+        if name == "release_at" and self.param("variant") == "release":
+            raise ScenarioValidationError(
+                "attack param variant release needs a release_at"
+            )
+        return spec.default
 
     @property
     def conflict_count(self) -> int:
@@ -315,21 +405,12 @@ class ScenarioConfig:
                     )
         if self.deadline < 0:
             raise ScenarioValidationError("deadline must be non-negative")
-        # An integer attack param is a count, amount, height, time, spacing
-        # or window: a negative time would plan an event before time 0.
-        for name, value in self.attack.params.items():
-            try:
-                negative = int(value) < 0
-            except ValueError:  # a word or a fraction
-                continue
-            if negative:
-                raise ScenarioValidationError(
-                    f"attack param {name} must be non-negative"
-                )
+        for name in self.attack.params:  # its type and bounds
+            self.param(name)
         self._validate_attack_needs(channels)
         pinned = dict(self.pinned_orderers)
-        if self.attack.kind == "double_spending" and self.attack.params.get("valid_orderer"):
-            pinned["valid"] = self.attack.params["valid_orderer"]
+        if self.attack.kind == "double_spending" and self.param("valid_orderer"):
+            pinned["valid"] = self.param("valid_orderer")
         for tx_id, orderer in pinned.items():
             if not self.topology.has_node(orderer):
                 raise ScenarioValidationError(
@@ -339,15 +420,10 @@ class ScenarioConfig:
     def _validate_attack_needs(self, channels: list[str]) -> None:
         """Check what the attack's runner needs of the scenario, so that a
         scenario that validates also runs."""
-        attack, kind = self.attack, self.attack.kind
+        kind = self.attack.kind
         nodes = self.topology.nodes
         if kind == "block_withholding":
-            variant = attack.p_str("variant", "hold")
-            if variant not in ("hold", "release"):
-                raise ScenarioValidationError(
-                    f"attack param variant must be hold or release, not {variant!r}"
-                )
-            if variant == "release" and attack.p_int("release_at", 0) < 1:
+            if self.param("variant") == "release" and self.param("release_at") < 1:
                 raise ScenarioValidationError(
                     "attack param variant release needs a positive release_at"
                 )
@@ -363,7 +439,7 @@ class ScenarioConfig:
                     )
         elif kind == "double_spending":
             source = self.attack_wallets()[0]
-            if self.balances[source] < attack.p_int("amount", 100):
+            if self.balances[source] < self.param("amount"):
                 raise ScenarioValidationError(
                     f"double spend source {source} cannot fund the transfer"
                 )
@@ -376,50 +452,36 @@ class ScenarioConfig:
         elif kind == "balance":
             if len(channels) < 2:
                 raise ScenarioValidationError("balance attack needs two channels")
-            for name, default in (("attacked_channel", channels[0]),
-                                  ("reference_channel", channels[1])):
-                if attack.p_str(name, default) not in channels:
+            for name in ("attacked_channel", "reference_channel"):
+                if self.param(name) not in channels:
                     raise ScenarioValidationError(
                         f"attack param {name} names an unknown channel"
                     )
             if not any(n.is_adversary for n in nodes):
                 raise ScenarioValidationError("balance attack needs an adversary node")
-            if len(self.pool_wallets(attack.p_str("pool_prefix", "W"))) < 4:
+            if len(self.pool_wallets("pool_prefix")) < 4:
                 raise ScenarioValidationError(
                     "balance attack needs a pool of at least 4 wallets"
                 )
         elif kind == "ddos":
-            n_accounts = attack.p_int("n_accounts", 32)
-            if n_accounts < 32:
-                raise ScenarioValidationError("DDoS needs at least 32 adversary accounts")
-            accounts = self.pool_wallets(attack.p_str("accounts_prefix", "ACC"))
-            if len(accounts) < n_accounts:
+            if len(self.pool_wallets("accounts_prefix")) < self.param("n_accounts"):
                 raise ScenarioValidationError("adversary accounts missing from balances")
-            if len(self.pool_wallets(attack.p_str("valid_pool_prefix", "H"))) < 2:
+            if len(self.pool_wallets("valid_pool_prefix")) < 2:
                 raise ScenarioValidationError(
                     "DDoS needs an honest pool of at least 2 wallets"
                 )
 
-    def pool_wallets(self, prefix: str) -> list[str]:
-        """The wallets named with ``prefix``, sorted."""
+    def pool_wallets(self, prefix_param: str) -> list[str]:
+        """The wallets named with the prefix that the attack param
+        ``prefix_param`` sets, sorted."""
+        prefix = self.param(prefix_param)
         return sorted(w for w in self.balances if w.startswith(prefix))
 
     def attack_wallets(self) -> list[str]:
-        """The wallets the attack's parameters name (defaults included)."""
-        kind, p = self.attack.kind, self.attack
-        if kind == "block_withholding":
-            return [
-                p.p_str("attacker_wallet", "A1"),
-                p.p_str("target_from", "V1"),
-                p.p_str("target_to", "V2"),
-            ]
-        if kind == "double_spending":
-            return [
-                p.p_str("source", "A1"),
-                p.p_str("victim", "V1"),
-                p.p_str("alt", "A2"),
-            ]
-        return []
+        """The wallets the attack's params name, defaults included, in
+        table order."""
+        table = ATTACK_PARAMS[self.attack.kind]
+        return [self.param(n) for n, spec in table.items() if spec.type == "wallet"]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -427,18 +489,26 @@ class ScenarioConfig:
 _SECTIONS = (
     "topology", "balances", "attack", "policy", "conflicts", "seed", "deadline",
 )
-# The attributes a topology ``node`` line may set.
-_NODE_KEYS = frozenset(("role", "channels", "adversary", "processing", "latency"))
+# The keys each kind of line may set; ``_parse_kv`` rejects any other.
+_LINE_KEYS = {
+    "node": frozenset(("role", "channels", "adversary", "processing", "latency")),
+    "tx transfer": frozenset(("channel", "submitter", "deps", "reads", "orderer")),
+    "tx query": frozenset(("channel", "submitter", "deps", "orderer")),
+    "generate": frozenset(
+        ("wallets", "count", "window", "mix_query", "channel", "submitter", "start")
+    ),
+}
 
 
-def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
+def _parse_kv(parts: list[str], lineno: int, line: str) -> dict[str, str]:
+    """The ``key=value`` attributes of a line of kind ``line``, where a bare
+    key is ``true``; a key that kind does not take is a parse error."""
     out: dict[str, str] = {}
     for part in parts:
-        if "=" in part:
-            key, _, value = part.partition("=")
-            out[key] = value
-        else:
-            out[part] = "true"
+        key, eq, value = part.partition("=")
+        if key not in _LINE_KEYS[line]:
+            raise ScenarioParseError(f"unknown {line} attribute {key!r}", lineno)
+        out[key] = value if eq else "true"
     return out
 
 
@@ -455,36 +525,31 @@ def _parse_tx_line(parts: list[str], lineno: int) -> tuple[Transaction, str | No
             if rest[3] != "at":
                 raise ScenarioParseError("expected 'at <time>'", lineno)
             at = int(rest[4])
-            attrs = _parse_kv(rest[5:], lineno)
+            attrs = _parse_kv(rest[5:], lineno, "tx transfer")
         elif op == "query":
             wallets = tuple(rest[0].split(","))
             if rest[1] != "at":
                 raise ScenarioParseError("expected 'at <time>'", lineno)
             at = int(rest[2])
-            attrs = _parse_kv(rest[3:], lineno)
+            attrs = _parse_kv(rest[3:], lineno, "tx query")
         else:
             raise ScenarioParseError(f"unknown payload kind {op!r}", lineno)
     except (IndexError, ValueError) as exc:
         raise ScenarioParseError(f"malformed tx line ({exc})", lineno) from None
 
-    channel = attrs.get("channel", "main")
-    submitter = attrs.get("submitter", "client")
-    deps = tuple(attrs["deps"].split(",")) if "deps" in attrs else ()
+    orderer = attrs.pop("orderer", None)
+    # The rest are keywords of the constructors; a file's reads are extra.
+    for key, arg in (("reads", "extra_reads"), ("deps", "deps")):
+        if key in attrs:
+            attrs[arg] = tuple(attrs.pop(key).split(","))
     try:
         if op == "transfer":
-            extra = tuple(attrs["reads"].split(",")) if "reads" in attrs else ()
-            tx = transfer_tx(
-                tx_id, src, dst, amount, channel=channel, submitter=submitter,
-                extra_reads=extra, deps=deps, submit_time=at,
-            )
+            tx = transfer_tx(tx_id, src, dst, amount, submit_time=at, **attrs)
         else:
-            tx = query_tx(
-                tx_id, wallets, channel=channel, submitter=submitter, deps=deps,
-                submit_time=at,
-            )
+            tx = query_tx(tx_id, wallets, submit_time=at, **attrs)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), lineno) from None
-    return tx, attrs.get("orderer")
+    return tx, orderer
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
@@ -494,6 +559,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     balances: dict[str, int] = {}
     attack_kind: str | None = None
     attack_params: dict[str, str] = {}
+    param_lines: dict[str, int] = {}
     policy_kw: dict[str, object] = {}
     conflict_spec: ConflictSpec | None = None
     scripted: list[Transaction] = []
@@ -519,12 +585,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                 if parts[0] == "default_latency":
                     default_latency = int(parts[1])
                 elif parts[0] == "node":
-                    attrs = _parse_kv(parts[2:], lineno)
-                    unknown = attrs.keys() - _NODE_KEYS
-                    if unknown:
-                        raise ScenarioParseError(
-                            f"unknown node attribute {min(unknown)!r}", lineno
-                        )
+                    attrs = _parse_kv(parts[2:], lineno, "node")
                     nodes.append(
                         NodeConfig(
                             id=parts[1],
@@ -552,6 +613,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                     attack_kind = parts[1]
                 elif parts[0] == "param":
                     attack_params[parts[1]] = " ".join(parts[2:])
+                    param_lines[parts[1]] = lineno
                 else:
                     raise ScenarioParseError(
                         f"unknown attack directive {parts[0]!r}", lineno
@@ -579,7 +641,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                     )
             elif section == "conflicts":
                 if parts[0] == "generate":
-                    attrs = _parse_kv(parts[1:], lineno)
+                    attrs = _parse_kv(parts[1:], lineno, "generate")
                     conflict_spec = ConflictSpec(
                         wallets=tuple(attrs["wallets"].split(",")),
                         count=int(attrs["count"]),
@@ -609,6 +671,10 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 
     if attack_kind is None:
         raise ScenarioParseError("attack section missing 'kind'")
+    attack = AttackSpec(kind=attack_kind, params=attack_params)
+    for param, lineno in param_lines.items():
+        if param not in ATTACK_PARAMS[attack_kind]:
+            raise ScenarioParseError(f"unknown {attack_kind} param {param!r}", lineno)
     if deadline is None:
         raise ScenarioParseError("deadline section missing")
     if conflict_spec is not None and scripted:
@@ -621,7 +687,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     config = ScenarioConfig(
         topology=Topology(nodes=nodes, links=links, default_latency=default_latency),
         balances=balances,
-        attack=AttackSpec(kind=attack_kind, params=attack_params),
+        attack=attack,
         policy=OrderingPolicy(**policy_kw),  # type: ignore[arg-type]
         conflicts=conflict_spec if conflict_spec is not None else scripted,
         seed=seed,

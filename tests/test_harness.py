@@ -653,6 +653,19 @@ def test_cli_out_of_range_policy_is_config_error(field, value, command,
     assert field in capsys.readouterr().err
 
 
+def _run_edited(scenario, line, edit, command, tmp_path):
+    """The exit code of ``command`` on a copy of a bundled scenario whose one
+    ``line`` is replaced by ``edit``."""
+    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
+    assert text.count(line + "\n") == 1
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(line + "\n", edit + "\n"))
+    args = [command, "--scenario", str(path)]
+    if command == "sweep":
+        args += ["--conflicts", "100..100:100", "--trials", "1"]
+    return main(args)
+
+
 @pytest.mark.parametrize("scenario, line, edit, named", [
     ("table2_block_withholding",
      "node client1 role=client channels=main latency=5",
@@ -689,14 +702,7 @@ def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, name
                                                       command, tmp_path, capsys):
     # Each edit would plan an arrival or a delivery before time 0, a
     # block-withholding release that never fires, or a route to no node.
-    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
-    assert text.count(line + "\n") == 1
-    path = tmp_path / "bad.scn"
-    path.write_text(text.replace(line + "\n", edit + "\n"))
-    args = [command, "--scenario", str(path)]
-    if command == "sweep":
-        args += ["--conflicts", "100..100:100", "--trials", "1"]
-    assert main(args) == 2
+    assert _run_edited(scenario, line, edit, command, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
 
@@ -718,18 +724,27 @@ def test_cli_arrival_before_time_zero_is_config_error(scenario, line, edit, name
     ("table2_balance_attack", "param pool_prefix W", "param pool_prefix Z", "pool"),
     ("table2_balance_attack", "param reference_channel ch2",
      "param reference_channel ch3", "reference_channel"),
+    # Param values of the wrong type or out of their bounds.
+    ("ddos_default", "param theta 0.5", "param theta abc", "theta"),
+    ("ddos_default", "param theta 0.5", "param theta", "theta"),
+    ("ddos_default", "param theta 0.5", "param theta 1.5", "theta"),
+    ("ddos_default", "param valid_count 100", "param valid_count 1.5",
+     "valid_count"),
+    ("ddos_default", "param valid_read_ratio 0.8", "param valid_read_ratio -0.5",
+     "valid_read_ratio"),
+    ("sec3b_double_spend", "param valid_orderer orderer1",
+     "param valid_orderer orderer1\nparam endorse_withheld yes", "endorse_withheld"),
+    ("table2_block_withholding", "param target_amount 15",
+     "param target_amount 0", "target_amount"),
 ])
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 def test_cli_scenario_the_runner_would_reject_is_config_error(
     scenario, line, edit, named, command, tmp_path, capsys
 ):
-    # validate checks what the attack's runner needs and every node's role,
-    # so no copy that validates fails at run time as a config error.
-    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
-    assert text.count(line + "\n") == 1
-    path = tmp_path / "bad.scn"
-    path.write_text(text.replace(line + "\n", edit + "\n"))
-    assert main([command, "--scenario", str(path)]) == 2
+    # validate checks what the attack's runner needs, every node's role and
+    # every param's type and bounds, so no copy that validates fails at run
+    # time as a config error.
+    assert _run_edited(scenario, line, edit, command, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
 
@@ -739,26 +754,42 @@ def test_cli_scenario_the_runner_would_reject_is_config_error(
     # on one of two honest orderers, which would run with the other alone.
     ("table2_block_withholding",
      "node badorderer role=orderer channels=main adversary",
-     "node badorderer holds=orderer channels=main adversary", "'holds'"),
+     "node badorderer holds=orderer channels=main adversary",
+     "node attribute 'holds'"),
     ("table2_block_withholding",
      "node badorderer role=orderer channels=main adversary",
-     "node badorderer element=orderer channels=main adversary", "'element'"),
+     "node badorderer element=orderer channels=main adversary",
+     "node attribute 'element'"),
     ("sec3b_double_spend",
      "node orderer2 role=orderer channels=main processing=10",
-     "node orderer2 rol=orderer channels=main processing=10", "'rol'"),
+     "node orderer2 rol=orderer channels=main processing=10",
+     "node attribute 'rol'"),
+    # Typos that would drop a dependency or a read, or leave a default in force.
+    ("fig1_race", "tx tx3 transfer Q R 30 at 0 deps=tx2",
+     "tx tx3 transfer Q R 30 at 0 dpes=tx2", "tx transfer attribute 'dpes'"),
+    ("sec3b_double_spend",
+     "tx jx00 transfer A1 V1 2 at 14 reads=A1,A2,V1 submitter=aclient",
+     "tx jx00 transfer A1 V1 2 at 14 raeds=A1,A2,V1 submitter=aclient",
+     "tx transfer attribute 'raeds'"),
+    ("fig1_race", "tx tx1 transfer X Y 10 at 0", "tx tx1 query X at 0 reads=Y",
+     "tx query attribute 'reads'"),
+    ("ddos_default", "window=0 start=1000", "window=0 start=1000 mxi_query=0.5",
+     "generate attribute 'mxi_query'"),
+    ("ddos_default", "param theta 0.5", "param thetaa 0.5", "ddos param 'thetaa'"),
+    # Another kind's param, which nothing would read.
+    ("ddos_default", "param theta 0.5", "param theta 0.5\nparam victim V9",
+     "ddos param 'victim'"),
 ])
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_cli_unknown_node_attribute_is_config_error(
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_cli_unknown_key_is_config_error(
     scenario, line, edit, named, command, tmp_path, capsys
 ):
-    text = (BUNDLED_DIR / f"{scenario}.scn").read_text()
-    assert text.count(line + "\n") == 1
-    path = tmp_path / "bad.scn"
-    path.write_text(text.replace(line + "\n", edit + "\n"))
-    assert main([command, "--scenario", str(path)]) == 2
+    # Every key a line sets is one its kind of line takes, and every param
+    # one its attack kind takes.
+    assert _run_edited(scenario, line, edit, command, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: line ")
-    assert f"unknown node attribute {named}" in err
+    assert f"unknown {named}" in err
 
 
 def test_cli_double_terminal_status_is_runtime_error(monkeypatch, capsys):

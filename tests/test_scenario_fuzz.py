@@ -4,9 +4,12 @@ CLI in-process, either run or fail as configuration errors.
 Each case copies one bundled file and makes one to three edits, each drawn
 from a generator seeded with the case number: a number set to -1, 0, 1, 2,
 3 or 99 999; a line deleted or duplicated; or a word swapped for another
-word from the same file.  The copy goes through ``validate`` and then
-``run --trials 1 --policy both``.  A copy that validates must run (exit 0),
-and one that does not must fail ``run`` as a config error too (exit 2).
+word from the same file.  A quarter of the cases then misspell a key: two
+adjacent, different characters of a ``key=`` or a ``param`` name swap
+places.  The copy goes through ``validate`` and then ``run --trials 1
+--policy both``.  A copy that validates must run (exit 0), and one that
+does not must fail ``run`` as a config error too (exit 2).  A copy with a
+misspelled key must not validate.
 Every outcome a run collects must conserve each channel's supply and count
 every arrived transaction once.
 """
@@ -26,6 +29,7 @@ from test_ordering import _drive
 SCENARIOS = sorted(BUNDLED_DIR.glob("*.scn"))
 NUMBER = re.compile(r"(?<![\w.-])-?\d+(?:\.\d+)?(?![\w.])")
 WORD = re.compile(r"[A-Za-z_]+")
+KEY = re.compile(r"^param (\w+)|(\w+)=")
 VALUES = ("-1", "0", "1", "2", "3", "99999")
 CASES = 100
 
@@ -36,8 +40,20 @@ def _swap(line, pattern, rng, choices):
     return line[:match.start()] + rng.choice(choices) + line[match.end():]
 
 
-def mutate(text: str, rng: random.Random) -> str:
-    """``text`` with one to three edits drawn from ``rng``."""
+def _misspell(line, rng):
+    """``line`` with two adjacent, different characters of one of its keys
+    swapped, if it has a key with any."""
+    spans = [m.span(1) if m.group(1) else m.span(2) for m in KEY.finditer(line)]
+    swaps = [j for a, b in spans for j in range(a, b - 1) if line[j] != line[j + 1]]
+    if not swaps:
+        return line
+    j = rng.choice(swaps)
+    return line[:j] + line[j + 1] + line[j] + line[j + 2:]
+
+
+def mutate(text: str, rng: random.Random) -> tuple[str, bool]:
+    """``text`` with one to three edits drawn from ``rng``, and whether a
+    key was then misspelled."""
     lines = text.splitlines()
     words = sorted(set(WORD.findall(text)))
     for _ in range(rng.randint(1, 3)):
@@ -55,20 +71,29 @@ def mutate(text: str, rng: random.Random) -> str:
                 del lines[i]
             else:
                 lines.insert(i, lines[i])
-    return "\n".join(lines) + "\n"
+    misspelled = False
+    hits = [i for i, line in enumerate(lines) if KEY.search(line)]
+    if rng.random() < 0.25 and hits:
+        i = rng.choice(hits)
+        edited = _misspell(lines[i], rng)
+        misspelled = edited != lines[i]
+        lines[i] = edited
+    return "\n".join(lines) + "\n", misspelled
 
 
-def mutant(case: int) -> str:
-    """The mutated text of fuzz case ``case``."""
+def mutant(case: int) -> tuple[str, bool]:
+    """The mutated text of fuzz case ``case``, and whether a key in it was
+    misspelled."""
     source = SCENARIOS[case % len(SCENARIOS)]
     return mutate(source.read_text(), random.Random(case))
 
 
-def run_case(case: int, path) -> tuple[int, int, list]:
+def run_case(case: int, path) -> tuple[int, int, list, bool]:
     """Write case ``case`` to ``path`` and put it through ``validate`` and
-    ``run``; returns both exit codes and the run's (config, outcome)
-    pairs."""
-    path.write_text(mutant(case))
+    ``run``; returns both exit codes, the run's (config, outcome) pairs and
+    whether a key was misspelled."""
+    text, misspelled = mutant(case)
+    path.write_text(text)
     outcomes = []
     collect = SimulationRun.collect
 
@@ -84,16 +109,18 @@ def run_case(case: int, path) -> tuple[int, int, list]:
                     "--policy", "both"])
     finally:
         SimulationRun.collect = collect
-    return validated, ran, outcomes
+    return validated, ran, outcomes, misspelled
 
 
 def test_mutated_bundled_scenarios_run_or_are_config_errors(tmp_path, capsys):
     exits = []
     for case in range(CASES):
-        validated, ran, outcomes = run_case(case, tmp_path / "mutant.scn")
+        validated, ran, outcomes, misspelled = run_case(case, tmp_path / "mutant.scn")
         capsys.readouterr()
         # run loads through the same checks, and runs what they pass.
         assert validated in (0, 2) and ran == validated, case
+        if misspelled:
+            assert ran == 2, case
         if ran == 0:
             assert len(outcomes) == 2, case  # one per policy
         for config, out in outcomes:
@@ -177,7 +204,7 @@ def test_commit_wakes_what_waking_every_idle_worker_wakes():
     runs = [_scenario_run(parse_scenario(path.read_text())) for path in SCENARIOS]
     for case in range(20):
         try:
-            runs.append(_scenario_run(parse_scenario(mutant(case))))
+            runs.append(_scenario_run(parse_scenario(mutant(case)[0])))
         except (SimulatorError, ValueError):
             pass  # a config error: nothing runs
     runs += [_dependency_run(seed) for seed in range(20)]
