@@ -31,7 +31,6 @@ from .ordering import (
     BaselineOrderingService,
     ChannelState,
     PipelineOrderingService,
-    SubmitOutcome,
     _ACCEPTED,
 )
 from .simnet import Engine
@@ -40,15 +39,6 @@ from .workload import ConflictSpec, ScenarioConfig, generate_conflicting_set
 # Block withholding redirects every PROFIT_STRIDE-th transfer of a generated
 # batch, counting from the first, into the attacker's wallet.
 PROFIT_STRIDE = 3
-
-# Pre-condition phases that every outcome of a kind must contain.
-PRECONDITION_PHASES = {
-    "block_withholding": ("P1", "P2", "P3"),
-    "double_spending": ("P1", "P2", "P3", "P4"),
-    "balance": ("P1", "P2", "P3", "P4"),
-    "ddos": ("P1", "P2"),
-    "ordering_race": ("P1",),
-}
 
 
 class PhaseRecorder:
@@ -155,7 +145,7 @@ class SimulationRun:
             str, BaselineOrderingService | PipelineOrderingService
         ] = {}
         self.valid_ids: set[str] = set()
-        self.rejected: dict[str, SubmitOutcome] = {}
+        self.rejected: set[str] = set()  # ids an admission rejected
         # Ids that arrived, per channel.
         self.arrived: dict[str, set[str]] = {ch: set() for ch in config.channels}
         self.pinned = dict(config.pinned_orderers)
@@ -282,7 +272,7 @@ class SimulationRun:
         outcome = self.services[tx.channel].admit(tx)
         if outcome is _ACCEPTED:
             return True
-        self.rejected[tx.id] = outcome
+        self.rejected.add(tx.id)
         return False
 
     def _on_phase(self, engine: Engine, phase: str) -> None:
@@ -335,7 +325,7 @@ class SimulationRun:
         for ch, state in self.channels.items():
             registry = state.statuses
             tally = Counter(registry.values())
-            for tx_id in registry.keys() & rejected.keys():
+            for tx_id in registry.keys() & rejected:
                 tally[registry[tx_id]] -= 1
             arrived = self.arrived[ch]
             live = len(arrived) - len(arrived.intersection(rejected))
@@ -453,9 +443,7 @@ def run_block_withholding(
         # A release commits the withheld transaction with this stamp.
         if run.policy.mode == BASELINE:
             run.phases.enter("P2", run.engine.now)
-            stamp = stamp_read_versions(tx, state.ledger)
-            state.set_status(tx, TxStatus.WITHHELD)
-            withheld.append((tx, stamp))
+            withheld.append((tx, stamp_read_versions(tx, state.ledger)))
             return True
         run.phases.enter("P2", run.engine.now)
         return False
@@ -483,16 +471,21 @@ def run_block_withholding(
     elif withheld and not run.phases.entered("P5"):
         run.phases.enter("P5", config.deadline)
 
-    target_committed = state.status("target") is TxStatus.COMMITTED
-    if run.policy.mode != BASELINE and not state.status("target").terminal:
+    target_status = state.status("target")
+    if run.policy.mode != BASELINE and not target_status.terminal:
         # Pipeline run where the attack group landed on the withheld worker.
         run.phases.enter("P4", config.deadline)
     attacker_delta = state.ledger.balances[attacker_wallet] - config.balances[
         attacker_wallet
     ]
     facts = {
-        "target_committed": target_committed,
-        "target_status": state.status("target").value,
+        "target_committed": target_status is TxStatus.COMMITTED,
+        # Only the target is intercepted; a release past the deadline leaves
+        # it held.
+        "target_status": (
+            "withheld" if withheld and not target_status.terminal
+            else target_status.value
+        ),
         "attacker_delta": attacker_delta,
         "variant": variant,
     }
@@ -663,11 +656,9 @@ def run_balance_attack(
     # P5 epilogue: replay the first still-pending attacked-channel transaction
     # (by submit time, then id) on the reference chain, endorsed there now
     # (validated on a copy so recorded metrics stay a deadline snapshot).
-    # An id's status is terminal exactly when it is in committed or failed;
-    # the candidates are the valid transactions and the batch.
-    pending = run.arrived[attacked].difference(
-        run.rejected, att_state.committed, att_state.failed
-    )
+    # An id's status is terminal exactly when it is in the status map; the
+    # candidates are the valid transactions and the batch.
+    pending = run.arrived[attacked].difference(run.rejected, att_state.statuses)
     replay_committed = False
     replayed = None
     if pending:
@@ -677,7 +668,7 @@ def run_balance_attack(
             key=lambda tx: (tx.submit_time, tx.id),
         )
         replayed = first.id
-        _, st = apply_transaction(ref_state.ledger.copy(), first)
+        st = apply_transaction(ref_state.ledger.copy(), first)
         replay_committed = st is TxStatus.COMMITTED
         run.phases.enter("P5", config.deadline + 1)
 

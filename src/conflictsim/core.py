@@ -27,7 +27,6 @@ MAX_TOKENS = 2**63 - 1
 
 class TxStatus(Enum):
     PENDING = "pending"
-    WITHHELD = "withheld"
     COMMITTED = "committed"
     CONFLICT_FAILED = "conflict_failed"
     INSUFFICIENT_FUNDS = "insufficient_funds"
@@ -221,14 +220,13 @@ def stamp_read_versions(tx: Transaction, state: LedgerState) -> dict[WalletId, i
 
 def apply_transaction(
     state: LedgerState, tx: Transaction, stamp: dict[WalletId, int] | None = None
-) -> tuple[LedgerState, TxStatus]:
-    """Validate and apply one transaction in place.
+) -> TxStatus:
+    """Validate and apply one transaction in place; return its status.
 
     A transfer fails on conflict when a wallet's version has moved since
     ``stamp``.  With no stamp the transaction is endorsed now, so only its
     read wallets must exist.  Any non-committed status leaves balances and
-    versions untouched.  The returned state is the same object, mutated
-    only on commit.
+    versions untouched.
     """
     versions = state.versions
     payload = tx.payload
@@ -237,21 +235,21 @@ def apply_transaction(
             if wallet not in versions:
                 raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
         if type(payload) is Query:
-            return state, _COMMITTED
+            return _COMMITTED
     else:
         for wallet, expected in stamp.items():
             current = versions.get(wallet)
             if current is None:
                 raise UnknownWalletError(f"{tx.id}: unknown wallet {wallet}")
             if current != expected:
-                return state, _CONFLICT_FAILED
+                return _CONFLICT_FAILED
     balances = state.balances
     src, dst, amount = payload.src, payload.dst, payload.amount
     src_balance, dst_balance = balances.get(src), balances.get(dst)
     if src_balance is None or dst_balance is None:
         raise UnknownWalletError(f"{tx.id}: unknown transfer wallet")
     if amount > src_balance:
-        return state, _INSUFFICIENT_FUNDS
+        return _INSUFFICIENT_FUNDS
     if dst_balance + amount > MAX_TOKENS:
         raise TokenOverflowError(f"{tx.id}: destination balance overflow")
     balances[src] = src_balance - amount
@@ -260,7 +258,7 @@ def apply_transaction(
         if wallet not in versions:
             raise UnknownWalletError(f"{tx.id}: unknown written wallet {wallet}")
         versions[wallet] += 1
-    return state, _COMMITTED
+    return _COMMITTED
 
 
 def total_supply(state: LedgerState) -> int:

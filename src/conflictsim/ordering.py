@@ -126,23 +126,23 @@ def _commit_at(
 
 def check_dependencies(
     tx: Transaction,
-    committed: set[str],
-    failed: set[str],
+    statuses: dict[str, TxStatus],
     in_flight: Iterable[Transaction] = (),
 ) -> DependencyVerdict:
     """Gate a transaction on declared and data dependencies.
 
-    Declared dependencies must all be committed; a terminally failed
-    dependency aborts the transaction.  A conflict with any in-flight
-    transaction is an implicit dependency and defers as well.
+    ``statuses`` maps an id to its terminal status.  Declared dependencies
+    must all be committed; a dependency with any other terminal status
+    aborts the transaction.  A conflict with any in-flight transaction is
+    an implicit dependency and defers as well.
     """
     deps = tx.declared_deps
     if deps:
         for dep in deps:
-            if dep in failed:
+            if statuses.get(dep, _COMMITTED) is not _COMMITTED:
                 return DependencyVerdict.ABORT
         for dep in deps:
-            if dep not in committed:
+            if dep not in statuses:
                 return DependencyVerdict.DEFERRED
     for other in in_flight:
         if conflicts_with(tx, other):
@@ -374,50 +374,42 @@ def partition(txs: list[Transaction], n: int) -> list[OrdererQueue]:
 
 
 class ChannelState:
-    """Ledger, chain bookkeeping and status registry for one channel."""
+    """Ledger, chain bookkeeping and status registry for one channel.
+
+    ``statuses`` maps a transaction's id to its terminal status once it has
+    one, so an id is terminal exactly when it is in the map.
+    ``order_stream`` holds the transactions ordered, each at most once, in
+    order: those ``finalize`` validated and those the gate aborted.
+    """
 
     def __init__(self, channel: str, ledger: LedgerState):
         self.channel = channel
         self.ledger = ledger
         self.statuses: dict[str, TxStatus] = {}
-        self.committed: set[str] = set()
-        self.failed: set[str] = set()
-        self.order_stream: list[str] = []
+        self.order_stream: list[Transaction] = []
         self.terminal_listeners: list[Callable[[Transaction, TxStatus], None]] = []
-        self._declared: dict[str, tuple[str, ...]] = {}
 
     def status(self, tx_id: str) -> TxStatus:
         return self.statuses.get(tx_id, TxStatus.PENDING)
 
-    def note_declared_deps(self, tx: Transaction) -> None:
-        if tx.declared_deps:
-            self._declared[tx.id] = tx.declared_deps
-
     def set_status(self, tx: Transaction, status: TxStatus) -> None:
+        """Record terminal ``status`` for ``tx``, which has none yet, and
+        tell the listeners."""
+        if status not in TERMINAL:
+            raise ValueError(f"{tx.id}: {status} is not a terminal status")
         current = self.statuses.get(tx.id)
-        if current in TERMINAL:
+        if current is not None:
             raise TerminalStatusError(
                 f"{tx.id}: terminal status {current} already set"
             )
-        if status in TERMINAL:
-            self._settle(tx, status)
-        else:
-            self.statuses[tx.id] = status
-
-    def _settle(self, tx: Transaction, status: TxStatus) -> None:
-        """Record terminal ``status`` for ``tx``, which has none yet."""
         self.statuses[tx.id] = status
-        if status is _COMMITTED:
-            self.committed.add(tx.id)
-        else:
-            self.failed.add(tx.id)
         for listener in self.terminal_listeners:
             listener(tx, status)
 
     def finalize(self, tx: Transaction, stamp: dict | None = None) -> TxStatus:
         """Validate an ordered transaction against the ledger, with the read
         stamp of its endorsement or endorsed now when none is given, and
-        commit it; records its terminal status as ``_settle`` does.
+        commit it; records its terminal status as ``set_status`` does.
 
         A query commits here, whatever its stamp, once every wallet it reads
         exists, and raises ``UnknownWalletError`` as ``apply_transaction``
@@ -428,7 +420,7 @@ class ChannelState:
         tx_id = tx.id
         statuses = self.statuses
         current = statuses.get(tx_id)
-        if current in TERMINAL:
+        if current is not None:
             return current
         ledger = self.ledger
         if type(tx.payload) is Query:
@@ -439,16 +431,13 @@ class ChannelState:
             status = _COMMITTED
         else:
             # Every status apply_transaction returns is terminal.
-            _, status = apply_transaction(ledger, tx, stamp)
-        self.order_stream.append(tx_id)
+            status = apply_transaction(ledger, tx, stamp)
+        self.order_stream.append(tx)
         statuses[tx_id] = status
         if status is _COMMITTED:
-            self.committed.add(tx_id)
             ledger.committed_tx_count += 1
             if tx.writes:
                 ledger.height += 1
-        else:
-            self.failed.add(tx_id)
         if self.terminal_listeners:
             for listener in self.terminal_listeners:
                 listener(tx, status)
@@ -457,13 +446,14 @@ class ChannelState:
     def dependency_violations(self) -> int:
         """Count declared dependencies that were ordered after (or never
         before) their dependents."""
-        position = {tx_id: i for i, tx_id in enumerate(self.order_stream)}
+        stream = self.order_stream
+        dependents = [(pos, tx) for pos, tx in enumerate(stream) if tx.declared_deps]
+        if not dependents:
+            return 0
+        position = {tx.id: i for i, tx in enumerate(stream)}
         violations = 0
-        for tx_id, deps in self._declared.items():
-            pos = position.get(tx_id)
-            if pos is None:
-                continue
-            for dep in deps:
+        for pos, tx in dependents:
+            for dep in tx.declared_deps:
                 dep_pos = position.get(dep)
                 if dep_pos is None or dep_pos > pos:
                     violations += 1
@@ -499,7 +489,7 @@ def gate(
     listener that the gate's aborts and timeouts reach must not draw from
     the same gate: a running generator raises.
     """
-    committed, failed = state.committed, state.failed
+    statuses = state.statuses
     reads, writes = queue._read, queue._write
     moved, dead = queue._moved, queue._dead
     deferred: list[Transaction] = []
@@ -519,17 +509,17 @@ def gate(
                 if left:
                     dead.add(tx_id)  # served now, so the rest are skipped
             queue.pending -= 1
-            if tx_id in committed or tx_id in failed:  # already terminal
+            if tx_id in statuses:  # already terminal
                 continue
             if not tx.declared_deps and not in_flight:
                 ready = tx
                 break
-            verdict = check_dependencies(tx, committed, failed, in_flight)
+            verdict = check_dependencies(tx, statuses, in_flight)
             if verdict is _READY:
                 ready = tx
                 break
             if verdict is _ABORT:
-                state.order_stream.append(tx_id)
+                state.order_stream.append(tx)
                 state.set_status(tx, TxStatus.CONFLICT_FAILED)
                 continue
             count = defer_counts.get(tx_id, 0) + 1
@@ -604,7 +594,6 @@ class BaselineOrderingService:
             self.peak_pool = len(waiting) + 1
         # Endorse on acceptance: the transaction commits with this stamp.
         stamp = stamp_read_versions(tx, self.state.ledger)
-        self.state.note_declared_deps(tx)
         pinned_orderer = self.pinned.get(tx_id)
         if pinned_orderer is not None:
             # Scripted scenarios route a transaction to a named orderer,
@@ -697,9 +686,7 @@ class PipelineOrderingService:
     def _waiting(self, tx_id: str) -> bool:
         """Whether the admitted ``tx_id`` still waits in its group's queue:
         it is neither in flight nor terminal."""
-        state = self.state
-        return not (tx_id in self._in_flight or tx_id in state.committed
-                    or tx_id in state.failed)
+        return not (tx_id in self._in_flight or tx_id in self.state.statuses)
 
     def _relocate(self, source: _Group, dest: _Group) -> None:
         # Move only the source group's still-pending members; other groups
@@ -754,7 +741,6 @@ class PipelineOrderingService:
             for younger, older in merged:
                 self._relocate(younger, older)
         placed[tx.id] = group
-        self.state.note_declared_deps(tx)
         queue.append(tx)
         group.members.append(tx)
         self._total_live += 1

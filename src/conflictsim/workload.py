@@ -586,6 +586,12 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                     default_latency = int(parts[1])
                 elif parts[0] == "node":
                     attrs = _parse_kv(parts[2:], lineno, "node")
+                    adversary = attrs.get("adversary", "false")
+                    if adversary not in ("true", "false"):
+                        raise ScenarioParseError(
+                            f"unknown node adversary value {adversary!r}, "
+                            "expected true or false", lineno
+                        )
                     nodes.append(
                         NodeConfig(
                             id=parts[1],
@@ -593,7 +599,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                             channels=frozenset(
                                 attrs.get("channels", "main").split(",")
                             ),
-                            is_adversary=attrs.get("adversary") == "true",
+                            is_adversary=adversary == "true",
                             processing_delay=int(attrs.get("processing", "0")),
                             latency=(
                                 int(attrs["latency"]) if "latency" in attrs else None
@@ -642,15 +648,18 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             elif section == "conflicts":
                 if parts[0] == "generate":
                     attrs = _parse_kv(parts[1:], lineno, "generate")
-                    conflict_spec = ConflictSpec(
-                        wallets=tuple(attrs["wallets"].split(",")),
-                        count=int(attrs["count"]),
-                        window=int(attrs["window"]),
-                        mix_query=float(attrs.get("mix_query", "0.0")),
-                        channel=attrs.get("channel", "main"),
-                        submitter=attrs.get("submitter", "adversary"),
-                        start=int(attrs.get("start", "0")),
-                    )
+                    # The keys the line leaves out keep ConflictSpec's defaults.
+                    spec_kw: dict[str, object] = {
+                        **attrs,
+                        "wallets": tuple(attrs["wallets"].split(",")),
+                        "count": int(attrs["count"]),
+                        "window": int(attrs["window"]),
+                    }
+                    if "mix_query" in attrs:
+                        spec_kw["mix_query"] = float(attrs["mix_query"])
+                    if "start" in attrs:
+                        spec_kw["start"] = int(attrs["start"])
+                    conflict_spec = ConflictSpec(**spec_kw)  # type: ignore[arg-type]
                 elif parts[0] == "tx":
                     tx, orderer = _parse_tx_line(parts[1:], lineno)
                     scripted.append(tx)

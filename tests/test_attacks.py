@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conflictsim import attacks
 from conflictsim.attacks import (
-    PRECONDITION_PHASES,
     SimulationRun,
     _conflict_batch,
     clone_tx,
@@ -148,6 +147,24 @@ def test_withholding_release_commits_untouched_target():
     assert ("P5", 5000) in [(p, t) for p, t in out.phase_log]
 
 
+def test_withholding_release_past_the_deadline_leaves_the_target_withheld():
+    # The release never fires, so the held target ends the run pending: its
+    # fact reads withheld, and no status is recorded for it.
+    conflicts = "\n".join(
+        f"tx c{i} transfer Y A1 2 at {1 + i}" for i in range(6)
+    )
+    config = parse_scenario(
+        WITHHOLD_TEMPLATE.format(variant="release", release_at=20000,
+                                 conflicts=conflicts)
+    )
+    out = run_attack(config, "baseline", 3)
+    assert out.facts["target_status"] == "withheld"
+    assert not out.facts["target_committed"]
+    assert out.status_counts["pending"] == 1
+    assert out.success
+    assert ("P5", 10000) in out.phase_log
+
+
 def test_withholding_requires_adversary_orderer():
     text = WITHHOLD_TEMPLATE.format(
         variant="hold", release_at=0, conflicts="tx c0 transfer Y A1 2 at 1"
@@ -259,6 +276,16 @@ def _outcome_zoo():
 @pytest.fixture(scope="module")
 def outcome_zoo():
     return _outcome_zoo()
+
+
+# Pre-condition phases that every outcome of a kind must contain.
+PRECONDITION_PHASES = {
+    "block_withholding": ("P1", "P2", "P3"),
+    "double_spending": ("P1", "P2", "P3", "P4"),
+    "balance": ("P1", "P2", "P3", "P4"),
+    "ddos": ("P1", "P2"),
+    "ordering_race": ("P1",),
+}
 
 
 def test_phase_log_strictly_increasing_with_preconditions(outcome_zoo):
@@ -781,23 +808,22 @@ def test_balance_replays_the_first_pending_transaction(count, monkeypatch):
 # -- linear replay oracle ------------------------------------------------------
 
 
-def _replay(ledger, stream, txs):
+def _replay(ledger, stream):
     """Replay an order stream serially on ``ledger``, as ``finalize`` commits
     with no stamp, and return the statuses.  A transaction one of whose
     declared dependencies has not committed earlier in the stream fails
     without applying, as the gate's abort does."""
     statuses = {}
-    for tx_id in stream:
-        tx = txs[tx_id]
+    for tx in stream:
         if any(statuses.get(dep) is not TxStatus.COMMITTED
                for dep in tx.declared_deps):
-            statuses[tx_id] = TxStatus.CONFLICT_FAILED
+            statuses[tx.id] = TxStatus.CONFLICT_FAILED
             continue
-        _, status = apply_transaction(ledger, tx)
+        status = apply_transaction(ledger, tx)
         if status is TxStatus.COMMITTED:
             ledger.committed_tx_count += 1
             ledger.height += bool(tx.writes)
-        statuses[tx_id] = status
+        statuses[tx.id] = status
     return statuses
 
 
@@ -824,10 +850,12 @@ def test_pipeline_run_equals_the_linear_replay_of_its_order_stream(
     def checking(run, kind, facts):
         for ch, state in run.channels.items():
             stream = state.order_stream
-            assert len(set(stream)) == len(stream)
-            assert all(run.submitted[tx_id].channel == ch for tx_id in stream)
+            assert len({tx.id for tx in stream}) == len(stream)
+            # The stream holds the submitted transactions themselves.
+            assert all(run.submitted[tx.id] is tx and tx.channel == ch
+                       for tx in stream)
             ledger = run.initial[ch]
-            statuses = _replay(ledger, stream, run.submitted)
+            statuses = _replay(ledger, stream)
             # Every status but a client timeout comes from the stream.
             assert statuses == {tx_id: st for tx_id, st in state.statuses.items()
                                 if st is not TxStatus.TIMEOUT}

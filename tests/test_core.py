@@ -73,7 +73,7 @@ def test_no_self_conflict_by_id():
 
 def test_simple_transfer_commits():
     state = fresh_state(V1=1000, V2=1000)
-    _, status = apply_transaction(state, transfer_tx("t", "V1", "V2", 15))
+    status = apply_transaction(state, transfer_tx("t", "V1", "V2", 15))
     assert status is TxStatus.COMMITTED
     assert state.balances == {"V1": 985, "V2": 1015}
     assert state.versions == {"V1": 1, "V2": 1}
@@ -83,7 +83,7 @@ def test_stale_read_version_fails_without_side_effects():
     state = fresh_state(V1=1000, V2=1000)
     stale = transfer_tx("t", "V1", "V2", 15)
     before = state.copy()
-    _, status = apply_transaction(state, stale, {"V1": 3, "V2": 0})
+    status = apply_transaction(state, stale, {"V1": 3, "V2": 0})
     assert status is TxStatus.CONFLICT_FAILED
     assert state == before
 
@@ -91,7 +91,7 @@ def test_stale_read_version_fails_without_side_effects():
 def test_insufficient_funds_fails_without_side_effects():
     state = fresh_state(V1=1000, V2=1000)
     before = state.copy()
-    _, status = apply_transaction(state, transfer_tx("t", "V1", "V2", 1001))
+    status = apply_transaction(state, transfer_tx("t", "V1", "V2", 1001))
     assert status is TxStatus.INSUFFICIENT_FUNDS
     assert state == before
 
@@ -100,7 +100,7 @@ def test_read_only_query_always_commits():
     state = fresh_state(V1=1000, V2=1000)
     q = query_tx("q", ("V1",))
     # A stale stamp must not matter for pure reads.
-    _, status = apply_transaction(state, q, {"V1": 99})
+    status = apply_transaction(state, q, {"V1": 99})
     assert status is TxStatus.COMMITTED
     assert state == fresh_state(V1=1000, V2=1000)
 
@@ -151,7 +151,7 @@ def pool_txs(draw):
 def _outcome(state, tx, stamped):
     try:
         stamp = stamp_read_versions(tx, state) if stamped else None
-        return apply_transaction(state, tx, stamp)[1]
+        return apply_transaction(state, tx, stamp)
     except SimulatorError as exc:
         return type(exc)
 
@@ -221,7 +221,7 @@ def test_two_spends_of_last_tokens_first_wins():
         statuses = []
         for name in (first, second):
             stamp = stamp_read_versions(txs[name], state)
-            _, status = apply_transaction(state, txs[name], stamp)
+            status = apply_transaction(state, txs[name], stamp)
             statuses.append(status)
         assert statuses == [TxStatus.COMMITTED, TxStatus.INSUFFICIENT_FUNDS]
         assert state.balances["W"] == 0
@@ -373,6 +373,6 @@ def test_failure_atomicity_random():
             if rng.random() < 0.4:
                 tx.payload.amount = rng.randint(15, 60)
         before = state.copy()
-        _, status = apply_transaction(state, tx, stamp)
+        status = apply_transaction(state, tx, stamp)
         if status is not TxStatus.COMMITTED:
             assert state == before

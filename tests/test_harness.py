@@ -764,6 +764,11 @@ def test_cli_scenario_the_runner_would_reject_is_config_error(
      "node orderer2 role=orderer channels=main processing=10",
      "node orderer2 rol=orderer channels=main processing=10",
      "node attribute 'rol'"),
+    # A flag value other than true or false, which made an honest node.
+    ("sec3b_double_spend",
+     "node aclient role=client channels=main adversary latency=1",
+     "node aclient role=client channels=main adversary=yes latency=1",
+     "node adversary value 'yes'"),
     # Typos that would drop a dependency or a read, or leave a default in force.
     ("fig1_race", "tx tx3 transfer Q R 30 at 0 deps=tx2",
      "tx tx3 transfer Q R 30 at 0 dpes=tx2", "tx transfer attribute 'dpes'"),

@@ -204,24 +204,30 @@ def test_first_dequeue_is_read_whenever_reads_pending():
 
 def test_no_deps_and_no_conflicts_is_ready():
     tx = transfer_tx("t", "a", "b", 1)
-    assert check_dependencies(tx, set(), set(), []) is DependencyVerdict.READY
+    assert check_dependencies(tx, {}, []) is DependencyVerdict.READY
 
 
 def test_pending_dep_defers():
     tx = transfer_tx("t", "a", "b", 1, deps=("d1", "d2"))
-    verdict = check_dependencies(tx, {"d1"}, set(), [])
+    verdict = check_dependencies(tx, {"d1": TxStatus.COMMITTED}, [])
     assert verdict is DependencyVerdict.DEFERRED
 
 
 def test_failed_dep_aborts():
+    # Any terminal status but commit aborts, ahead of a dependency that
+    # would defer.
     tx = transfer_tx("t", "a", "b", 1, deps=("d1",))
-    assert check_dependencies(tx, set(), {"d1"}, []) is DependencyVerdict.ABORT
+    later = transfer_tx("t", "a", "b", 1, deps=("d0", "d1"))
+    for failed in (TxStatus.CONFLICT_FAILED, TxStatus.INSUFFICIENT_FUNDS,
+                   TxStatus.TIMEOUT):
+        assert check_dependencies(tx, {"d1": failed}, []) is DependencyVerdict.ABORT
+        assert check_dependencies(later, {"d1": failed}) is DependencyVerdict.ABORT
 
 
 def test_conflicting_in_flight_defers():
     tx = transfer_tx("t", "a", "b", 1)
     in_flight = [transfer_tx("other", "b", "c", 1)]
-    assert check_dependencies(tx, set(), set(), in_flight) is DependencyVerdict.DEFERRED
+    assert check_dependencies(tx, {}, in_flight) is DependencyVerdict.DEFERRED
 
 
 # -- partition (C4) ----------------------------------------------------------------
@@ -374,6 +380,14 @@ def _drive(txs, mode, seed, *, workers=3, jitter=(1, 20), balances=None,
     return state, service
 
 
+def _stream_ids(state):
+    return [tx.id for tx in state.order_stream]
+
+
+def _committed(state):
+    return {tx_id for tx_id, st in state.statuses.items() if st is TxStatus.COMMITTED}
+
+
 def fig1_txs():
     return [
         transfer_tx("tx1", "X", "Y", 10),
@@ -390,14 +404,14 @@ def fig1_txs():
 def test_single_orderer_zero_jitter_preserves_submission_order():
     txs = [transfer_tx(f"t{i}", "P", "R", 1, submit_time=i) for i in range(6)]
     state, _ = _drive(txs, BASELINE, seed=0, workers=1, jitter=(0, 0))
-    assert state.order_stream == [f"t{i}" for i in range(6)]
+    assert state.order_stream == txs
 
 
 def test_baseline_race_reorders_dependent_pair_on_some_seed():
     hits = []
     for seed in range(100):
         state, _ = _drive(fig1_txs(), BASELINE, seed=seed)
-        stream = state.order_stream
+        stream = _stream_ids(state)
         if stream.index("tx3") < stream.index("tx2"):
             hits.append(seed)
             assert state.status("tx2") is TxStatus.CONFLICT_FAILED
@@ -466,7 +480,7 @@ def test_pipeline_fig1_all_seeds_and_worker_counts():
         for seed in range(100):
             state, _ = _drive(fig1_txs(), COUNTERMEASURES, seed=seed,
                               workers=workers)
-            stream = state.order_stream
+            stream = _stream_ids(state)
             assert stream.index("tx2") < stream.index("tx3")
             assert state.status("tx2") is TxStatus.COMMITTED
             assert state.status("tx3") is TxStatus.COMMITTED
@@ -486,7 +500,7 @@ def test_pipeline_dependent_commit_indexes_ordered():
             txs.append(transfer_tx(f"t{trial}-{i}", src, dst, rng.randint(1, 5),
                                    deps=deps, submit_time=i))
         state, _ = _drive(txs, COUNTERMEASURES, seed=trial)
-        order = {tx_id: i for i, tx_id in enumerate(state.order_stream)}
+        order = {tx_id: i for i, tx_id in enumerate(_stream_ids(state))}
         for tx in txs:
             if state.status(tx.id) is not TxStatus.COMMITTED:
                 continue
@@ -512,7 +526,7 @@ def test_pipeline_final_state_matches_some_serial_execution():
             ledger = LedgerState.from_balances(balances)
             ok = True
             for tx in perm:
-                _, status = apply_transaction(ledger, tx)
+                status = apply_transaction(ledger, tx)
                 if status is not TxStatus.COMMITTED:
                     ok = False
                     break
@@ -640,7 +654,7 @@ class _LiveSetQueue:
 
 def _live_set_gate(queue, state, defer_counts, defer_limit):
     """``gate`` over a ``_LiveSetQueue``, with nothing in flight."""
-    committed, failed = state.committed, state.failed
+    statuses = state.statuses
     deferred = []
     while True:
         ready = None
@@ -649,14 +663,14 @@ def _live_set_gate(queue, state, defer_counts, defer_limit):
             if tx.id not in queue.live:
                 continue
             queue.live.discard(tx.id)
-            if tx.id in committed or tx.id in failed:
+            if tx.id in statuses:
                 continue
-            verdict = check_dependencies(tx, committed, failed)
+            verdict = check_dependencies(tx, statuses)
             if verdict is DependencyVerdict.READY:
                 ready = tx
                 break
             if verdict is DependencyVerdict.ABORT:
-                state.order_stream.append(tx.id)
+                state.order_stream.append(tx)
                 state.set_status(tx, TxStatus.CONFLICT_FAILED)
                 continue
             defer_counts[tx.id] = defer_counts.get(tx.id, 0) + 1
@@ -714,11 +728,11 @@ def test_counted_queue_serves_as_the_live_set_queue():
                     new[j].append(txs[tx_id])
                     ref[j].append(txs[tx_id])
             elif op < 0.75:
-                key, settle = rng.choice(keys), rng.choice(("committed", "failed"))
-                if all(key not in st.committed and key not in st.failed
-                       for st in states):
+                key = rng.choice(keys)
+                settle = rng.choice((TxStatus.COMMITTED, TxStatus.CONFLICT_FAILED))
+                if all(key not in st.statuses for st in states):
                     for st in states:
-                        getattr(st, settle).add(key)
+                        st.statuses[key] = settle
             else:
                 i = rng.randrange(n)
                 got = served(next(new_gates[i]))
@@ -783,8 +797,7 @@ def test_pipeline_logical_makespan_beats_baseline_at_scale():
         for tx in txs:
             engine.schedule_call(0, lambda e, tx: service.admit(tx), tx)
         engine.run_until(10_000_000)
-        terminal = len(state.committed) + len(state.failed)
-        assert terminal == len(txs)  # fully drained
+        assert len(state.statuses) == len(txs)  # fully drained
         return engine.last_event_time
 
     baseline_span = run(BASELINE, 1)
@@ -801,8 +814,11 @@ def test_terminal_status_never_overwritten():
         state.set_status(tx, TxStatus.TIMEOUT)
     assert isinstance(raised.value, SimulatorError)
     assert not isinstance(raised.value, ValueError)
+    # Only a terminal status is recorded; a non-terminal one is refused.
     held = transfer_tx("h", "a", "b", 1)
-    state.set_status(held, TxStatus.WITHHELD)  # non-terminal, may change
+    with pytest.raises(ValueError, match="not a terminal status"):
+        state.set_status(held, TxStatus.PENDING)
+    assert "h" not in state.statuses
     state.set_status(held, TxStatus.TIMEOUT)
     assert state.status("h") is TxStatus.TIMEOUT
 
@@ -819,10 +835,9 @@ def test_finalize_records_what_set_status_records(amount, outcome, listening):
         calls = []
         if listening:
             state.terminal_listeners.append(
-                lambda tx, status: calls.append((tx.id, status, set(state.committed),
-                                                 set(state.failed))))
+                lambda tx, status: calls.append((tx.id, status, dict(state.statuses))))
         settle(state, transfer_tx("t", "a", "b", amount))
-        return state.statuses, state.committed, state.failed, calls
+        return state.statuses, calls
 
     def finalize(state, tx):
         assert state.finalize(tx) is outcome
@@ -834,16 +849,13 @@ def test_finalize_records_what_set_status_records(amount, outcome, listening):
 def _finalize_through_apply(state, tx, stamp=None):
     """``finalize`` as it was for every payload: ``apply_transaction``, then
     the same bookkeeping."""
-    _, status = apply_transaction(state.ledger, tx, stamp)
-    state.order_stream.append(tx.id)
+    status = apply_transaction(state.ledger, tx, stamp)
+    state.order_stream.append(tx)
     state.statuses[tx.id] = status
     if status is TxStatus.COMMITTED:
-        state.committed.add(tx.id)
         state.ledger.committed_tx_count += 1
         if tx.writes:
             state.ledger.height += 1
-    else:
-        state.failed.add(tx.id)
     for listener in state.terminal_listeners:
         listener(tx, status)
     return status
@@ -853,13 +865,13 @@ def _finalize_through_apply(state, tx, stamp=None):
 @pytest.mark.parametrize("stamp", [None, "current", "stale"])
 def test_query_commit_equals_apply_transaction(wallets, stamp):
     # finalize commits a query itself; status, ledger, order stream,
-    # terminal sets, listeners and any unknown-wallet error are those of
+    # status map, listeners and any unknown-wallet error are those of
     # apply_transaction.
     def committed_by(finalize):
         state = ChannelState("main", LedgerState.from_balances({"a": 10, "b": 0}))
         calls = []
         state.terminal_listeners.append(
-            lambda tx, status: calls.append((tx.id, status, set(state.committed))))
+            lambda tx, status: calls.append((tx.id, status, dict(state.statuses))))
         finalize(state, transfer_tx("t", "a", "b", 4))  # versions 1, 1
         versions = {"current": 1, "stale": 0}.get(stamp)
         q = query_tx("q", wallets)
@@ -868,8 +880,7 @@ def test_query_commit_equals_apply_transaction(wallets, stamp):
                               else {w: versions for w in wallets})
         except Exception as exc:
             status = (type(exc), str(exc))
-        return (status, state.ledger, state.order_stream, state.statuses,
-                state.committed, state.failed, calls)
+        return status, state.ledger, state.order_stream, state.statuses, calls
 
     expected = committed_by(_finalize_through_apply)
     assert committed_by(ChannelState.finalize) == expected
@@ -942,7 +953,7 @@ def test_bridge_of_three_groups_moves_them_in_merge_order():
         ["qa", "qe", "qc", "wa", "we", "wc", "bridge"], [], [],
     ]
     engine.run_until(10_000)
-    assert len(state.committed) == 10
+    assert len(_committed(state)) == 10
 
 
 def _traced_pipeline(workers, queue_capacity, wallets):
@@ -1014,7 +1025,7 @@ def test_settled_admission_matches_the_key_path_across_bridges(workers, capacity
     assert settled_hits >= 30  # of 51 admissions: the map did the work
     engine.run_until(10_000)
     ref_engine.run_until(10_000)
-    assert state.committed == ref.state.committed
+    assert _committed(state) == _committed(ref.state)
 
 
 @pytest.mark.parametrize("capacity, ab, cd", [(2, 3, 3), (3, 2, 4)])
@@ -1036,7 +1047,7 @@ def test_rejected_bridge_leaves_queues_untouched(capacity, ab, cd):
     assert [q.peak_occupancy for q in service.queues] == waiting
     engine.run_until(10_000)
     assert state.status("bridge") is TxStatus.PENDING
-    assert len(state.committed) == ab + cd
+    assert len(_committed(state)) == ab + cd
 
 
 # Four disjoint wallet pairs; a bridge joins two pairs' groups.

@@ -16,13 +16,19 @@ every arrived transaction once.
 
 import random
 import re
+from collections import Counter
 
 from conflictsim.attacks import SimulationRun, run_attack
-from conflictsim.cli import BUNDLED_DIR, main
-from conflictsim.core import total_supply, transfer_tx
+from conflictsim.cli import BUNDLED_DIR, main, resolve_scenario
+from conflictsim.core import TxStatus, total_supply, transfer_tx
 from conflictsim.errors import SimulatorError
 from conflictsim.harness import MetricsRecord
-from conflictsim.ordering import COUNTERMEASURES, PipelineOrderingService
+from conflictsim.ordering import (
+    COUNTERMEASURES,
+    BaselineOrderingService,
+    PipelineOrderingService,
+    SubmitOutcome,
+)
 from conflictsim.workload import parse_scenario
 from test_ordering import _drive
 
@@ -178,9 +184,10 @@ def _scenario_run(config):
     return run
 
 
-def _dependency_run(seed):
-    # Dependencies on any id, later ones and cycles included, merge groups
-    # across 4 queues while members are in flight, so queues stall often.
+def _dependency_batch(seed):
+    """60 transfers over 8 wallet triples and their balances.  Dependencies
+    on any id, later ones and cycles included, merge groups across 4 queues
+    while members are in flight, so queues stall often."""
     rng = random.Random(seed)
     txs = []
     for i in range(60):
@@ -190,10 +197,19 @@ def _dependency_run(seed):
                                deps=tuple(d for d in deps if d != f"d{i}"),
                                submit_time=rng.randrange(200)))
     balances = {f"W{c}{k}": 100 for c in range(8) for k in range(3)}
+    return txs, balances
 
+
+def _drive_dependencies(seed):
+    txs, balances = _dependency_batch(seed)
+    state, _ = _drive(txs, COUNTERMEASURES, seed, workers=4,
+                      balances=balances, defer_limit=3)
+    return state
+
+
+def _dependency_run(seed):
     def run():
-        state, _ = _drive(txs, COUNTERMEASURES, seed, workers=4,
-                          balances=balances, defer_limit=3)
+        state = _drive_dependencies(seed)
         return state.statuses, state.order_stream, state.ledger
     return run
 
@@ -215,3 +231,62 @@ def test_commit_wakes_what_waking_every_idle_worker_wakes():
         assert log == expected_log and result == expected
         loop_wakes += wakes
     assert loop_wakes > 100  # the loop woke other workers often
+
+
+def _side_table_violations(state):
+    """``dependency_violations`` as it was, kept as its oracle: the declared
+    dependencies of each transaction its service accepted, noted on
+    admission in ``state.declared``, checked against the order stream's
+    ids."""
+    position = {tx.id: i for i, tx in enumerate(state.order_stream)}
+    violations = 0
+    for tx_id, deps in vars(state).get("declared", {}).items():
+        pos = position.get(tx_id)
+        if pos is None:
+            continue
+        for dep in deps:
+            dep_pos = position.get(dep)
+            if dep_pos is None or dep_pos > pos:
+                violations += 1
+    return violations
+
+
+def _note_declared_deps(monkeypatch):
+    """Note the declared dependencies of every accepted admission on its
+    channel state, as the side table was filled."""
+    for service in (BaselineOrderingService, PipelineOrderingService):
+        def noting(self, tx, admit=service.admit):
+            outcome = admit(self, tx)
+            if outcome is SubmitOutcome.ACCEPTED and tx.declared_deps:
+                vars(self.state).setdefault("declared", {})[tx.id] = tx.declared_deps
+            return outcome
+        monkeypatch.setattr(service, "admit", noting)
+
+
+def test_dependency_violations_equal_the_side_table_count(monkeypatch):
+    # The count read from the order stream's transactions equals the side
+    # table's: on the dependency batches, whose gates abort and time out,
+    # and on fig1_race's baseline race, which breaks the dependency on 53
+    # of seeds 0-99.
+    _note_declared_deps(monkeypatch)
+    counts, statuses = [], Counter()
+    for seed in range(20):
+        state = _drive_dependencies(seed)
+        counts.append(state.dependency_violations())
+        assert counts[-1] == _side_table_violations(state), seed
+        statuses.update(state.statuses.values())
+    assert sum(counts) > 0
+    assert statuses[TxStatus.CONFLICT_FAILED] and statuses[TxStatus.TIMEOUT]
+    collect = SimulationRun.collect
+
+    def checking(run, kind, facts):
+        out = collect(run, kind, facts)
+        assert out.dep_violations == sum(
+            _side_table_violations(state) for state in run.channels.values())
+        return out
+
+    monkeypatch.setattr(SimulationRun, "collect", checking)
+    config = resolve_scenario("fig1_race")
+    broken = [run_attack(config, "baseline", seed).dep_violations
+              for seed in range(100)]
+    assert sum(v >= 1 for v in broken) == sum(broken) == 53

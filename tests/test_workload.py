@@ -566,6 +566,52 @@ tx q2 query A1,A1 at 4
     assert config.pinned_orderers == {"q1": "orderer1"}
 
 
+_GENERATE_TEMPLATE = """
+[topology]
+node client1 role=client channels=main,side
+node orderer1 role=orderer channels=main,side
+[balances]
+A1 100
+B1 100
+[attack]
+kind ordering_race
+[policy]
+mode baseline
+[conflicts]
+{line}
+[seed]
+1
+[deadline]
+100
+"""
+
+
+def test_generate_lines_build_what_the_spec_builds():
+    # A key the line leaves out keeps ConflictSpec's default.
+    short = parse_scenario(_GENERATE_TEMPLATE.format(
+        line="generate wallets=B1,A1 count=10 window=7"))
+    assert short.conflicts == ConflictSpec(("A1", "B1"), 10, 7)
+    full = parse_scenario(_GENERATE_TEMPLATE.format(
+        line="generate wallets=A1,B1 count=3 window=5 mix_query=0.25 "
+             "channel=side submitter=client1 start=40"))
+    assert full.conflicts == ConflictSpec(
+        ("A1", "B1"), 3, 5, mix_query=0.25, channel="side",
+        submitter="client1", start=40)
+
+
+@pytest.mark.parametrize("flag, adversary", [
+    ("adversary", True), ("adversary=true", True), ("adversary=false", False),
+    ("", False),
+])
+def test_node_adversary_flag_values(flag, adversary):
+    # A bare flag is true; any value but true or false fails (the CLI tests).
+    text = _GENERATE_TEMPLATE.format(line="generate wallets=A1,B1 count=1 window=1")
+    config = parse_scenario(text.replace(
+        "node client1 role=client channels=main,side",
+        f"node client1 role=client channels=main,side {flag}"))
+    assert config.topology.nodes[0].is_adversary is adversary
+
+
 def test_two_conflict_sources_rejected():
     text = """
 [topology]
