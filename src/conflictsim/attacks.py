@@ -2,9 +2,10 @@
 
 Each attack runs as event handlers on the engine with an explicit phase log
 and a success predicate that is recomputable from the recorded outcome
-fields.  Conflicting batches come from the scenario's conflict source; the
-orchestrators add the attack's own traffic (targeted transfers, valid
-background workload) deterministically from the trial seed.
+fields.  ``build_trial`` builds every transaction of a trial once, from the
+trial seed: the conflicting batch, from the scenario's conflict source, and
+the attack's own honest traffic (targeted transfers, valid background
+workload).  The runner of each mode submits them as they are.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 
 from .core import (
@@ -85,6 +86,7 @@ _TERMINAL = tuple(st for st in TxStatus if st.terminal)
 _SUBMIT_TIME = attrgetter("submit_time")
 _CHANNEL = attrgetter("channel")
 _ID = attrgetter("id")
+_REPLAY_ORDER = attrgetter("submit_time", "id")
 
 
 def recompute_success(outcome: AttackOutcome) -> bool:
@@ -359,24 +361,52 @@ class SimulationRun:
         return outcome
 
 
-def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
-    """The trial's conflicting batch, shaped for its attack and in
-    submit-time order; the runners submit it unchanged.
+Trial = tuple[list[Transaction], list[Transaction]]
 
-    A generated batch is drawn on the attack's channel (the file's own for
-    the ordering race).  Double spend's batch starts after its lead
-    transfer, and block withholding redirects every ``PROFIT_STRIDE``-th
-    transfer into the attacker's wallet: the attack's point is a balance
-    increase, not neutral churn.  The redirect follows generation and its
-    isolation repair and draws nothing.  A scripted list is cloned, onto
-    the first channel for block withholding and DDoS, and stable-sorted by
-    submit time.
+
+def build_trial(config: ScenarioConfig, seed: int) -> Trial:
+    """Every transaction the trial submits, as ``(batch, honest)``: built
+    once, and submitted as they are by the run of each mode.
+
+    ``batch`` is the conflicting batch, shaped for its attack and in
+    submit-time order.  A generated batch is drawn on the attack's channel
+    (the file's own for the ordering race).  Double spend's starts with its
+    own transfer, ``dsx``.  Block withholding redirects every
+    ``PROFIT_STRIDE``-th transfer into the attacker's wallet: the attack's
+    point is a balance increase, not neutral churn.  The redirect follows
+    generation and its isolation repair and draws nothing.  A scripted list
+    is cloned, onto the first channel for block withholding and DDoS, and
+    stable-sorted by submit time.
 
     A generated batch stops at its horizon: the deadline less the latency of
     the client that sends it, the bound ``_flush_submissions`` tests, so no
     transaction is built that could not arrive (the first always is).
+
+    ``honest`` is the runner's own traffic: block withholding's target,
+    double spend's valid transfer, the balance attack's valid transfers and
+    DDoS's background traffic.
     """
     kind = config.attack.kind
+    client = _client_of(config, adversary=False)
+    honest: list[Transaction] = []
+    if kind == "block_withholding":
+        _attacker, src, dst = config.attack_wallets()
+        honest.append(transfer_tx(
+            "target", src, dst, config.param("target_amount"),
+            channel=config.channels[0], submitter=client,
+            submit_time=config.param("target_submit"),
+        ))
+    elif kind == "double_spending":
+        src, victim, _alt = config.attack_wallets()
+        honest.append(transfer_tx(
+            "valid", src, victim, config.param("amount"),
+            channel=config.channels[0], submitter=client,
+            submit_time=config.param("valid_submit"),
+        ))
+    elif kind == "balance":
+        _balance_valid(config, client, honest)
+    elif kind == "ddos":
+        _ddos_background(config, seed, client, honest)
     source = config.conflicts
     if not isinstance(source, ConflictSpec):
         batch = sorted(map(clone_tx, source), key=_SUBMIT_TIME)
@@ -384,7 +414,7 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
             channel = config.channels[0]
             for tx in batch:
                 tx.channel = channel
-        return batch
+        return batch, honest
     channel = source.channel
     if kind == "balance":
         channel = config.param("attacked_channel")
@@ -401,7 +431,13 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
         replace(source, seed=seed * 4 + 1, channel=channel, start=start),
         horizon=config.deadline - config.topology.client_latency(via),
     )
-    if kind == "block_withholding":
+    if kind == "double_spending":
+        src, _victim, alt = config.attack_wallets()
+        batch.insert(0, transfer_tx(
+            "dsx", src, alt, config.param("amount"), channel=channel,
+            submitter=via, submit_time=_lead_time(config),
+        ))
+    elif kind == "block_withholding":
         attacker = config.attack_wallets()[0]
         for tx in batch[::PROFIT_STRIDE]:
             payload = tx.payload
@@ -411,27 +447,78 @@ def _conflict_batch(config: ScenarioConfig, seed: int) -> list[Transaction]:
             tx.payload = Transfer(src, attacker, payload.amount)
             tx.writes = frozenset((src, attacker))
             tx.reads = (src, attacker)
-    return batch
+    return batch, honest
+
+
+def _balance_valid(config: ScenarioConfig, client: str, out: list) -> None:
+    pool = config.pool_wallets("pool_prefix")
+    amount = config.param("valid_amount")
+    spacing = config.param("valid_spacing")
+    initial_pending = config.param("initial_pending")
+    latency = config.topology.client_latency(client)
+
+    def add(tx_id: str, k: int, channel: str, submit_time: int) -> None:
+        k %= len(pool) // 2
+        out.append(transfer_tx(
+            tx_id, pool[2 * k], pool[2 * k + 1], amount, channel=channel,
+            submitter=client, submit_time=submit_time,
+        ))
+
+    def build(channel: str, head: int, tail: int, tail_start: int) -> None:
+        for i in range(initial_pending):
+            add(f"pre-{channel}-{i:03d}", i, channel, -latency)  # arrives at t=0
+        for i in range(head):
+            add(f"val-{channel}-{i:03d}", initial_pending + i, channel,
+                spacing * (i + 1) - latency)
+        for i in range(tail):
+            add(f"val-{channel}-{head + i:03d}", initial_pending + head + i,
+                channel, tail_start + spacing * i - latency)
+
+    build(
+        config.param("attacked_channel"),
+        config.param("valid_head"),
+        config.param("valid_tail"),
+        config.param("tail_start"),
+    )
+    build(config.param("reference_channel"), config.param("valid_reference"), 0, 0)
+
+
+def _ddos_background(
+    config: ScenarioConfig, seed: int, client: str, out: list
+) -> None:
+    # Read-heavy, from its own seeded draws.
+    valid_pool = config.pool_wallets("valid_pool_prefix")
+    channel = config.channels[0]
+    valid_rng = random.Random(seed * 4 + 2)
+    valid_window = config.param("valid_window")
+    read_ratio = config.param("valid_read_ratio")
+    for i in range(config.param("valid_count")):
+        t = valid_rng.randint(0, valid_window)
+        if valid_rng.random() < read_ratio:
+            wallet = valid_pool[valid_rng.randrange(len(valid_pool))]
+            out.append(query_tx(f"hon{i:04d}", (wallet,), channel=channel,
+                                submitter=client, submit_time=t))
+        else:
+            a, b = valid_rng.sample(range(len(valid_pool)), 2)
+            out.append(transfer_tx(
+                f"hon{i:04d}", valid_pool[a], valid_pool[b],
+                valid_rng.randint(1, 20), channel=channel, submitter=client,
+                submit_time=t,
+            ))
 
 
 # -- block withholding ---------------------------------------------------------
 
 
 def run_block_withholding(
-    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial
 ) -> AttackOutcome:
-    attacker_wallet, target_from, target_to = config.attack_wallets()
-    amount = config.param("target_amount")
+    batch, (target,) = trial
+    attacker_wallet = config.attack_wallets()[0]
     variant = config.param("variant")
-    channel = config.channels[0]
 
     run = SimulationRun(config, mode, seed)
-    state = run.channels[channel]
-    target = transfer_tx(
-        "target", target_from, target_to, amount,
-        channel=channel, submitter=_client_of(config, adversary=False),
-        submit_time=config.param("target_submit"),
-    )
+    state = run.channels[target.channel]
     run.phases.enter("P1", target.submit_time)
 
     withheld: list[tuple[Transaction, dict[str, int]]] = []
@@ -502,22 +589,14 @@ def _lead_time(config: ScenarioConfig) -> int:
 
 
 def run_double_spending(
-    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial
 ) -> AttackOutcome:
-    source, victim, alt = config.attack_wallets()
-    amount = config.param("amount")
-    channel = config.channels[0]
-
+    batch, (valid,) = trial
     run = SimulationRun(config, mode, seed)
-    state = run.channels[channel]
+    state = run.channels[valid.channel]
     endorse_withheld = config.param("endorse_withheld")
     asset_delivered = [False]
 
-    valid = transfer_tx(
-        "valid", source, victim, amount,
-        channel=channel, submitter=_client_of(config, adversary=False),
-        submit_time=config.param("valid_submit"),
-    )
     valid_orderer = config.param("valid_orderer")
     if valid_orderer is not None:
         run.pinned["valid"] = valid_orderer
@@ -531,17 +610,7 @@ def run_double_spending(
         return False
 
     run.submit(valid, valid=True, on_arrival=on_valid_arrival)
-
-    ds_id = "dsx"
-    if isinstance(config.conflicts, ConflictSpec):
-        # Generated mode: the double-spend transfer leads the batch.
-        ds = transfer_tx(
-            ds_id, source, alt, amount, channel=channel,
-            submitter=_client_of(config, adversary=True),
-            submit_time=_lead_time(config),
-        )
-        batch = [ds] + batch
-
+    ds_id = "dsx"  # leads a generated batch; a scripted one names its own
     run.submit_batch(
         batch, via=_client_of(config, adversary=True), first_phase="P3"
     )
@@ -571,62 +640,13 @@ def run_double_spending(
 
 
 def run_balance_attack(
-    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial
 ) -> AttackOutcome:
+    batch, valid_txs = trial
     attacked = config.param("attacked_channel")
     reference = config.param("reference_channel")
-    pool = config.pool_wallets("pool_prefix")
 
     run = SimulationRun(config, mode, seed)
-    amount = config.param("valid_amount")
-    spacing = config.param("valid_spacing")
-    initial_pending = config.param("initial_pending")
-    pairs = len(pool) // 2
-
-    def pair(k: int) -> tuple[str, str]:
-        k %= pairs
-        return pool[2 * k], pool[2 * k + 1]
-
-    valid_txs: list[Transaction] = []
-
-    def build_valid(channel: str, head: int, tail: int, tail_start: int) -> None:
-        client = _client_of(config, adversary=False)
-        latency = config.topology.client_latency(client)
-        for i in range(initial_pending):
-            src, dst = pair(i)
-            valid_txs.append(
-                transfer_tx(
-                    f"pre-{channel}-{i:03d}", src, dst, amount, channel=channel,
-                    submitter=client,
-                    submit_time=-latency,  # arrives at t=0
-                )
-            )
-        for i in range(head):
-            src, dst = pair(initial_pending + i)
-            valid_txs.append(
-                transfer_tx(
-                    f"val-{channel}-{i:03d}", src, dst, amount, channel=channel,
-                    submitter=client,
-                    submit_time=spacing * (i + 1) - latency,
-                )
-            )
-        for i in range(tail):
-            src, dst = pair(initial_pending + head + i)
-            valid_txs.append(
-                transfer_tx(
-                    f"val-{channel}-{head + i:03d}", src, dst, amount,
-                    channel=channel, submitter=client,
-                    submit_time=tail_start + spacing * i - latency,
-                )
-            )
-
-    build_valid(
-        attacked,
-        config.param("valid_head"),
-        config.param("valid_tail"),
-        config.param("tail_start"),
-    )
-    build_valid(reference, config.param("valid_reference"), 0, 0)
     for tx in valid_txs:
         run.submit(tx, valid=True)
 
@@ -654,19 +674,27 @@ def run_balance_attack(
     run.phases.enter("P4", config.deadline)
 
     # P5 epilogue: replay the first still-pending attacked-channel transaction
-    # (by submit time, then id) on the reference chain, endorsed there now
-    # (validated on a copy so recorded metrics stay a deadline snapshot).
-    # An id's status is terminal exactly when it is in the status map; the
-    # candidates are the valid transactions and the batch.
+    # (by submit time, then id, a valid one first on a tie) on the reference
+    # chain, endorsed there now (validated on a copy so recorded metrics stay
+    # a deadline snapshot).  An id's status is terminal exactly when it is in
+    # the status map.  The batch is in submit-time order, so its walk stops
+    # past the first submit time that holds a candidate.
     pending = run.arrived[attacked].difference(run.rejected, att_state.statuses)
     replay_committed = False
     replayed = None
     if pending:
         first = min(
-            (tx for tx in chain(valid_txs, batch)
+            (tx for tx in valid_txs
              if tx.id in pending and tx.channel == attacked),
-            key=lambda tx: (tx.submit_time, tx.id),
+            key=_REPLAY_ORDER, default=None,
         )
+        for tx in batch:
+            if first is not None and tx.submit_time > first.submit_time:
+                break
+            if tx.id in pending and tx.channel == attacked and (
+                first is None or _REPLAY_ORDER(tx) < _REPLAY_ORDER(first)
+            ):
+                first = tx
         replayed = first.id
         st = apply_transaction(ref_state.ledger.copy(), first)
         replay_committed = st is TxStatus.COMMITTED
@@ -677,7 +705,7 @@ def run_balance_attack(
         "reference_channel": reference,
         "replay_committed": replay_committed,
         "replayed_tx": replayed,
-        "initial_pending": initial_pending,
+        "initial_pending": config.param("initial_pending"),
     }
     return run.collect("balance", facts)
 
@@ -686,35 +714,14 @@ def run_balance_attack(
 
 
 def run_ddos(
-    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial
 ) -> AttackOutcome:
-    n_accounts = config.param("n_accounts")
-    theta = config.param("theta")
+    batch, background = trial
     channel = config.channels[0]
-    valid_pool = config.pool_wallets("valid_pool_prefix")
 
     run = SimulationRun(config, mode, seed)
     state = run.channels[channel]
-
-    # Honest background traffic, read-heavy.
-    valid_rng = random.Random(seed * 4 + 2)
-    valid_count = config.param("valid_count")
-    valid_window = config.param("valid_window")
-    read_ratio = config.param("valid_read_ratio")
-    client = _client_of(config, adversary=False)
-    for i in range(valid_count):
-        t = valid_rng.randint(0, valid_window)
-        if valid_rng.random() < read_ratio:
-            wallet = valid_pool[valid_rng.randrange(len(valid_pool))]
-            tx = query_tx(f"hon{i:04d}", (wallet,), channel=channel,
-                          submitter=client, submit_time=t)
-        else:
-            a, b = valid_rng.sample(range(len(valid_pool)), 2)
-            tx = transfer_tx(
-                f"hon{i:04d}", valid_pool[a], valid_pool[b],
-                valid_rng.randint(1, 20), channel=channel, submitter=client,
-                submit_time=t,
-            )
+    for tx in background:
         run.submit(tx, valid=True, timeout=run.policy.client_timeout)
 
     burst = isinstance(config.conflicts, ConflictSpec) and config.conflicts.start or 0
@@ -742,8 +749,8 @@ def run_ddos(
         "mempool_capacity": capacity,
         "overflowed": peak >= capacity,
         "valid_fail_rate": rate,
-        "theta": theta,
-        "n_accounts": n_accounts,
+        "theta": config.param("theta"),
+        "n_accounts": config.param("n_accounts"),
     }
     return run.collect("ddos", facts)
 
@@ -752,8 +759,9 @@ def run_ddos(
 
 
 def run_ordering_race(
-    config: ScenarioConfig, mode: str, seed: int, batch: list[Transaction]
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial
 ) -> AttackOutcome:
+    batch, _honest = trial
     run = SimulationRun(config, mode, seed)
     first = True
     for tx in batch:
@@ -779,16 +787,14 @@ _RUNNERS = {
 
 
 def run_attack(
-    config: ScenarioConfig, mode: str, seed: int,
-    batch: list[Transaction] | None = None,
+    config: ScenarioConfig, mode: str, seed: int, trial: Trial | None = None,
 ) -> AttackOutcome:
-    """Run one trial in one mode.  ``batch`` is the trial's conflicting
-    batch from ``_conflict_batch`` (so in submit-time order), built here
-    when not given; the runner submits it as it is and assigns no attribute
-    of its transactions."""
-    if batch is None:
-        batch = _conflict_batch(config, seed)
-    return _RUNNERS[config.attack.kind](config, mode, seed, batch)
+    """Run one trial in one mode.  ``trial`` is the trial's transactions
+    from ``build_trial``, built here when not given; the runner submits them
+    as they are, builds no transaction and assigns no attribute of one."""
+    if trial is None:
+        trial = build_trial(config, seed)
+    return _RUNNERS[config.attack.kind](config, mode, seed, trial)
 
 
 def _client_of(config: ScenarioConfig, adversary: bool) -> str:

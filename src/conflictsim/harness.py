@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .attacks import AttackOutcome, _conflict_batch, run_attack
+from .attacks import AttackOutcome, build_trial, run_attack
 from .core import LedgerState
 from .errors import EmptyInputError, StateMismatchError
 from .ordering import (
@@ -177,20 +177,20 @@ def run_trials(plan: TrialPlan) -> list[MetricsRecord]:
             config = plan.scenario if count is None else sweep_scenario(
                 plan.scenario, count
             )
-            for trial in range(plan.trials):
-                seed = plan.seed0 + trial
-                # Every mode submits the trial's one batch as it is: a run
-                # keeps its stamps and queue classes to itself.
-                batch = _conflict_batch(config, seed)
+            for i in range(plan.trials):
+                seed = plan.seed0 + i
+                # Every mode submits the trial's one set of transactions as
+                # it is: a run keeps its stamps and queue classes to itself.
+                trial = build_trial(config, seed)
                 for mode in modes:
-                    outcome = run_attack(config, mode, seed, batch)
+                    outcome = run_attack(config, mode, seed, trial)
                     record = MetricsRecord.from_outcome(outcome)
                     if plan.lean:
                         record.outcome = None
                     records.append(record)
                 # Dropped here, not on the way out, so that the backstop
-                # collection does not walk the last batch.
-                del batch
+                # collection does not walk the last trial's transactions.
+                del trial
     return records
 
 

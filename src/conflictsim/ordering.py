@@ -37,7 +37,7 @@ from .core import (
     stamp_read_versions,
 )
 from .errors import TerminalStatusError, UnknownWalletError
-from .simnet import Engine, NodeConfig
+from .simnet import Engine, NodeConfig, Topology
 
 BASELINE = "baseline"
 COUNTERMEASURES = "countermeasures"
@@ -101,24 +101,17 @@ class OrderingPolicy:
         return self.queue_capacity or self.mempool_capacity
 
 
-def _commit_at(
-    engine: Engine, jitter: tuple[int, int], node: NodeConfig | None,
-    peer_id: str | None,
+def _fixed_delay(
+    topology: Topology, node: NodeConfig | None, peer_id: str | None
 ) -> int:
-    """Logical time at which a transaction ``node`` dispatches now commits at
-    the peer: a seeded jitter drawn uniformly from ``jitter``, the node's
-    processing delay, then the node-to-peer latency (the default latency
-    when the node or the peer is unknown)."""
-    lo, hi = jitter
-    delay = lo if hi <= lo else lo + int(engine.rng.random() * (hi - lo + 1))
-    topology = engine.topology
-    if node is None or peer_id is None:
-        latency = topology.default_latency
-    else:
-        latency = topology.latency(node.id, peer_id)
-    if node is not None:
-        delay += node.processing_delay
-    return engine.now + delay + latency
+    """A dispatch from ``node`` commits at the peer this long after its
+    seeded jitter: the node's processing delay plus the node-to-peer latency
+    (the default latency when the node or the peer is unknown)."""
+    if node is None:
+        return topology.default_latency
+    if peer_id is None:
+        return node.processing_delay + topology.default_latency
+    return node.processing_delay + topology.latency(node.id, peer_id)
 
 
 # -- countermeasure primitives ----------------------------------------------
@@ -572,6 +565,10 @@ class BaselineOrderingService:
         self.policy = policy
         self.peer_id = peer_id
         self.pinned = {} if pinned is None else pinned
+        # Each orderer's fixed delay by id; a pinned one joins on admission.
+        self._delays = {
+            o.id: _fixed_delay(engine.topology, o, peer_id) for o in orderers
+        }
         self._idle = deque(orderers)
         self._pool: deque[Transaction] = deque()
         self._waiting: dict[str, dict[str, int]] = {}
@@ -598,7 +595,11 @@ class BaselineOrderingService:
         if pinned_orderer is not None:
             # Scripted scenarios route a transaction to a named orderer,
             # past the pool.
-            orderer = self.engine.topology.node(pinned_orderer)
+            topology = self.engine.topology
+            orderer = topology.node(pinned_orderer)
+            delays = self._delays
+            if pinned_orderer not in delays:
+                delays[pinned_orderer] = _fixed_delay(topology, orderer, self.peer_id)
             try:
                 self._idle.remove(orderer)
             except ValueError:
@@ -625,8 +626,11 @@ class BaselineOrderingService:
         self._idle.append(orderer)
 
     def _dispatch(self, orderer: NodeConfig, tx: Transaction, stamp: dict) -> None:
-        at = _commit_at(self.engine, self.policy.jitter, orderer, self.peer_id)
-        self.engine.schedule_call(at, self._on_commit, (orderer, tx, stamp))
+        engine = self.engine
+        lo, hi = self.policy.jitter
+        delay = lo if hi <= lo else lo + int(engine.rng.random() * (hi - lo + 1))
+        delay += self._delays[orderer.id]
+        engine.schedule_call(engine.now + delay, self._on_commit, (orderer, tx, stamp))
 
     def _on_commit(self, engine: Engine, payload) -> None:
         orderer, tx, stamp = payload
@@ -662,7 +666,12 @@ class PipelineOrderingService:
         n = policy.workers
         cap = policy.per_queue_capacity
         self.queues = [OrdererQueue(owner=f"worker{i}", capacity=cap) for i in range(n)]
-        self.worker_nodes = worker_nodes or []
+        # The fixed delay of each worker with a node; the workers past
+        # ``worker_nodes`` share the default latency.
+        self._delays = [
+            _fixed_delay(engine.topology, node, peer_id)
+            for node in (worker_nodes or [])[:n]
+        ]
         self.groups = FootprintGroups(n)
         self._busy = [False] * n
         # Workers whose last gate pass stalled: with the withheld worker,
@@ -791,9 +800,12 @@ class PipelineOrderingService:
     def _dispatch(self, index: int, tx: Transaction) -> None:
         self._busy[index] = True
         self._in_flight[tx.id] = tx
-        node = self.worker_nodes[index] if index < len(self.worker_nodes) else None
-        at = _commit_at(self.engine, self.policy.jitter, node, self.peer_id)
-        self.engine.schedule_call(at, self._on_commit, (index, tx))
+        engine = self.engine
+        lo, hi = self.policy.jitter
+        delay = lo if hi <= lo else lo + int(engine.rng.random() * (hi - lo + 1))
+        fixed = self._delays
+        delay += fixed[index] if index < len(fixed) else engine.topology.default_latency
+        engine.schedule_call(engine.now + delay, self._on_commit, (index, tx))
 
     def _on_commit(self, engine: Engine, payload) -> None:
         index, tx = payload

@@ -42,8 +42,9 @@ class NodeConfig:
     is_adversary: bool = False
     # Fixed per-cycle processing cost added on top of drawn jitter.
     processing_delay: SimTime = 0
-    # Client-to-service submission latency override (falls back to topology
-    # default when None).
+    # Latency override for the node's submissions and for every hop out of
+    # it that no link sets, orderer-to-peer commits included (falls back to
+    # the topology default when None).
     latency: SimTime | None = None
 
 

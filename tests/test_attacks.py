@@ -2,15 +2,16 @@
 
 import gc
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conflictsim import attacks
+from conflictsim import attacks, harness
 from conflictsim.attacks import (
     SimulationRun,
-    _conflict_batch,
+    build_trial,
     clone_tx,
     recompute_success,
     run_attack,
@@ -25,7 +26,7 @@ from conflictsim.core import (
     transfer_tx,
 )
 from conflictsim.errors import ScenarioValidationError
-from conflictsim.harness import MetricsRecord, sweep_scenario
+from conflictsim.harness import MetricsRecord, TrialPlan, run_trials, sweep_scenario
 from conflictsim.workload import (
     ConflictSpec,
     generate_conflicting_set,
@@ -661,17 +662,17 @@ def _observed(out):
     "ddos_default", "fig1_race",
 ])
 def test_runner_leaves_the_batch_it_is_handed_unchanged(name, build, modes):
-    # Runs in turn on the same list object give what each gives on a batch
-    # of its own, and leave the batch as it was built.
+    # Runs in turn on the same trial give what each gives on a trial of its
+    # own, and leave its batch and honest transactions as they were built.
     config = build(name)
     seed = config.seed
-    batch = _conflict_batch(config, seed)
-    before = [_fields(tx) for tx in batch]
-    outs = [run_attack(config, mode, seed, batch) for mode in modes]
+    trial = build_trial(config, seed)
+    before = [[_fields(tx) for tx in txs] for txs in trial]
+    outs = [run_attack(config, mode, seed, trial) for mode in modes]
     assert all(out.submitted > 0 for out in outs)
-    assert [_fields(tx) for tx in batch] == before
+    assert [[_fields(tx) for tx in txs] for txs in trial] == before
     assert [_observed(out) for out in outs] == [
-        _observed(run_attack(config, mode, seed, _conflict_batch(config, seed)))
+        _observed(run_attack(config, mode, seed, build_trial(config, seed)))
         for mode in modes
     ]
 
@@ -686,12 +687,19 @@ _BUNDLED = (
 
 
 def _uncut(config, seed, monkeypatch):
-    """The trial's batch as ``_conflict_batch`` shapes it, with no horizon."""
+    """The trial as ``build_trial`` builds it, with no horizon on its
+    batch."""
     generate = attacks.generate_conflicting_set
     with monkeypatch.context() as m:
         m.setattr(attacks, "generate_conflicting_set",
                   lambda spec, horizon=None: generate(spec))
-        return _conflict_batch(config, seed)
+        return build_trial(config, seed)
+
+
+def _lead(config):
+    """How many transactions lead the generated part of the trial's batch:
+    double spend's own transfer, ``dsx``."""
+    return int(config.attack.kind == "double_spending")
 
 
 def _batch_latency(config):
@@ -706,15 +714,21 @@ def _batch_latency(config):
 @pytest.mark.parametrize("name", _BUNDLED[:4])
 def test_cut_batch_is_the_prefix_of_the_full_batch(name, count, monkeypatch):
     # Built up to the last submit time that still arrives (the first always),
-    # and field by field the full batch's prefix.
+    # and field by field the full batch's prefix.  Double spend's own
+    # transfer leads its generated batch; the honest traffic is not cut.
     config = sweep_scenario(resolve_scenario(name), count)
     last = config.deadline - _batch_latency(config)
+    lead = _lead(config)
     for seed in range(5):
-        cut = _conflict_batch(config, seed)
-        full = _uncut(config, seed, monkeypatch)
-        assert len(full) == count
-        assert len(cut) == max(1, sum(tx.submit_time <= last for tx in full))
+        cut, cut_honest = build_trial(config, seed)
+        full, full_honest = _uncut(config, seed, monkeypatch)
+        assert len(full) == lead + count
+        arriving = sum(tx.submit_time <= last for tx in full[lead:])
+        assert len(cut) == lead + max(1, arriving)
         assert [_fields(tx) for tx in cut] == [_fields(tx) for tx in full[:len(cut)]]
+        assert [_fields(tx) for tx in cut_honest] == [
+            _fields(tx) for tx in full_honest
+        ]
 
 
 def _ddos_from_zero():
@@ -731,21 +745,23 @@ def test_cut_batch_gives_the_outcomes_of_the_full_batch(name, monkeypatch):
     config = _ddos_from_zero() if name == "ddos_from_zero" else _generated(name)
     seed = config.seed
     full = _uncut(config, seed, monkeypatch)
+    batch = full[0]
+    lead = _lead(config)
     latency = _batch_latency(config)
-    first = full[0].submit_time + latency
-    last = max(tx.submit_time for tx in full) + latency
+    first = batch[lead].submit_time + latency
+    last = max(tx.submit_time for tx in batch) + latency
     cut_lengths = []
     for deadline in (0, first - 1, (first + last) // 2, last + 1):
         trial = replace(config, deadline=max(0, deadline))
-        cut_lengths.append(len(_conflict_batch(trial, seed)))
+        cut_lengths.append(len(build_trial(trial, seed)[0]))
         for mode in ("baseline", "countermeasures"):
             assert _observed(run_attack(trial, mode, seed)) == _observed(
                 run_attack(trial, mode, seed, full)
             ), (deadline, mode)
-    assert cut_lengths[0] == cut_lengths[1] == 1
-    assert cut_lengths[-1] == len(full)
+    assert cut_lengths[0] == cut_lengths[1] == lead + 1
+    assert cut_lengths[-1] == len(batch)
     if first < last:  # a burst arrives all at once
-        assert 1 < cut_lengths[2] < len(full)
+        assert lead + 1 < cut_lengths[2] < len(batch)
 
 
 @pytest.mark.parametrize("name", _BUNDLED)
@@ -767,42 +783,56 @@ def test_a_finished_pair_frees_itself(name):
         gc.enable()
 
 
-def _replay_by_sort(run, attacked):
-    """The balance replay's pick as a sort of every pending attacked-channel
-    id, kept as its oracle."""
-    state = run.channels[attacked]
-    pending = [
-        tx_id for tx_id in run.arrived[attacked]
-        if tx_id not in run.rejected and not state.status(tx_id).terminal
-    ]
-    pending.sort(key=lambda tx_id: (run.submitted[tx_id].submit_time, tx_id))
-    return pending[0] if pending else None
+def _replay_by_full_scan(run, attacked, trial):
+    """The balance replay's pick, kept as its oracle: the minimum, by submit
+    time then id, of every pending attacked-channel transaction of the
+    trial's valid list and batch, scanned in that order to the end."""
+    batch, valid_txs = trial
+    pending = run.arrived[attacked].difference(
+        run.rejected, run.channels[attacked].statuses
+    )
+    if not pending:
+        return None
+    return min(
+        (tx for tx in chain(valid_txs, batch)
+         if tx.id in pending and tx.channel == attacked),
+        key=lambda tx: (tx.submit_time, tx.id),
+    )
 
 
 @pytest.mark.parametrize("count", [None, 1000, 10_000])
 def test_balance_replays_the_first_pending_transaction(count, monkeypatch):
+    # The replayed id, and whether it commits on the reference chain, equal
+    # the full scan's, seeds 0-9, both modes, run as a sweep runs them.
     config = resolve_scenario("table2_balance_attack")
     if count is not None:
         config = sweep_scenario(config, count)
-    _record_submissions(monkeypatch)
     picks = []
+    trials = []
     collect = SimulationRun.collect
 
+    def building(config, seed):
+        trials.append(build_trial(config, seed))
+        return trials[-1]
+
     def recording(run, kind, facts):
-        picks.append(
-            (facts["replayed_tx"], _replay_by_sort(run, facts["attacked_channel"]))
-        )
+        scanned = _replay_by_full_scan(run, facts["attacked_channel"], trials[-1])
+        expected = (None, False)
+        if scanned is not None:
+            reference = run.channels[facts["reference_channel"]].ledger.copy()
+            status = apply_transaction(reference, scanned)
+            expected = (scanned.id, status is TxStatus.COMMITTED)
+        picks.append(((facts["replayed_tx"], facts["replay_committed"]), expected))
         return collect(run, kind, facts)
 
+    monkeypatch.setattr(harness, "build_trial", building)
     monkeypatch.setattr(SimulationRun, "collect", recording)
-    for seed in range(3):
-        for mode in ("baseline", "countermeasures"):
-            run_attack(config, mode, seed)
-    assert len(picks) == 6
+    run_trials(TrialPlan(scenario=config, trials=10, base_seed=0, lean=True))
+    assert len(trials) == 10 and len(picks) == 20
     assert all(new == old for new, old in picks), picks
     if count is None:  # the pipeline leaves nothing pending here
-        assert any(new is None for new, _old in picks)
-    assert any(new is not None for new, _old in picks)
+        assert any(new[0] is None for new, _old in picks)
+    assert any(new[0] is not None for new, _old in picks)
 
 
 # -- linear replay oracle ------------------------------------------------------

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from conflictsim.cli import BUNDLED_DIR, main, resolve_scenario
-from conflictsim import harness
+from conflictsim import attacks, harness
 from conflictsim.core import Transaction, TxStatus, query_tx, transfer_tx
 from conflictsim.errors import EmptyInputError, StateMismatchError
 from conflictsim.harness import (
@@ -26,6 +26,7 @@ from conflictsim.harness import (
     render_summary,
     run_trials,
     summarize,
+    sweep_scenario,
     write_results,
 )
 from conflictsim.ordering import ChannelState, partition
@@ -177,6 +178,40 @@ def test_backstop_collection_walks_no_transaction(name, monkeypatch):
     assert len(records) == 2 and young == [0]
 
 
+@pytest.mark.parametrize("name, count", [
+    ("ddos_default", 100), ("table2_balance_attack", None),
+])
+def test_run_trials_builds_each_trial_once_for_both_modes(name, count, monkeypatch):
+    # A pair builds the runner's own transactions once, as one build_trial
+    # call does, and gives what two runs that each build their own give.
+    # DDoS's honest traffic does not depend on its batch, cut here to 100.
+    config = resolve_scenario(name)
+    if count is not None:
+        config = sweep_scenario(config, count)
+    built = []
+
+    def counting(build):
+        def counted(*args, **kwargs):
+            built.append(build.__name__)
+            return build(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(attacks, "transfer_tx", counting(transfer_tx))
+    monkeypatch.setattr(attacks, "query_tx", counting(query_tx))
+    for seed in range(5):
+        built.clear()
+        attacks.build_trial(config, seed)
+        one_build = sorted(built)
+        built.clear()
+        records = run_trials(TrialPlan(scenario=config, base_seed=seed))
+        assert one_build and sorted(built) == one_build
+        apart = [attacks.run_attack(config, mode, seed)
+                 for mode in ("baseline", "countermeasures")]
+        assert [(r, r.outcome) for r in records] == [
+            (MetricsRecord.from_outcome(out), out) for out in apart
+        ]
+
+
 # SHA-256 of the CSV output of `conflictsim sweep --conflicts 1000..2000:1000
 # --trials 2` per attack scenario (default seeds), keyed by scenario name; of
 # `conflictsim run --trials 20 --seed 0 --policy both` for fig1_race, the one
@@ -243,7 +278,7 @@ def test_bench_small_run_state_ok_and_parallel_gain():
 def test_bench_generates_each_rep_once(monkeypatch):
     # Baseline and pipeline runs share one batch per rep, which is
     # partitioned once and drained once.
-    from conflictsim import harness
+    from conflictsim import attacks, harness
 
     seeds = []
     calls = {"partition": 0, "_bench_pipeline": 0}
@@ -274,7 +309,7 @@ def test_bench_generates_each_rep_once(monkeypatch):
 def test_bench_drain_commits_deferred_dependent_after_its_dependency(monkeypatch):
     # t1 spends what t2 brings in and declares t2 as a dependency, but is
     # submitted first: the gate defers it until t2 has committed.
-    from conflictsim import harness
+    from conflictsim import attacks, harness
 
     finalized = []
     finalize = ChannelState.finalize
@@ -338,7 +373,7 @@ def test_bench_threaded_drain_matches_serial_drain(monkeypatch):
     # running the queues on threads or one after another must give the same
     # merged ledger.  A small service cost makes the worker threads
     # interleave; with none, a tiny switch interval does.
-    from conflictsim import harness
+    from conflictsim import attacks, harness
 
     def serial_pipeline(*args):
         with monkeypatch.context() as m:
@@ -486,7 +521,7 @@ def test_dependency_batch_partition_queues_match_pinned_digest():
 
 
 def test_bench_raises_when_pipeline_ledger_diverges(monkeypatch):
-    from conflictsim import harness
+    from conflictsim import attacks, harness
 
     pipeline = harness._bench_pipeline
 
@@ -517,7 +552,7 @@ def _gc_left_as_set(enabled: bool, run) -> bool:
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_bench_leaves_gc_as_the_caller_set_it(enabled, monkeypatch):
-    from conflictsim import harness
+    from conflictsim import attacks, harness
 
     args = dict(txs=2000, read_ratio=0.8, workers=2, reps=2, io_delay_us=0,
                 n_wallets=400, seed=1)

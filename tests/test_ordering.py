@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conflictsim
+from conflictsim.cli import resolve_scenario
 from conflictsim.core import (
     LedgerState,
     Query,
@@ -1282,3 +1283,103 @@ def test_bridge_relocations_follow_declared_order_under_any_hash_seed():
     assert outs[0] == outs[1]
     # Relocation leaves a dead entry behind in each source queue.
     assert outs[0] == str([["pa", "pc", "pe", "bridge"], ["pc"], ["pe"]]) + "\n"
+
+
+# -- commit times --------------------------------------------------------------
+
+
+def _commit_times(service, engine, txs):
+    """Admit ``txs`` at time 0, each dispatched as it is admitted, and return
+    their commit times with the jitter each dispatch draws, in order, from a
+    copy of the engine's RNG."""
+    lo, hi = service.policy.jitter
+    mirror = random.Random()
+    mirror.setstate(engine.rng.getstate())
+    committed = {}
+    service.state.terminal_listeners.append(
+        lambda tx, status: committed.setdefault(tx.id, engine.now)
+    )
+    for tx in txs:
+        assert service.admit(tx) is SubmitOutcome.ACCEPTED
+    jitters = [lo + int(mirror.random() * (hi - lo + 1)) for _ in txs]
+    engine.run_until(10_000)
+    return [committed[tx.id] for tx in txs], jitters
+
+
+def _delay_service(mode, nodes, *, links=None, peer_id="peer1", workers=1,
+                   orderers=None, pinned=None):
+    topo = Topology(nodes=[*nodes, NodeConfig("peer1", role="peer")],
+                    links=links or {}, default_latency=5)
+    engine = Engine(seed=3, topology=topo)
+    state = ChannelState("main", LedgerState.from_balances(
+        {w: 1000 for w in "abcdef"}))
+    policy = OrderingPolicy(mode=mode, workers=workers, jitter=(1, 20))
+    orderers = nodes if orderers is None else orderers
+    if mode == BASELINE:
+        service = BaselineOrderingService(engine, state, orderers, policy,
+                                          peer_id, pinned)
+    else:
+        service = PipelineOrderingService(engine, state, policy, peer_id,
+                                          worker_nodes=orderers)
+    return service, engine
+
+
+_DISJOINT = [transfer_tx("t0", "a", "b", 1), transfer_tx("t1", "c", "d", 1),
+          transfer_tx("t2", "e", "f", 1)]
+
+
+@pytest.mark.parametrize("mode", [BASELINE, COUNTERMEASURES])
+@pytest.mark.parametrize("case, fixed", [
+    # processing_delay + latency, the link's either way round
+    ("link", 4 + 9),
+    ("node_latency", 4 + 3),  # the node's own latency covers its links
+    ("no_peer", 4 + 5),  # the default latency
+])
+def test_dispatch_commits_after_jitter_processing_and_latency(mode, case, fixed):
+    node = NodeConfig("o1", role="orderer", processing_delay=4,
+                      latency=3 if case == "node_latency" else None)
+    service, engine = _delay_service(
+        mode, [node], links={("peer1", "o1"): 9} if case == "link" else None,
+        peer_id=None if case == "no_peer" else "peer1",
+    )
+    times, jitters = _commit_times(service, engine, _DISJOINT[:1])
+    assert times == [jitters[0] + fixed]
+
+
+def test_workers_past_worker_nodes_commit_after_the_default_latency():
+    # Three workers, one node: workers 1 and 2 have neither processing delay
+    # nor link, and share one default delay in the table.
+    node = NodeConfig("o1", role="orderer", processing_delay=4)
+    service, engine = _delay_service(COUNTERMEASURES, [node],
+                                     links={("o1", "peer1"): 9}, workers=3)
+    times, jitters = _commit_times(service, engine, _DISJOINT)
+    assert [service.groups.placed[tx.id].queue_index for tx in _DISJOINT] == [0, 1, 2]
+    assert times == [jitters[0] + 4 + 9, jitters[1] + 5, jitters[2] + 5]
+    assert len(service._delays) == 1
+
+
+def test_delay_table_holds_one_entry_per_orderer():
+    nodes = [NodeConfig(f"o{i}", role="orderer") for i in range(2)]
+    service, _engine = _delay_service(COUNTERMEASURES, nodes, workers=100)
+    assert service._delays == [5, 5]
+
+
+def test_pinned_valid_orderer_commits_after_its_own_delay():
+    # Double spend pins its valid transfer to ``valid_orderer``, here outside
+    # the cycling orderers, so the service resolves its delay on admission.
+    config = resolve_scenario("sec3b_double_spend")
+    topo = config.topology
+    pinned_node = topo.node(config.param("valid_orderer"))
+    cycling = [n for n in topo.orderers("main") if n is not pinned_node]
+    service, engine = _delay_service(
+        BASELINE, topo.orderers("main"), orderers=cycling,
+        pinned={"valid": pinned_node.id},
+    )
+    assert list(service._delays) == [n.id for n in cycling]
+    valid = transfer_tx("valid", "a", "b", 1)
+    times, jitters = _commit_times(service, engine, [valid, _DISJOINT[1]])
+    assert times == [
+        jitters[0] + pinned_node.processing_delay + 5,
+        jitters[1] + cycling[0].processing_delay + 5,
+    ]
+    assert len(service._delays) == len(topo.orderers("main"))
